@@ -45,6 +45,13 @@ echo "==> golden fixtures (bit-exact hot-path numerics, pooled and allocating pa
 cargo test -q --test golden_fixtures
 LINVAR_WS_DISABLE=1 cargo test -q --test golden_fixtures
 
+echo "==> benchmark self-tests and seed-1 result rows (paths, serve)"
+# run.py exits non-zero when a workload's rows differ from perfbench/expected,
+# so a hot-path change that moves a result bit fails here.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+python3 perfbench/run.py --workload paths --seed 1 --seconds 1 >/dev/null
+python3 perfbench/run.py --workload serve --seed 1 --seconds 1 >/dev/null
+
 echo "==> no-panic smoke pass (examples must not panic)"
 smoke_log=$(mktemp)
 ckdir=$(mktemp -d)

@@ -14,9 +14,10 @@
 //! .param <name>
 //! ```
 //!
-//! Values accept SPICE engineering suffixes (`f p n u m k meg g`). Element
-//! values may carry variational terms: `R1 a b 10 p=50` declares
-//! `R = 10 + 50·p` for a previously declared `.param p`.
+//! Values accept SPICE engineering suffixes (`f p n u m k meg g`) and must
+//! be finite; a RAMP's rise time `tr` must be positive. Element values may
+//! carry variational terms: `R1 a b 10 p=50` declares `R = 10 + 50·p` for a
+//! previously declared `.param p`.
 
 use crate::element::SourceWaveform;
 use crate::error::CircuitError;
@@ -28,7 +29,8 @@ use crate::variation::VariationalValue;
 /// # Errors
 ///
 /// Returns [`CircuitError::ParseError`] with the 1-based line number of the
-/// first malformed card, or the underlying netlist-construction error.
+/// first malformed card (including a non-finite value or a RAMP rise time
+/// that is not positive), or the underlying netlist-construction error.
 ///
 /// # Example
 ///
@@ -61,6 +63,13 @@ pub fn parse_deck(deck: &str) -> Result<Netlist, CircuitError> {
             line: lineno,
             message,
         };
+        // Every numeric field must be a finite number: `1e999` overflows
+        // to infinity and would poison the whole simulation.
+        let number = |token: &str, what: &str| match parse_value(token) {
+            Some(v) if v.is_finite() => Ok(v),
+            Some(_) => Err(err(format!("{what} {token} is not finite"))),
+            None => Err(err(format!("bad {what} {token}"))),
+        };
         if head.starts_with('.') {
             match head.to_ascii_lowercase().as_str() {
                 ".param" => {
@@ -87,8 +96,7 @@ pub fn parse_deck(deck: &str) -> Result<Netlist, CircuitError> {
                 }
                 let a = nl.node(tokens[1]);
                 let b = nl.node(tokens[2]);
-                let nominal = parse_value(tokens[3])
-                    .ok_or_else(|| err(format!("bad value {}", tokens[3])))?;
+                let nominal = number(tokens[3], "value")?;
                 let mut value = VariationalValue::new(nominal);
                 for extra in &tokens[4..] {
                     let (pname, sens) = extra
@@ -98,9 +106,7 @@ pub fn parse_deck(deck: &str) -> Result<Netlist, CircuitError> {
                         .params
                         .index_of(pname)
                         .ok_or_else(|| err(format!("undeclared parameter {pname}")))?;
-                    let s =
-                        parse_value(sens).ok_or_else(|| err(format!("bad sensitivity {sens}")))?;
-                    value = value.with_sensitivity(pidx, s);
+                    value = value.with_sensitivity(pidx, number(sens, "sensitivity")?);
                 }
                 let res = match kind {
                     'R' => nl.add_variational_resistor(head, a, b, value),
@@ -116,19 +122,21 @@ pub fn parse_deck(deck: &str) -> Result<Netlist, CircuitError> {
                 let pos = nl.node(tokens[1]);
                 let neg = nl.node(tokens[2]);
                 let waveform = match tokens[3].to_ascii_uppercase().as_str() {
-                    "DC" => SourceWaveform::Dc(
-                        parse_value(tokens[4])
-                            .ok_or_else(|| err(format!("bad value {}", tokens[4])))?,
-                    ),
+                    "DC" => SourceWaveform::Dc(number(tokens[4], "value")?),
                     "RAMP" => {
                         if tokens.len() < 8 {
                             return Err(err("RAMP needs <v0> <v1> <t0> <tr>".into()));
                         }
                         let vals: Vec<f64> = tokens[4..8]
                             .iter()
-                            .map(|t| parse_value(t))
-                            .collect::<Option<_>>()
-                            .ok_or_else(|| err("bad RAMP argument".into()))?;
+                            .map(|t| number(t, "RAMP argument"))
+                            .collect::<Result<_, _>>()?;
+                        if vals[3] <= 0.0 {
+                            return Err(err(format!(
+                                "RAMP rise time {} must be positive",
+                                tokens[7]
+                            )));
+                        }
                         SourceWaveform::Ramp {
                             v0: vals[0],
                             v1: vals[1],
@@ -261,6 +269,40 @@ C1 a 0 2p p=10p
         match parse_deck(deck) {
             Err(CircuitError::ParseError { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_finite_values_are_line_numbered_errors() {
+        for card in [
+            "I1 a 0 DC 1e999",
+            "V1 a 0 DC -1e999",
+            "R1 a 0 1e308k",
+            "C1 a 0 infinity",
+            "V1 a 0 RAMP 0 1.8 1e999 1n",
+            "R1 a 0 10 p=1e999",
+        ] {
+            match parse_deck(&format!(".param p\n{card}")) {
+                Err(CircuitError::ParseError { line, message }) => {
+                    assert_eq!(line, 2, "{card}");
+                    assert!(message.contains("not finite"), "{card}: {message}");
+                }
+                other => panic!("{card} parsed: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn ramp_rise_time_must_be_positive() {
+        for tr in ["-1n", "0", "-0"] {
+            let deck = format!("* ramp\nV1 a 0 RAMP 0 1.8 1n {tr}");
+            match parse_deck(&deck) {
+                Err(CircuitError::ParseError { line, message }) => {
+                    assert_eq!(line, 2, "{tr}");
+                    assert!(message.contains("rise time"), "{tr}: {message}");
+                }
+                other => panic!("rise time {tr} parsed: {other:?}"),
+            }
         }
     }
 

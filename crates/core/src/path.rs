@@ -35,7 +35,7 @@ use linvar_stats::{
     SampleStatus, ShardConfig, SpectralConfig, SpectralPlan, SpectralRunError, Summary,
 };
 use linvar_teta::{StageModel, Waveform};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Specification of a critical path.
 #[derive(Debug, Clone)]
@@ -196,12 +196,15 @@ pub struct PcCampaignResult {
     pub checkpoints_written: usize,
 }
 
+/// One stage of a path. Stages with the same (driver, receiver) pair share
+/// one characterized model and load: a 500-element stage model holds
+/// megabytes of variational matrices.
 struct StageEntry {
-    model: StageModel,
+    model: Arc<StageModel>,
     /// Far-end port position in the stage's port list.
     out_port: usize,
     /// The raw load (kept for the SPICE reference flow).
-    load: StageLoad,
+    load: Arc<StageLoad>,
     cell: String,
 }
 
@@ -246,7 +249,8 @@ impl PathModel {
         // effective load — characterize each distinct pair once. Long
         // ISCAS paths reuse a handful of pairs, so this cuts construction
         // time by an order of magnitude.
-        let mut cache: std::collections::HashMap<(String, String), (StageModel, StageLoad, usize)> =
+        type Characterized = (Arc<StageModel>, Arc<StageLoad>, usize);
+        let mut cache: std::collections::HashMap<(String, String), Characterized> =
             std::collections::HashMap::new();
         for (k, cell) in spec.cells.iter().enumerate() {
             let receiver = spec
@@ -278,7 +282,7 @@ impl PathModel {
                     .iter()
                     .position(|p| *p == load.far)
                     .expect("far end is a port");
-                cache.insert(key.clone(), (model, load, out_port));
+                cache.insert(key.clone(), (Arc::new(model), Arc::new(load), out_port));
             }
             let (model, load, out_port) = cache.get(&key).expect("just inserted").clone();
             stages.push(StageEntry {

@@ -99,34 +99,79 @@ impl Waveform {
         self.final_value() > self.initial_value()
     }
 
-    /// Adaptive breakpoint selection: drops samples that a linear
-    /// interpolation of their neighbours reproduces within `tol` (absolute).
-    /// This is the "adaptively selects the breakpoints" compression of the
-    /// paper; typical savings are 5–20x on smooth stage outputs.
+    /// Adaptive breakpoint selection: the "adaptively selects the
+    /// breakpoints" compression of the paper; typical savings are 5–20x on
+    /// smooth stage outputs.
+    ///
+    /// Contract:
+    ///
+    /// * **Greedy anchored chords.** The first sample is the anchor. Sample
+    ///   `k` is dropped if the chord from the anchor to sample `k + 1`
+    ///   reproduces every sample after the anchor up to `k` within `tol`
+    ///   (absolute); otherwise `k` is kept and becomes the anchor. A sample
+    ///   is off the chord if `|v0 + (v1 − v0)·(t − t0)/(t1 − t0) − v| > tol`
+    ///   in floating point, so a NaN residual never is.
+    /// * The first and last samples are always kept.
+    /// * Every dropped sample lies within `tol` of the chord that replaced it.
+    /// * **Linear time.** Each sample narrows, in O(1), two running
+    ///   intervals of chord slopes from the anchor: those that hold every
+    ///   sample since the anchor within `tol − δ` (inner sleeve) and within
+    ///   `tol + δ` (outer sleeve). δ = 64·ε·max(max|v|, tol), plus an
+    ///   underflow term, bounds the rounding error of the exact test (see
+    ///   `sleeve_margin`). A slope inside the inner sleeve drops the
+    ///   sample, one outside the outer sleeve keeps it, and only a slope
+    ///   between them runs the exact test. So do inputs outside the bound's
+    ///   scope: non-finite samples, a non-increasing time axis, or `tol`
+    ///   outside `[0, ∞)`; those cost O(n²) in the worst case. The keep/drop
+    ///   decisions are the exact test's in every case.
     pub fn compress(&self, tol: f64) -> Waveform {
-        if self.points.len() <= 2 {
+        let p = &self.points;
+        if p.len() <= 2 {
             return self.clone();
         }
-        let mut kept = vec![self.points[0]];
+        // The exact test of the contract: no sample strictly between
+        // `p[a]` and `p[q]` is off their chord.
+        let chord_fits = |a: usize, q: usize| {
+            let (t0, v0) = p[a];
+            let (t1, v1) = p[q];
+            !p[a + 1..q].iter().any(|&(t, v)| {
+                let interp = v0 + (v1 - v0) * (t - t0) / (t1 - t0);
+                (interp - v).abs() > tol
+            })
+        };
+        // Slopes from the anchor that keep every sample since it within
+        // `tol - δ` (inner sleeve) and `tol + δ` (outer sleeve).
+        let sleeve_tols = sleeve_margin(p, tol).map(|d| (tol - d, tol + d));
+        let open = (f64::NEG_INFINITY, f64::INFINITY);
+        let (mut inner, mut outer) = (open, open);
+        let mut kept = vec![p[0]];
         let mut anchor = 0;
-        for k in 1..self.points.len() - 1 {
-            // Check all points between anchor and k+1 against the chord.
-            let (t0, v0) = self.points[anchor];
-            let (t1, v1) = self.points[k + 1];
-            let mut ok = true;
-            for p in &self.points[anchor + 1..=k] {
-                let interp = v0 + (v1 - v0) * (p.0 - t0) / (t1 - t0);
-                if (interp - p.1).abs() > tol {
-                    ok = false;
-                    break;
+        for k in 1..p.len() - 1 {
+            let (t0, v0) = p[anchor];
+            let fits = if let Some((tol_in, tol_out)) = sleeve_tols {
+                let (dt, dv) = (p[k].0 - t0, p[k].1 - v0);
+                inner.0 = inner.0.max((dv - tol_in) / dt);
+                inner.1 = inner.1.min((dv + tol_in) / dt);
+                outer.0 = outer.0.max((dv - tol_out) / dt);
+                outer.1 = outer.1.min((dv + tol_out) / dt);
+                let s = (p[k + 1].1 - v0) / (p[k + 1].0 - t0);
+                if s.is_finite() && inner.0 <= s && s <= inner.1 {
+                    true
+                } else if s.is_finite() && (s < outer.0 || s > outer.1) {
+                    false
+                } else {
+                    chord_fits(anchor, k + 1)
                 }
-            }
-            if !ok {
-                kept.push(self.points[k]);
+            } else {
+                chord_fits(anchor, k + 1)
+            };
+            if !fits {
+                kept.push(p[k]);
                 anchor = k;
+                (inner, outer) = (open, open);
             }
         }
-        kept.push(*self.points.last().expect("nonempty"));
+        kept.push(p[p.len() - 1]);
         Waveform { points: kept }
     }
 
@@ -205,6 +250,50 @@ impl Waveform {
     }
 }
 
+/// Rounding margin δ of the sleeve test in [`Waveform::compress`], or `None`
+/// for inputs outside the scope of its error bound: a non-finite sample, a
+/// time step that is not positive, `tol` outside `[0, ∞)`, or magnitudes
+/// that could overflow the exact test.
+///
+/// Error bound. Let u = ε/2, V = max(|v|), T the time span, h the smallest
+/// time step and η the smallest subnormal. For a candidate chord from the
+/// anchor `(t0, v0)` to `(t1, v1)` and a sample `(t, v)` between them, let
+/// Δv = v1 − v0, D = t1 − t0 and d = t − t0 ≤ D as computed, and let
+/// m = v0 + Δv·d/D − v be the residual in exact arithmetic. Then:
+///
+/// * the exact test's computed residual R satisfies
+///   |R − m| ≤ 12u·V + η·(1 + 1/h): four roundings on terms of size ≤ 3V,
+///   plus underflow in the product and the quotient;
+/// * comparing the computed slope Δv/D with a computed sleeve edge
+///   (dv ± τ)/d, where dv = v − v0 and τ is the rounded tol − δ (inner
+///   sleeve) or tol + δ (outer sleeve), and multiplying through by d moves
+///   the edge by ≤ 9u·V + 3u·|τ| + η·T in value.
+///
+/// With |τ| ≤ (1 + u)·(tol + δ), a slope inside the inner sleeve gives every
+/// |R| ≤ tol − δ + 21u·V + 5u·(tol + δ) + η·(1 + T + 1/h) ≤ tol, and a slope
+/// outside the outer sleeve gives some |R| ≥ tol + δ − (the same terms) >
+/// tol, once δ = 128u·max(V, tol) + (2 + T + 1/h)·2⁻¹⁰²²: that is
+/// 64·ε·max(V, tol) plus an underflow term that is negligible on real
+/// waveforms. The scope bound max(V, tol)·(1 + T) < MAX/8 keeps every
+/// product and sum of the exact test finite. A sleeve edge that overflows
+/// to ±∞ still orders correctly against a finite slope, and a non-finite
+/// slope takes the exact test.
+fn sleeve_margin(p: &[(f64, f64)], tol: f64) -> Option<f64> {
+    if !p.iter().all(|&(t, v)| t.is_finite() && v.is_finite()) {
+        return None;
+    }
+    let h_min = p
+        .windows(2)
+        .map(|w| w[1].0 - w[0].0)
+        .fold(f64::INFINITY, f64::min);
+    let span = p[p.len() - 1].0 - p[0].0;
+    let scale = p.iter().fold(tol, |m, &(_, v)| m.max(v.abs()));
+    let in_scope = tol >= 0.0 && h_min > 0.0 && scale * (1.0 + span) < f64::MAX / 8.0;
+    in_scope.then(|| {
+        64.0 * f64::EPSILON * scale + f64::MIN_POSITIVE * (2.0 + span) + f64::MIN_POSITIVE / h_min
+    })
+}
+
 /// Saturated-ramp waveform parameters `(M, S)` — the 50 % arrival point and
 /// the (full-swing-equivalent) transition time (paper eq. 29).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -275,6 +364,16 @@ mod tests {
         for t in [0.5, 1.5, 2.5, 3.5] {
             assert!((c.eval(t) - w.eval(t)).abs() < 1e-6);
         }
+    }
+
+    #[test]
+    fn compress_tolerance_is_inclusive() {
+        // The middle sample lies exactly `tol` off the chord and is
+        // dropped; one ulp further out it is kept.
+        let tol = 0.1;
+        let w = |v: f64| Waveform::from_points(vec![(0.0, 0.0), (1.0, v), (2.0, 0.0)]);
+        assert_eq!(w(tol).compress(tol).points().len(), 2);
+        assert_eq!(w(tol.next_up()).compress(tol).points().len(), 3);
     }
 
     #[test]

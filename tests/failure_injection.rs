@@ -38,6 +38,8 @@ fn nonsense_decks_produce_line_numbered_errors() {
         ("flub", "unknown element"),
         ("V1 a 0 SIN 1 2", "unknown source"),
         (".weird", "unknown directive"),
+        ("I1 a 0 DC 1e999", "not finite"),
+        ("V1 a 0 RAMP 0 1.8 1n -1n", "rise time"),
     ] {
         match parse_deck(deck) {
             Err(CircuitError::ParseError { line: 1, message }) => {

@@ -1,8 +1,106 @@
 //! Property-based tests of the TETA waveform machinery and the
 //! engine-agreement invariant.
 
-use linvar::teta::Waveform;
+use linvar::devices::{chord_conductance, tech_018, DeviceVariation};
+use linvar::interconnect::{builder::build_coupled_lines, CoupledLineSpec, WireTech};
+use linvar::mor::{extract_pole_residue, stabilize, ReductionMethod};
+use linvar::teta::engine::DriverSpec;
+use linvar::teta::{StageModel, StageSolver, StageSolverOptions, Waveform};
 use proptest::prelude::*;
+
+/// The quadratic greedy loop `Waveform::compress` must reproduce bit for
+/// bit: for each candidate it re-checks every sample since the anchor
+/// against the chord to the next sample.
+fn quadratic_compress(points: &[(f64, f64)], tol: f64) -> Vec<(f64, f64)> {
+    if points.len() <= 2 {
+        return points.to_vec();
+    }
+    let mut kept = vec![points[0]];
+    let mut anchor = 0;
+    for k in 1..points.len() - 1 {
+        let (t0, v0) = points[anchor];
+        let (t1, v1) = points[k + 1];
+        let mut ok = true;
+        for p in &points[anchor + 1..=k] {
+            let interp = v0 + (v1 - v0) * (p.0 - t0) / (t1 - t0);
+            if (interp - p.1).abs() > tol {
+                ok = false;
+                break;
+            }
+        }
+        if !ok {
+            kept.push(points[k]);
+            anchor = k;
+        }
+    }
+    kept.push(*points.last().unwrap());
+    kept
+}
+
+/// Asserts that `compress` keeps exactly the reference's samples, bit for
+/// bit (NaN payloads and signed zeros included).
+fn assert_matches_reference(w: &Waveform, tol: f64) {
+    let bits = |p: &[(f64, f64)]| -> Vec<(u64, u64)> {
+        p.iter().map(|&(t, v)| (t.to_bits(), v.to_bits())).collect()
+    };
+    let got = bits(w.compress(tol).points());
+    let want = bits(&quadratic_compress(w.points(), tol));
+    assert!(
+        got == want,
+        "compress(tol = {tol:e}) kept {} samples, the reference {} ({} samples in)",
+        got.len(),
+        want.len(),
+        w.points().len()
+    );
+}
+
+/// `v` moved by `ulps` representable steps (negative: downwards).
+fn nudge(v: f64, ulps: i64) -> f64 {
+    (0..ulps.unsigned_abs()).fold(v, |x, _| if ulps > 0 { x.next_up() } else { x.next_down() })
+}
+
+/// Strategy: samples on a line, half of them moved to exactly `line ± tol`,
+/// and every sample then nudged by up to four ulps either way. Chords
+/// between on-line samples put the moved ones within a few ulps of the
+/// tolerance, where `compress` must fall back to its exact test.
+fn boundary_strategy() -> impl Strategy<Value = (Waveform, f64)> {
+    (3usize..60, 1e-4f64..0.5, -2.0f64..2.0).prop_flat_map(|(n, tol, slope)| {
+        prop::collection::vec((1e-12f64..1e-9, 0usize..4, 0u64..9), n).prop_map(move |steps| {
+            let mut t = 0.0;
+            let points = steps
+                .into_iter()
+                .map(|(dt, kind, ulps)| {
+                    t += dt;
+                    let line = slope * t * 1e9;
+                    let v = match kind {
+                        0 => line + tol,
+                        1 => line - tol,
+                        _ => line,
+                    };
+                    (t, nudge(v, ulps as i64 - 4))
+                })
+                .collect();
+            (Waveform::from_points(points), tol)
+        })
+    })
+}
+
+/// Strategy: a random waveform with up to three values replaced by NaN or
+/// ±∞.
+fn non_finite_strategy() -> impl Strategy<Value = Waveform> {
+    (
+        waveform_strategy(),
+        prop::collection::vec((0usize..40, 0usize..3), 3),
+    )
+        .prop_map(|(w, hits)| {
+            let mut points = w.points().to_vec();
+            let n = points.len();
+            for (i, kind) in hits {
+                points[i % n].1 = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][kind];
+            }
+            Waveform::from_points(points)
+        })
+}
 
 /// Strategy: a strictly increasing time axis with values in [-2, 2].
 fn waveform_strategy() -> impl Strategy<Value = Waveform> {
@@ -45,6 +143,34 @@ proptest! {
         // Endpoints always survive.
         prop_assert_eq!(c.points()[0], w.points()[0]);
         prop_assert_eq!(*c.points().last().unwrap(), *w.points().last().unwrap());
+    }
+
+    /// `compress` keeps exactly the samples the quadratic loop keeps, at
+    /// ordinary tolerances and at 0 and ∞.
+    #[test]
+    fn compress_matches_quadratic_reference(w in waveform_strategy(), tol in 1e-4f64..0.5) {
+        for tol in [tol, 0.0, f64::INFINITY] {
+            assert_matches_reference(&w, tol);
+        }
+    }
+
+    /// Samples within a few ulps of `chord ± tol` take the exact test and
+    /// still decide as the reference does.
+    #[test]
+    fn compress_matches_reference_at_the_tolerance_boundary(case in boundary_strategy()) {
+        let (w, tol) = case;
+        assert_matches_reference(&w, tol);
+        assert_matches_reference(&w, tol.next_up());
+        assert_matches_reference(&w, tol.next_down());
+    }
+
+    /// NaN and ±∞ values, and NaN, negative, zero and infinite tolerances,
+    /// take the exact test throughout.
+    #[test]
+    fn compress_matches_reference_on_non_finite_input(w in non_finite_strategy(), tol in 1e-4f64..0.5) {
+        for tol in [tol, 0.0, -tol, f64::INFINITY, f64::NAN] {
+            assert_matches_reference(&w, tol);
+        }
     }
 
     /// Shifting is exact and invertible.
@@ -99,5 +225,92 @@ proptest! {
                     "crossing at t={} evals to {}", t, w.eval(t));
             }
         }
+    }
+}
+
+/// Settled tails of thousands of samples, the bulk of every stage output:
+/// an RC-like exponential, an exactly flat tail and one dithered by an ulp.
+#[test]
+fn compress_matches_reference_on_settled_tails() {
+    let n = 4000;
+    let rise = |t: f64| 1.8 * (1.0 - (-t / 20e-12).exp());
+    let tails: [&dyn Fn(usize, f64) -> f64; 3] = [
+        &|_, t| rise(t),
+        &|k, t| if k < 100 { rise(t) } else { 1.8 },
+        &|k, _| if k % 2 == 0 { 1.8 } else { 1.8f64.next_up() },
+    ];
+    for tail in tails {
+        let points = (0..n)
+            .map(|k| {
+                let t = k as f64 * 1e-12;
+                (t, tail(k, t))
+            })
+            .collect();
+        let w = Waveform::from_points(points);
+        for tol in [1.8e-4, 1e-2, 1e-12, 0.0, f64::INFINITY] {
+            assert_matches_reference(&w, tol);
+        }
+    }
+}
+
+/// The golden stage of `tests/golden_fixtures.rs`, solved with compression
+/// off, compresses at `1e-4·vdd` exactly as the reference loop does — and
+/// exactly to the waveforms `StageModel::evaluate` returns.
+#[test]
+fn compress_matches_reference_on_raw_stage_output() {
+    let tech = tech_018();
+    let lib = &tech.library;
+    let built = build_coupled_lines(&CoupledLineSpec::new(1, 20e-6, WireTech::m018())).unwrap();
+    let model = StageModel::build(
+        &built.netlist,
+        &[built.inputs[0]],
+        &tech,
+        ReductionMethod::Prima { order: 6 },
+        0.02,
+    )
+    .unwrap();
+    let w = [0.3, -0.2, 0.1, 0.0, 0.4];
+    let variation = DeviceVariation::new(0.25, -0.5);
+    let input = Waveform::ramp(0.0, 1.8, 20e-12, 50e-12);
+    let (h, t_end) = (1e-12, 1.5e-9);
+    let evaluated = model
+        .evaluate(&w, variation, std::slice::from_ref(&input), h, t_end)
+        .unwrap();
+
+    let rom = model.vrom().evaluate(&w).unwrap();
+    let (stable, _) = stabilize(&extract_pole_residue(&rom).unwrap());
+    let nmos = lib.get(&lib.nmos_name()).unwrap().clone();
+    let pmos = lib.get(&lib.pmos_name()).unwrap().clone();
+    let g_out = chord_conductance(&nmos, tech.wn, lib.lmin, lib.vdd)
+        + chord_conductance(&pmos, tech.wp, lib.lmin, lib.vdd);
+    let port = built
+        .netlist
+        .ports()
+        .iter()
+        .position(|p| *p == built.inputs[0])
+        .unwrap();
+    let driver = DriverSpec {
+        port,
+        input,
+        nmos,
+        pmos,
+        wn: tech.wn,
+        wp: tech.wp,
+        length: lib.lmin,
+        g_out,
+    };
+    let mut opts = StageSolverOptions::new(lib.vdd, t_end, h);
+    opts.variation = variation;
+    let (raw, _) = StageSolver::new(&stable, vec![driver], opts)
+        .unwrap()
+        .run()
+        .unwrap();
+
+    let tol = 1e-4 * lib.vdd;
+    assert_eq!(raw.len(), evaluated.waveforms.len());
+    for (raw, compressed) in raw.iter().zip(&evaluated.waveforms) {
+        assert!(raw.points().len() > 1000, "raw output has every time step");
+        assert_matches_reference(raw, tol);
+        assert_eq!(raw.compress(tol).points(), compressed.points());
     }
 }
