@@ -9,6 +9,8 @@
 //!   `x(w) = x0 · (1 + Σ si·wi)` in a set of named global parameters, the
 //!   representation behind the paper's variational matrices
 //!   `G(w) = G0 + Σ dGi·wi` (eqs. 3–4);
+//! * [`MnaStamps`] — the MNA stamps at one parameter sample, the one
+//!   stamping routine behind both the dense and the sparse assembly;
 //! * [`MnaSystem`] / [`VariationalMna`] — assembled modified-nodal-analysis
 //!   matrices, nominal and variational;
 //! * a small SPICE-like deck parser for RC decks ([`parse_deck`]).
@@ -43,7 +45,7 @@ pub mod variation;
 
 pub use element::{Element, MosInstance, MosType, SourceWaveform};
 pub use error::CircuitError;
-pub use mna::{MnaSystem, VariationalMna};
+pub use mna::{MnaStamps, MnaSystem, VariationalMna};
 pub use netlist::{Netlist, NodeId};
 pub use parse::parse_deck;
 pub use variation::{ParamSet, VariationalValue};

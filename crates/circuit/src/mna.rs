@@ -1,10 +1,13 @@
 //! Modified nodal analysis (MNA) assembly.
 //!
-//! Two products are assembled from a [`Netlist`]:
+//! Three products are assembled from a [`Netlist`]:
 //!
+//! * [`MnaStamps`] — the `(G, C)` stamps of the netlist at one parameter
+//!   sample as `(row, col, value)` triplets, the single source of MNA
+//!   stamps: the dense and sparse routes both consume this stream;
 //! * [`MnaSystem`] — the nominal `(G + sC)` system including voltage-source
-//!   branch equations, used by the linear analyses and as the skeleton of
-//!   the SPICE baseline;
+//!   branch equations, the dense `+=` replay of [`MnaStamps`] at `w = []`,
+//!   used by the linear analyses and as the skeleton of the SPICE baseline;
 //! * [`VariationalMna`] — node-space admittance/susceptance matrices in the
 //!   paper's variational form `G(w) = G0 + Σ dGi·wi`, `C(w) = C0 + Σ dCi·wi`
 //!   (eqs. 3–4), restricted to the linear R/C portion of the netlist. This
@@ -13,7 +16,43 @@
 use crate::element::Element;
 use crate::error::CircuitError;
 use crate::netlist::Netlist;
+use crate::variation::VariationalValue;
 use linvar_numeric::{Matrix, NumericError};
+
+/// The MNA stamps of a netlist at one parameter sample.
+///
+/// Unknown ordering matches [`MnaSystem`]: node voltages, then one branch
+/// current per voltage source, then one per inductor (element order).
+/// Replaying `g` (or `c`) with `+=` into a zeroed `dim × dim` matrix
+/// gives the [`MnaSystem`] matrices of [`Netlist::frozen_at`]`(w)` bit for
+/// bit; the same stream summed into CSC feeds the sparse backend.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MnaStamps {
+    /// Matrix order (`n + m + inductors`).
+    pub dim: usize,
+    /// Number of node unknowns.
+    pub node_count: usize,
+    /// Conductance/incidence stamps `(row, col, value)`, in emission
+    /// order.
+    pub g: Vec<(usize, usize, f64)>,
+    /// Susceptance (capacitance/inductance) stamps, in emission order.
+    pub c: Vec<(usize, usize, f64)>,
+}
+
+impl MnaStamps {
+    /// The dense `(G, C)`: each stream replayed with `+=` into a zeroed
+    /// `dim × dim` matrix, in emission order.
+    pub fn dense(&self) -> (Matrix, Matrix) {
+        let replay = |stamps: &[(usize, usize, f64)]| {
+            let mut m = Matrix::zeros(self.dim, self.dim);
+            for &(i, j, v) in stamps {
+                m[(i, j)] += v;
+            }
+            m
+        };
+        (replay(&self.g), replay(&self.c))
+    }
+}
 
 /// Assembled nominal MNA system.
 ///
@@ -125,46 +164,69 @@ fn stamp_conductance(m: &mut Matrix, a: Option<usize>, b: Option<usize>, g: f64)
     }
 }
 
+/// Emits a two-terminal conductance stamp in [`stamp_conductance`]'s
+/// order (diagonals, then the off-diagonal pair).
+fn push_conductance(t: &mut Vec<(usize, usize, f64)>, a: Option<usize>, b: Option<usize>, g: f64) {
+    if let Some(i) = a {
+        t.push((i, i, g));
+    }
+    if let Some(j) = b {
+        t.push((j, j, g));
+    }
+    if let (Some(i), Some(j)) = (a, b) {
+        t.push((i, j, -g));
+        t.push((j, i, -g));
+    }
+}
+
+/// A capacitance frozen at `w`: a fluctuation may not drive it negative.
+fn capacitance_at(value: &VariationalValue, w: &[f64]) -> f64 {
+    value.eval(w).max(0.0)
+}
+
 impl Netlist {
-    /// Assembles the nominal MNA system (node equations + voltage-source
-    /// branch equations). MOSFETs are *not* stamped — nonlinear devices are
-    /// handled by the analysis engines.
+    /// Emits the MNA stamps of the netlist with every element value taken
+    /// at the parameter sample `w` — the values [`Netlist::frozen_at`]
+    /// freezes (capacitances clamped at 0) — in element order. MOSFETs and
+    /// current sources stamp nothing.
     ///
     /// # Errors
     ///
     /// Returns [`CircuitError::EmptyNetlist`] if there are no non-ground
     /// nodes.
-    pub fn assemble_mna(&self) -> Result<MnaSystem, CircuitError> {
+    pub fn stamp_mna(&self, w: &[f64]) -> Result<MnaStamps, CircuitError> {
         let n = self.node_count();
         if n == 0 {
             return Err(CircuitError::EmptyNetlist);
         }
         let m = self.vsource_count();
-        let n_ind = self.inductor_count();
-        let dim = n + m + n_ind;
-        let mut g = Matrix::zeros(dim, dim);
-        let mut c = Matrix::zeros(dim, dim);
-        let mut vsource_names = Vec::with_capacity(m);
+        let mut out = MnaStamps {
+            dim: n + m + self.inductor_count(),
+            node_count: n,
+            g: Vec::with_capacity(4 * self.elements().len()),
+            c: Vec::new(),
+        };
         let mut branch = n;
         let mut ind_branch = n + m;
         for e in self.elements() {
             match e {
                 Element::Resistor { a, b, value, .. } => {
-                    stamp_conductance(&mut g, a.mna_index(), b.mna_index(), 1.0 / value.nominal);
+                    let g = 1.0 / value.eval(w);
+                    push_conductance(&mut out.g, a.mna_index(), b.mna_index(), g);
                 }
                 Element::Capacitor { a, b, value, .. } => {
-                    stamp_conductance(&mut c, a.mna_index(), b.mna_index(), value.nominal);
+                    let c = capacitance_at(value, w);
+                    push_conductance(&mut out.c, a.mna_index(), b.mna_index(), c);
                 }
-                Element::VSource { name, pos, neg, .. } => {
+                Element::VSource { pos, neg, .. } => {
                     if let Some(i) = pos.mna_index() {
-                        g[(i, branch)] += 1.0;
-                        g[(branch, i)] += 1.0;
+                        out.g.push((i, branch, 1.0));
+                        out.g.push((branch, i, 1.0));
                     }
                     if let Some(j) = neg.mna_index() {
-                        g[(j, branch)] -= 1.0;
-                        g[(branch, j)] -= 1.0;
+                        out.g.push((j, branch, -1.0));
+                        out.g.push((branch, j, -1.0));
                     }
-                    vsource_names.push(name.clone());
                     branch += 1;
                 }
                 Element::Inductor { a, b, value, .. } => {
@@ -172,14 +234,14 @@ impl Netlist {
                     // convention: KCL gets +i, branch row is
                     // -(v_a - v_b) + sL·i = 0.
                     if let Some(i) = a.mna_index() {
-                        g[(i, ind_branch)] += 1.0;
-                        g[(ind_branch, i)] -= 1.0;
+                        out.g.push((i, ind_branch, 1.0));
+                        out.g.push((ind_branch, i, -1.0));
                     }
                     if let Some(j) = b.mna_index() {
-                        g[(j, ind_branch)] -= 1.0;
-                        g[(ind_branch, j)] += 1.0;
+                        out.g.push((j, ind_branch, -1.0));
+                        out.g.push((ind_branch, j, 1.0));
                     }
-                    c[(ind_branch, ind_branch)] += value.nominal;
+                    out.c.push((ind_branch, ind_branch, value.eval(w)));
                     ind_branch += 1;
                 }
                 Element::ISource { .. } => {
@@ -187,10 +249,33 @@ impl Netlist {
                 }
             }
         }
+        Ok(out)
+    }
+
+    /// Assembles the nominal MNA system (node equations + voltage-source
+    /// branch equations): the dense replay of [`Netlist::stamp_mna`] at
+    /// `w = []`. MOSFETs are *not* stamped — nonlinear devices are
+    /// handled by the analysis engines.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CircuitError::EmptyNetlist`] if there are no non-ground
+    /// nodes.
+    pub fn assemble_mna(&self) -> Result<MnaSystem, CircuitError> {
+        let stamps = self.stamp_mna(&[])?;
+        let vsource_names = self
+            .elements()
+            .iter()
+            .filter_map(|e| match e {
+                Element::VSource { name, .. } => Some(name.clone()),
+                _ => None,
+            })
+            .collect();
+        let (g, c) = stamps.dense();
         Ok(MnaSystem {
             g,
             c,
-            node_count: n,
+            node_count: stamps.node_count,
             vsource_names,
         })
     }
@@ -283,19 +368,19 @@ impl Netlist {
                     name: name.clone(),
                     a: *a,
                     b: *b,
-                    value: crate::variation::VariationalValue::new(value.eval(w)),
+                    value: VariationalValue::new(value.eval(w)),
                 },
                 Element::Capacitor { name, a, b, value } => Element::Capacitor {
                     name: name.clone(),
                     a: *a,
                     b: *b,
-                    value: crate::variation::VariationalValue::new(value.eval(w).max(0.0)),
+                    value: VariationalValue::new(capacitance_at(value, w)),
                 },
                 Element::Inductor { name, a, b, value } => Element::Inductor {
                     name: name.clone(),
                     a: *a,
                     b: *b,
-                    value: crate::variation::VariationalValue::new(value.eval(w)),
+                    value: VariationalValue::new(value.eval(w)),
                 },
                 other => other.clone(),
             })

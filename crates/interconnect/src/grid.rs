@@ -5,7 +5,7 @@
 //! fluctuation sensitivities through the same `variational_from`
 //! machinery as the coupled-line builder, fed by a Vdd pad through
 //! via/strap resistances at the four corners and loaded by a
-//! deterministic non-uniform pattern of tile current sources. Freezing
+//! deterministic non-uniform pattern of tile current sources. Stamping
 //! the netlist at a fluctuation sample and solving the DC operating
 //! point gives that sample's worst-case IR drop — the scalar whose
 //! distribution the MC/Sobol/gPC engines characterize.
@@ -94,6 +94,11 @@ pub enum GridError {
         /// The non-finite voltage.
         value: f64,
     },
+    /// An `observe` entry names ground or a node the netlist lacks.
+    UnknownObservedNode {
+        /// The name in [`GridCase::observe`].
+        node: String,
+    },
 }
 
 impl fmt::Display for GridError {
@@ -103,6 +108,9 @@ impl fmt::Display for GridError {
             GridError::Numeric(e) => write!(f, "grid solve error: {e}"),
             GridError::NonFinite { node, value } => {
                 write!(f, "node {node} solved to non-finite voltage {value}")
+            }
+            GridError::UnknownObservedNode { node } => {
+                write!(f, "observed node {node} is not a non-ground grid node")
             }
         }
     }
@@ -238,28 +246,33 @@ pub fn power_grid_case(spec: &PowerGridSpec) -> Result<GridCase, CircuitError> {
     })
 }
 
-/// Evaluates one fluctuation sample: freeze the grid at `w`, solve the
-/// DC operating point on the requested backend (through the recovery
+/// Evaluates one fluctuation sample: stamp the grid at `w`, solve the DC
+/// operating point on the requested backend (through the recovery
 /// ladder), and return the worst IR drop `Vdd − min(v)` over the loaded
 /// nodes.
+///
+/// The stamps go straight into the solver
+/// ([`AnySolver::factor_stamps_recovering`]), so the sparse backend never
+/// sees a dense matrix; the result bits equal freezing the netlist,
+/// assembling it densely and factoring that.
 ///
 /// # Errors
 ///
 /// Returns [`GridError`] on assembly failure, an unrecoverably singular
-/// grid, or a non-finite solved voltage.
+/// grid, a non-finite solved voltage, or an `observe` entry that is not a
+/// non-ground node of the netlist.
 pub fn ir_drop_for_sample(
     case: &GridCase,
     w: &[f64],
     choice: SolverChoice,
 ) -> Result<f64, GridError> {
-    let frozen = case.netlist.frozen_at(w);
-    let mna = frozen.assemble_mna()?;
-    let dim = mna.g.rows();
+    let nl = &case.netlist;
+    let stamps = nl.stamp_mna(w)?;
     // DC right-hand side: voltage sources pin their branch rows, current
     // sources enter the KCL rows (into `pos`, out of `neg`).
-    let mut rhs = vec![0.0; dim];
-    let mut branch = mna.node_count;
-    for e in frozen.elements() {
+    let mut rhs = vec![0.0; stamps.dim];
+    let mut branch = stamps.node_count;
+    for e in nl.elements() {
         match e {
             Element::VSource { waveform, .. } => {
                 rhs[branch] = waveform.eval(0.0);
@@ -279,14 +292,14 @@ pub fn ir_drop_for_sample(
             _ => {}
         }
     }
-    let (solver, _recovery) = AnySolver::factor_dense_matrix_recovering(&mna.g, choice)?;
+    let (solver, _recovery) = AnySolver::factor_stamps_recovering(stamps.dim, &stamps.g, choice)?;
     let v = solver.solve(&rhs)?;
     let mut worst = 0.0f64;
     for name in &case.observe {
-        let idx = frozen
+        let idx = nl
             .find_node(name)
             .and_then(|n| n.mna_index())
-            .expect("observed nodes are non-ground grid nodes");
+            .ok_or_else(|| GridError::UnknownObservedNode { node: name.clone() })?;
         if !v[idx].is_finite() {
             return Err(GridError::NonFinite {
                 node: name.clone(),

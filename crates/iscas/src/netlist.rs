@@ -145,7 +145,8 @@ impl GateNetlist {
 ///
 /// # Errors
 ///
-/// Returns a message naming the first malformed line.
+/// Returns a message naming the first malformed line, including a signal
+/// driven by two gates and a gate driving a primary input.
 ///
 /// # Example
 ///
@@ -162,6 +163,8 @@ pub fn parse_bench(name: &str, text: &str) -> Result<GateNetlist, String> {
     let mut inputs = Vec::new();
     let mut outputs = Vec::new();
     let mut gates = Vec::new();
+    // Line of the gate driving each signal, to reject a second driver.
+    let mut driven_at: HashMap<String, usize> = HashMap::new();
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -170,7 +173,13 @@ pub fn parse_bench(name: &str, text: &str) -> Result<GateNetlist, String> {
         let err = |msg: &str| format!("{name}.bench line {}: {msg}", lineno + 1);
         if let Some(rest) = line.strip_prefix("INPUT(") {
             let sig = rest.strip_suffix(')').ok_or_else(|| err("missing )"))?;
-            inputs.push(sig.trim().to_string());
+            let sig = sig.trim().to_string();
+            if let Some(at) = driven_at.get(&sig) {
+                return Err(err(&format!(
+                    "primary input {sig} is driven by the gate on line {at}"
+                )));
+            }
+            inputs.push(sig);
         } else if let Some(rest) = line.strip_prefix("OUTPUT(") {
             let sig = rest.strip_suffix(')').ok_or_else(|| err("missing )"))?;
             outputs.push(sig.trim().to_string());
@@ -197,6 +206,14 @@ pub fn parse_bench(name: &str, text: &str) -> Result<GateNetlist, String> {
             }
             if !expected_single && ins.len() < 2 {
                 return Err(err("multi-input gate with one input"));
+            }
+            if inputs.contains(&output) {
+                return Err(err(&format!("gate drives primary input {output}")));
+            }
+            if let Some(at) = driven_at.insert(output.clone(), lineno + 1) {
+                return Err(err(&format!(
+                    "signal {output} is already driven by the gate on line {at}"
+                )));
             }
             gates.push(Gate {
                 output,
@@ -264,6 +281,28 @@ y = NOT(d)
             .unwrap_err()
             .contains("multi-input"));
         assert!(parse_bench("x", "INPUT(a").is_err());
+    }
+
+    #[test]
+    fn a_signal_with_two_drivers_is_a_line_numbered_error() {
+        let text = "INPUT(a)\nINPUT(b)\ny = NAND(a, b)\n# again\ny = NOR(a, b)\n";
+        let e = parse_bench("x", text).unwrap_err();
+        assert!(e.contains("line 5"), "{e}");
+        assert!(e.contains("already driven by the gate on line 3"), "{e}");
+    }
+
+    #[test]
+    fn a_gate_driving_a_primary_input_is_a_line_numbered_error() {
+        // Input declared first: the gate's line is at fault.
+        let e = parse_bench("x", "INPUT(a)\nINPUT(b)\na = NOT(b)\n").unwrap_err();
+        assert!(e.contains("line 3"), "{e}");
+        assert!(e.contains("drives primary input a"), "{e}");
+        // Gate first: the declaration that collides with it is.
+        let e = parse_bench("x", "INPUT(b)\na = NOT(b)\nINPUT(a)\n").unwrap_err();
+        assert!(e.contains("line 3"), "{e}");
+        assert!(e.contains("driven by the gate on line 2"), "{e}");
+        // A DFF counts as a driver too.
+        assert!(parse_bench("x", "INPUT(d)\nd = DFF(d)\n").is_err());
     }
 
     #[test]

@@ -237,16 +237,33 @@ impl AnySolver {
         choice: SolverChoice,
     ) -> Result<(Self, FactorRecovery), NumericError> {
         match choice.backend_for(n) {
-            SolverBackend::Dense => {
-                let a = dense_from_triplets(n, triplets)?;
-                let (lu, rec) = LuFactor::new_recovering(&a)?;
-                Ok((AnySolver::Dense(lu), rec))
-            }
+            SolverBackend::Dense => AnySolver::dense_recovering(&dense_from_triplets(n, triplets)?),
             SolverBackend::Sparse => {
-                let a = SparseMatrix::from_triplets(n, n, triplets)?;
-                let symbolic = analyze_cached(&a)?;
-                let (lu, rec) = SparseLu::new_recovering(&a, &symbolic)?;
-                Ok((AnySolver::Sparse(lu), rec))
+                AnySolver::sparse_recovering(&SparseMatrix::from_triplets(n, n, triplets)?)
+            }
+        }
+    }
+
+    /// Factors an assembled stamp stream (e.g. the `g` of
+    /// `Netlist::stamp_mna`) with the same bits as assembling it densely
+    /// and calling [`AnySolver::factor_dense_matrix_recovering`], but
+    /// without a dense matrix on the sparse backend: that route factors
+    /// [`SparseMatrix::from_stamps`], which equals
+    /// [`SparseMatrix::from_dense`] of the `+=` replay.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumericError::InvalidInput`] for out-of-range triplets
+    /// and the underlying error if even the perturbed matrix fails.
+    pub fn factor_stamps_recovering(
+        n: usize,
+        triplets: &[(usize, usize, f64)],
+        choice: SolverChoice,
+    ) -> Result<(Self, FactorRecovery), NumericError> {
+        match choice.backend_for(n) {
+            SolverBackend::Dense => AnySolver::dense_recovering(&dense_from_triplets(n, triplets)?),
+            SolverBackend::Sparse => {
+                AnySolver::sparse_recovering(&SparseMatrix::from_stamps(n, n, triplets)?)
             }
         }
     }
@@ -281,17 +298,23 @@ impl AnySolver {
         choice: SolverChoice,
     ) -> Result<(Self, FactorRecovery), NumericError> {
         match choice.backend_for(a.rows()) {
-            SolverBackend::Dense => {
-                let (lu, rec) = LuFactor::new_recovering(a)?;
-                Ok((AnySolver::Dense(lu), rec))
-            }
-            SolverBackend::Sparse => {
-                let s = SparseMatrix::from_dense(a);
-                let symbolic = analyze_cached(&s)?;
-                let (lu, rec) = SparseLu::new_recovering(&s, &symbolic)?;
-                Ok((AnySolver::Sparse(lu), rec))
-            }
+            SolverBackend::Dense => AnySolver::dense_recovering(a),
+            SolverBackend::Sparse => AnySolver::sparse_recovering(&SparseMatrix::from_dense(a)),
         }
+    }
+
+    /// The dense backend of the recovering factorizations.
+    fn dense_recovering(a: &Matrix) -> Result<(Self, FactorRecovery), NumericError> {
+        let (lu, rec) = LuFactor::new_recovering(a)?;
+        Ok((AnySolver::Dense(lu), rec))
+    }
+
+    /// The sparse backend of the recovering factorizations: cached
+    /// symbolic analysis, then the perturbation ladder.
+    fn sparse_recovering(a: &SparseMatrix) -> Result<(Self, FactorRecovery), NumericError> {
+        let symbolic = analyze_cached(a)?;
+        let (lu, rec) = SparseLu::new_recovering(a, &symbolic)?;
+        Ok((AnySolver::Sparse(lu), rec))
     }
 
     /// Refactors in place when the backend supports pattern reuse.

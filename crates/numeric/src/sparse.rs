@@ -114,6 +114,42 @@ impl SparseMatrix {
         })
     }
 
+    /// Builds exactly the CSC matrix [`SparseMatrix::from_dense`] builds
+    /// from the `+=` replay of `triplets` into a zeroed dense matrix:
+    /// duplicates are summed in triplet order as in
+    /// [`SparseMatrix::from_triplets`], and positions whose stamps sum to
+    /// exactly `0.0` (e.g. a resistor with both ends on one node) are
+    /// dropped.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumericError::InvalidInput`] if any triplet indexes out
+    /// of range.
+    pub fn from_stamps(
+        n_rows: usize,
+        n_cols: usize,
+        triplets: &[(usize, usize, f64)],
+    ) -> Result<Self, NumericError> {
+        let mut a = SparseMatrix::from_triplets(n_rows, n_cols, triplets)?;
+        let mut kept = 0;
+        let mut lo = 0;
+        for j in 0..a.n_cols {
+            let hi = a.col_ptr[j + 1];
+            for k in lo..hi {
+                if a.values[k] != 0.0 {
+                    a.row_idx[kept] = a.row_idx[k];
+                    a.values[kept] = a.values[k];
+                    kept += 1;
+                }
+            }
+            a.col_ptr[j + 1] = kept;
+            lo = hi;
+        }
+        a.row_idx.truncate(kept);
+        a.values.truncate(kept);
+        Ok(a)
+    }
+
     /// Converts a dense matrix, keeping only its nonzero entries.
     pub fn from_dense(a: &Matrix) -> Self {
         let (n_rows, n_cols) = (a.rows(), a.cols());
@@ -313,6 +349,29 @@ mod tests {
             SparseMatrix::from_triplets(2, 2, &[(0, 5, 1.0)]),
             Err(NumericError::InvalidInput(_))
         ));
+    }
+
+    #[test]
+    fn from_stamps_matches_from_dense_of_the_replay() {
+        // (0,1) sums to exactly zero and (1,1) is a lone -0.0: both vanish
+        // from the dense replay, so neither may be stored.
+        let t = [
+            (0, 0, 1.0),
+            (0, 1, 0.5),
+            (1, 0, -2.0),
+            (0, 1, -0.5),
+            (1, 1, -0.0),
+            (2, 2, 3.0),
+        ];
+        let mut dense = Matrix::zeros(3, 3);
+        for &(i, j, v) in &t {
+            dense[(i, j)] += v;
+        }
+        let a = SparseMatrix::from_stamps(3, 3, &t).unwrap();
+        assert_eq!(a, SparseMatrix::from_dense(&dense));
+        assert_eq!(a.nnz(), 3);
+        assert_eq!(SparseMatrix::from_triplets(3, 3, &t).unwrap().nnz(), 5);
+        assert!(SparseMatrix::from_stamps(3, 3, &[(3, 0, 1.0)]).is_err());
     }
 
     #[test]

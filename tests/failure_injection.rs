@@ -54,6 +54,23 @@ fn nonsense_decks_produce_line_numbered_errors() {
 }
 
 #[test]
+fn ir_drop_observing_a_missing_or_ground_node_is_a_typed_error() {
+    use linvar::interconnect::{ir_drop_for_sample, power_grid_case, GridError, PowerGridSpec};
+    use linvar::numeric::SolverChoice;
+    let mut case = power_grid_case(&PowerGridSpec::new(4, 4, WireTech::m018())).expect("builds");
+    for bad in ["nosuch", "0", "gnd"] {
+        case.observe = vec!["g0_0".into(), bad.into()];
+        match ir_drop_for_sample(&case, &[0.0; 5], SolverChoice::Dense) {
+            Err(e @ GridError::UnknownObservedNode { .. }) => {
+                assert_eq!(e, GridError::UnknownObservedNode { node: bad.into() });
+                assert!(e.to_string().contains(bad), "{e}");
+            }
+            other => panic!("observing {bad:?}: expected a typed error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn transient_on_shorted_vsources_fails_cleanly() {
     // Two ideal voltage sources fighting on the same node: singular MNA.
     let mut nl = Netlist::new();

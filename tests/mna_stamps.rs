@@ -1,0 +1,278 @@
+//! Differential bit-identity suite for the MNA stamp emitter.
+//!
+//! `Netlist::stamp_mna(w)` is the one source of assembled MNA stamps: the
+//! dense `assemble_mna` replays it, and the IR-drop grid factors it
+//! straight into the solver. These tests pin that every route produces
+//! the bits the freeze-then-assemble-densely route produced:
+//!
+//! * the dense `+=` replay of the stream at `w` equals
+//!   `frozen_at(w).assemble_mna()` and a test-local copy of the
+//!   element-walking dense assembler it replaced;
+//! * the CSC the sparse route factors equals `SparseMatrix::from_dense`
+//!   of that dense matrix;
+//! * `ir_drop_for_sample` returns the same `f64` bits as a test-local
+//!   copy of the freeze → assemble → dense-matrix factor route.
+
+use linvar_bench::grid::sample_set;
+use linvar_circuit::{parse_deck, Element, Netlist};
+use linvar_interconnect::{
+    htree_case, ir_drop_for_sample, power_grid_case, rc_chain_case, GridCase, PowerGridSpec,
+    WireTech,
+};
+use linvar_numeric::{AnySolver, LinearSolver, Matrix, SolverChoice, SparseMatrix};
+
+/// The element-walking dense assembler `assemble_mna` used before it
+/// became a replay of `stamp_mna(&[])`, kept verbatim as the reference.
+fn legacy_assemble(nl: &Netlist) -> (Matrix, Matrix) {
+    fn stamp_conductance(m: &mut Matrix, a: Option<usize>, b: Option<usize>, g: f64) {
+        if let Some(i) = a {
+            m[(i, i)] += g;
+        }
+        if let Some(j) = b {
+            m[(j, j)] += g;
+        }
+        if let (Some(i), Some(j)) = (a, b) {
+            m[(i, j)] -= g;
+            m[(j, i)] -= g;
+        }
+    }
+    let n = nl.node_count();
+    let m = nl.vsource_count();
+    let dim = n + m + nl.inductor_count();
+    let mut g = Matrix::zeros(dim, dim);
+    let mut c = Matrix::zeros(dim, dim);
+    let mut branch = n;
+    let mut ind_branch = n + m;
+    for e in nl.elements() {
+        match e {
+            Element::Resistor { a, b, value, .. } => {
+                stamp_conductance(&mut g, a.mna_index(), b.mna_index(), 1.0 / value.nominal);
+            }
+            Element::Capacitor { a, b, value, .. } => {
+                stamp_conductance(&mut c, a.mna_index(), b.mna_index(), value.nominal);
+            }
+            Element::VSource { pos, neg, .. } => {
+                if let Some(i) = pos.mna_index() {
+                    g[(i, branch)] += 1.0;
+                    g[(branch, i)] += 1.0;
+                }
+                if let Some(j) = neg.mna_index() {
+                    g[(j, branch)] -= 1.0;
+                    g[(branch, j)] -= 1.0;
+                }
+                branch += 1;
+            }
+            Element::Inductor { a, b, value, .. } => {
+                if let Some(i) = a.mna_index() {
+                    g[(i, ind_branch)] += 1.0;
+                    g[(ind_branch, i)] -= 1.0;
+                }
+                if let Some(j) = b.mna_index() {
+                    g[(j, ind_branch)] -= 1.0;
+                    g[(ind_branch, j)] += 1.0;
+                }
+                c[(ind_branch, ind_branch)] += value.nominal;
+                ind_branch += 1;
+            }
+            Element::ISource { .. } => {}
+        }
+    }
+    (g, c)
+}
+
+/// `ir_drop_for_sample` as it was before the stamp emitter: freeze the
+/// netlist, assemble both dense matrices, factor the dense `G`.
+fn legacy_ir_drop(case: &GridCase, w: &[f64], choice: SolverChoice) -> f64 {
+    let frozen = case.netlist.frozen_at(w);
+    let mna = frozen.assemble_mna().unwrap();
+    let mut rhs = vec![0.0; mna.g.rows()];
+    let mut branch = mna.node_count;
+    for e in frozen.elements() {
+        match e {
+            Element::VSource { waveform, .. } => {
+                rhs[branch] = waveform.eval(0.0);
+                branch += 1;
+            }
+            Element::ISource {
+                pos, neg, waveform, ..
+            } => {
+                let i = waveform.eval(0.0);
+                if let Some(p) = pos.mna_index() {
+                    rhs[p] += i;
+                }
+                if let Some(n) = neg.mna_index() {
+                    rhs[n] -= i;
+                }
+            }
+            _ => {}
+        }
+    }
+    let (solver, _) = AnySolver::factor_dense_matrix_recovering(&mna.g, choice).unwrap();
+    let v = solver.solve(&rhs).unwrap();
+    let mut worst = 0.0f64;
+    for name in &case.observe {
+        let idx = frozen.find_node(name).unwrap().mna_index().unwrap();
+        assert!(
+            v[idx].is_finite(),
+            "{}: node {name} solved to {}",
+            case.name,
+            v[idx]
+        );
+        worst = worst.max(case.vdd - v[idx]);
+    }
+    worst
+}
+
+fn grid(side: usize) -> GridCase {
+    power_grid_case(&PowerGridSpec::new(side, side, WireTech::m018())).unwrap()
+}
+
+/// Every netlist family the emitter must reproduce: both grid sizes the
+/// benchmark straddles the dense side with, an RC chain, an H-tree, an
+/// RLC deck whose capacitance clamps at 0 under a large sample, and a
+/// deck with self-loop resistors (on a node of their own, the stamps sum
+/// to exactly 0.0).
+fn netlists() -> Vec<(String, Netlist)> {
+    let rlc = parse_deck(
+        "\
+.param p
+V1 in 0 DC 1
+R1 in a 10 p=2
+L1 a b 1n p=0.1n
+C1 b 0 1p p=-0.5p
+C2 a b 0.2p
+R2 b 0 1k
+I1 0 b DC 1m
+",
+    )
+    .unwrap();
+    let self_loop = parse_deck(
+        "\
+.param p
+V1 in 0 DC 1
+R1 in a 10
+Rloop a a 5 p=1
+R2 a 0 20 p=-3
+C1 a 0 1p
+Rfloat b b 7
+",
+    )
+    .unwrap();
+    vec![
+        ("grid8x8".into(), grid(8).netlist),
+        ("grid32x32".into(), grid(32).netlist),
+        ("chain2x500".into(), rc_chain_case(500).unwrap().netlist),
+        ("htree4".into(), htree_case(4).unwrap().netlist),
+        ("rlc".into(), rlc),
+        ("self_loop".into(), self_loop),
+    ]
+}
+
+/// Parameter samples: nominal (empty and explicit zeros), the first
+/// benchmark LHS draws, and a 3σ corner that drives `C1` of the RLC deck
+/// negative before the clamp.
+fn samples() -> Vec<Vec<f64>> {
+    let mut w = vec![vec![], vec![0.0; 5]];
+    w.extend(sample_set(2));
+    w.push(vec![3.0, -3.0, 3.0, -3.0, 3.0]);
+    w
+}
+
+fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+    let (a, b) = (a.as_slice(), b.as_slice());
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+#[test]
+fn stamp_replay_matches_frozen_dense_assembly_bitwise() {
+    for (name, nl) in netlists() {
+        for w in samples() {
+            let stamps = nl.stamp_mna(&w).unwrap();
+            let frozen = nl.frozen_at(&w);
+            let mna = frozen.assemble_mna().unwrap();
+            let (legacy_g, legacy_c) = legacy_assemble(&frozen);
+            let (g, c) = stamps.dense();
+            assert_eq!(stamps.dim, mna.g.rows(), "{name} at {w:?}: order");
+            assert_eq!(stamps.node_count, mna.node_count, "{name} at {w:?}");
+            assert!(same_bits(&g, &mna.g), "{name} at {w:?}: G differs");
+            assert!(same_bits(&c, &mna.c), "{name} at {w:?}: C differs");
+            assert!(same_bits(&g, &legacy_g), "{name} at {w:?}: G vs legacy");
+            assert!(same_bits(&c, &legacy_c), "{name} at {w:?}: C vs legacy");
+        }
+        // The nominal system is the replay at w = [].
+        let (legacy_g, legacy_c) = legacy_assemble(&nl);
+        let mna = nl.assemble_mna().unwrap();
+        assert!(same_bits(&mna.g, &legacy_g), "{name}: nominal G");
+        assert!(same_bits(&mna.c, &legacy_c), "{name}: nominal C");
+    }
+}
+
+#[test]
+fn sparse_stamps_equal_from_dense_of_the_assembly() {
+    for (name, nl) in netlists() {
+        for w in samples() {
+            let stamps = nl.stamp_mna(&w).unwrap();
+            let mna = nl.frozen_at(&w).assemble_mna().unwrap();
+            let n = stamps.dim;
+            let g = SparseMatrix::from_stamps(n, n, &stamps.g).unwrap();
+            let c = SparseMatrix::from_stamps(n, n, &stamps.c).unwrap();
+            assert!(g == SparseMatrix::from_dense(&mna.g), "{name} at {w:?}: G");
+            assert!(c == SparseMatrix::from_dense(&mna.c), "{name} at {w:?}: C");
+        }
+    }
+    // `Rfloat`'s four stamps are its node's only ones and sum to exactly
+    // zero, so `from_stamps` stores fewer entries than raw triplet assembly.
+    let (_, self_loop) = netlists().pop().unwrap();
+    let stamps = self_loop.stamp_mna(&[0.5]).unwrap();
+    let n = stamps.dim;
+    let pruned = SparseMatrix::from_stamps(n, n, &stamps.g).unwrap();
+    let raw = SparseMatrix::from_triplets(n, n, &stamps.g).unwrap();
+    assert!(pruned.nnz() < raw.nnz(), "self-loop zeros were not dropped");
+}
+
+/// Checks one mesh over the benchmark's first four samples under `Auto`
+/// and `Sparse` (plus `Dense` when `dense` is set). The reference is
+/// computed once per backend the choices resolve to.
+fn check_ir_drop_bits(side: usize, dense: bool) {
+    let case = grid(side);
+    let mut choices = vec![SolverChoice::Auto, SolverChoice::Sparse];
+    if dense {
+        choices.push(SolverChoice::Dense);
+    }
+    for (k, w) in sample_set(4).iter().enumerate() {
+        let mut reference = Vec::new();
+        for &choice in &choices {
+            let backend = choice.backend_for(case.dim);
+            let want = match reference.iter().find(|(b, _)| *b == backend) {
+                Some(&(_, want)) => want,
+                None => {
+                    let want = legacy_ir_drop(&case, w, choice);
+                    reference.push((backend, want));
+                    want
+                }
+            };
+            let got = ir_drop_for_sample(&case, w, choice).unwrap();
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{} sample {k} under {choice:?}: {got:e} vs {want:e}",
+                case.name
+            );
+        }
+    }
+}
+
+#[test]
+fn ir_drop_bits_match_the_frozen_dense_route_8x8() {
+    check_ir_drop_bits(8, true);
+}
+
+#[test]
+fn ir_drop_bits_match_the_frozen_dense_route_32x32() {
+    check_ir_drop_bits(32, true);
+}
+
+#[test]
+fn ir_drop_bits_match_the_frozen_dense_route_64x64() {
+    check_ir_drop_bits(64, false);
+}
