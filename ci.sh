@@ -45,11 +45,12 @@ echo "==> golden fixtures (bit-exact hot-path numerics, pooled and allocating pa
 cargo test -q --test golden_fixtures
 LINVAR_WS_DISABLE=1 cargo test -q --test golden_fixtures
 
-echo "==> benchmark self-tests and seed-1 result rows (paths, irdrop, serve)"
+echo "==> benchmark self-tests and seed-1 result rows (paths, chains, irdrop, serve)"
 # run.py exits non-zero when a workload's rows differ from perfbench/expected,
 # so a hot-path or grid-route change that moves a result bit fails here.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 python3 perfbench/run.py --workload paths --seed 1 --seconds 1 >/dev/null
+python3 perfbench/run.py --workload chains --seed 1 --seconds 1 >/dev/null
 python3 perfbench/run.py --workload irdrop --seed 1 --seconds 1 >/dev/null
 python3 perfbench/run.py --workload serve --seed 1 --seconds 1 >/dev/null
 

@@ -1,12 +1,12 @@
-//! Criterion benchmark of the Monte-Carlo execution engine: the serial
-//! driver vs the deterministic parallel driver at 1/2/4/8 worker threads
-//! on the Table-4 s27 workload (longest path, 10 linear elements between
+//! Criterion benchmark of the Monte-Carlo execution engine: the sample
+//! executor at 1 (inline) and 2/4/8 worker threads on the Table-4 s27
+//! workload (longest path, 10 linear elements between
 //! stages, 100 samples, the example3_table4 variation sources).
 //!
 //! On a multi-core host the parallel driver should scale close to
 //! linearly until the core count is exhausted (the workload is
 //! embarrassingly parallel and per-sample cost is milliseconds); on a
-//! single-core host all rows collapse to the serial cost plus negligible
+//! single-core host all rows collapse to the inline cost plus negligible
 //! scheduling overhead. Either way the outputs are bitwise-identical —
 //! asserted here before timing starts.
 //!
@@ -17,7 +17,7 @@ use linvar_core::path::{PathModel, PathSpec, VariationSources};
 use linvar_devices::tech_018;
 use linvar_interconnect::WireTech;
 use linvar_iscas::{benchmark, decompose_to_primitives, longest_path};
-use linvar_stats::{monte_carlo, monte_carlo_par, rng_from_seed};
+use linvar_stats::{monte_carlo_par, rng_from_seed};
 
 const N_SAMPLES: usize = 100;
 const MASTER_SEED: u64 = 4;
@@ -41,8 +41,8 @@ fn bench_mc_drivers(c: &mut Criterion) {
     let samples = model.draw_samples(&sources, N_SAMPLES, &mut rng);
 
     // Determinism sanity before timing: every parallel configuration must
-    // reproduce the serial values bitwise.
-    let serial = monte_carlo(&samples, |s| model.evaluate_sample(s));
+    // reproduce the one-worker (inline) values bitwise.
+    let serial = monte_carlo_par(&samples, 1, |s| model.evaluate_sample(s));
     for threads in [2usize, 8] {
         let par = monte_carlo_par(&samples, threads, |s| model.evaluate_sample(s));
         assert_eq!(par.values, serial.values, "{threads}-thread run diverged");
@@ -50,9 +50,6 @@ fn bench_mc_drivers(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("monte_carlo_s27_100samples");
     group.sample_size(10);
-    group.bench_function("serial", |b| {
-        b.iter(|| monte_carlo(&samples, |s| model.evaluate_sample(s)))
-    });
     for &threads in &[1usize, 2, 4, 8] {
         group.bench_with_input(
             BenchmarkId::new("parallel", threads),

@@ -28,12 +28,12 @@
 
 use linvar_bench::chains::{engine_line, gpc_line};
 use linvar_bench::grid::{
-    run_case, run_case_sharded, run_case_spectral, sample_set, sample_set_sobol,
+    drop_for_sample, grid_fingerprint, sample_set, sample_set_sobol, GRID_GPC_CONFIG, GRID_SIGMA,
 };
-use linvar_bench::{workspace_note, BenchArgs, BenchError, BenchMeter, Engine};
-use linvar_interconnect::{standard_grid_cases, GridCase};
+use linvar_bench::{run_points, workspace_note, BenchArgs, BenchError, BenchMeter, Engine, Points};
+use linvar_interconnect::standard_grid_cases;
 use linvar_numeric::SolverChoice;
-use linvar_stats::{resolve_threads, ShardConfig, Summary};
+use linvar_stats::{resolve_threads, RunSpec, SpectralPlan};
 use std::time::Instant;
 
 fn main() {
@@ -49,6 +49,7 @@ fn run() -> Result<(), BenchError> {
     args.reject_analysis_flag("acgrid")?;
     args.validate_engine("acgrid", true)?;
     let mut meter = BenchMeter::start("acgrid");
+    let run_start = Instant::now();
     let threads = resolve_threads(0);
     let engine = args.engine.name();
     let n_samples = if args.quick { 8 } else { 24 };
@@ -77,6 +78,17 @@ fn run() -> Result<(), BenchError> {
         Engine::Sobol => sample_set_sobol(n_samples),
         _ => sample_set(n_samples),
     };
+    let plan = SpectralPlan::build(5, GRID_GPC_CONFIG).map_err(|e| e.to_string())?;
+    let (points, unit) = match args.engine {
+        Engine::Gpc => (
+            Points::Nodes {
+                plan: &plan,
+                sigma: GRID_SIGMA,
+            },
+            "nodes",
+        ),
+        _ => (Points::Draws(&samples), "samples"),
+    };
     let cases = standard_grid_cases(args.quick)?;
     for case in &cases {
         println!(
@@ -86,43 +98,36 @@ fn run() -> Result<(), BenchError> {
             case.element_count,
             case.observe.len()
         );
-        if args.engine == Engine::Gpc {
-            run_gpc_case(case, threads, pinned, &mut meter)?;
-            meter.set(&format!("{}.dim", case.name), case.dim as u64);
-            println!();
-            continue;
-        }
-        let shard_cfg = args.shard_config(&case.name)?;
+        let spec = args.run_spec(&case.name, run_start, RunSpec::plain(threads))?;
+        let campaign = |solver| -> Result<(String, f64), BenchError> {
+            let t0 = Instant::now();
+            let fp = grid_fingerprint(&case.name, samples.len());
+            let run = run_points(&case.name, points, &spec, &fp, |w| {
+                drop_for_sample(case, w, solver)
+            })?;
+            let n = run.mc.sample_health.len();
+            let rate = n as f64 / t0.elapsed().as_secs_f64().max(1e-12);
+            let row = match &run.spectral {
+                Some(res) => gpc_line(&case.name, res),
+                None => engine_line(engine, &case.name, &run.mc.summary, run.mc.failures),
+            };
+            Ok((row, rate))
+        };
         match pinned {
             Some(choice) => {
-                let (summary, failures, rate) =
-                    timed_campaign(case, &samples, threads, choice, shard_cfg.as_ref())?;
-                println!("{}", engine_line(engine, &case.name, &summary, failures));
-                eprintln!("{}: {} {rate:.2} samples/sec", case.name, name_of(choice));
+                let (row, rate) = campaign(choice)?;
+                println!("{row}");
+                eprintln!("{}: {} {rate:.2} {unit}/sec", case.name, name_of(choice));
                 meter.set(
-                    &format!("{}.{}.samples_per_sec", case.name, name_of(choice)),
+                    &format!("{}.{}.{unit}_per_sec", case.name, name_of(choice)),
                     rate,
                 );
             }
             None => {
-                let (sum_s, fail_s, rate_s) = timed_campaign(
-                    case,
-                    &samples,
-                    threads,
-                    SolverChoice::Sparse,
-                    shard_cfg.as_ref(),
-                )?;
-                let (sum_d, fail_d, rate_d) = timed_campaign(
-                    case,
-                    &samples,
-                    threads,
-                    SolverChoice::Dense,
-                    shard_cfg.as_ref(),
-                )?;
-                meter.set(&format!("{}.sparse.samples_per_sec", case.name), rate_s);
-                meter.set(&format!("{}.dense.samples_per_sec", case.name), rate_d);
-                let row_s = engine_line(engine, &case.name, &sum_s, fail_s);
-                let row_d = engine_line(engine, &case.name, &sum_d, fail_d);
+                let (row_s, rate_s) = campaign(SolverChoice::Sparse)?;
+                let (row_d, rate_d) = campaign(SolverChoice::Dense)?;
+                meter.set(&format!("{}.sparse.{unit}_per_sec", case.name), rate_s);
+                meter.set(&format!("{}.dense.{unit}_per_sec", case.name), rate_d);
                 if row_s != row_d {
                     return Err(BenchError::Msg(format!(
                         "backend mismatch on {}:\n  dense:  {row_d}\n  sparse: {row_s}",
@@ -131,83 +136,19 @@ fn run() -> Result<(), BenchError> {
                 }
                 println!("{row_s}");
                 println!(
-                    "{}: sparse {rate_s:.2} samples/sec, dense {rate_d:.2} samples/sec",
+                    "{}: sparse {rate_s:.2} {unit}/sec, dense {rate_d:.2} {unit}/sec",
                     case.name
                 );
             }
+        }
+        if args.engine == Engine::Gpc {
+            meter.set(&format!("{}.gpc_nodes", case.name), plan.nodes.len() as u64);
         }
         meter.set(&format!("{}.dim", case.name), case.dim as u64);
         println!();
     }
     println!("{}", workspace_note());
     meter.finish(&args)
-}
-
-/// Runs one IR-drop campaign — through the shard supervisor when a
-/// [`ShardConfig`] is given — and returns its summary, failure count,
-/// and samples/sec rate.
-fn timed_campaign(
-    case: &GridCase,
-    samples: &[Vec<f64>],
-    threads: usize,
-    solver: SolverChoice,
-    shard: Option<&ShardConfig>,
-) -> Result<(Summary, usize, f64), BenchError> {
-    let t0 = Instant::now();
-    let (summary, failures) = match shard {
-        Some(cfg) => {
-            let r = run_case_sharded(case, samples, threads, solver, cfg)?;
-            (r.summary, r.failures)
-        }
-        None => {
-            let r = run_case(case, samples, threads, solver)?;
-            (r.summary, r.failures)
-        }
-    };
-    let rate = samples.len() as f64 / t0.elapsed().as_secs_f64().max(1e-12);
-    Ok((summary, failures, rate))
-}
-
-/// Runs the gPC spectral IR-drop analysis for one case on both backends
-/// (or the pinned one) — `gpc` rows must match byte-for-byte across
-/// backends, exactly like the `mc` rows.
-fn run_gpc_case(
-    case: &GridCase,
-    threads: usize,
-    pinned: Option<SolverChoice>,
-    meter: &mut BenchMeter,
-) -> Result<(), BenchError> {
-    match pinned {
-        Some(choice) => {
-            let t0 = Instant::now();
-            let res = run_case_spectral(case, threads, choice)?;
-            let rate = res.nodes_evaluated as f64 / t0.elapsed().as_secs_f64().max(1e-12);
-            println!("{}", gpc_line(&case.name, &res));
-            eprintln!("{}: {} {rate:.2} nodes/sec", case.name, name_of(choice));
-            meter.set(
-                &format!("{}.gpc_nodes", case.name),
-                res.nodes_evaluated as u64,
-            );
-        }
-        None => {
-            let res_s = run_case_spectral(case, threads, SolverChoice::Sparse)?;
-            let res_d = run_case_spectral(case, threads, SolverChoice::Dense)?;
-            let row_s = gpc_line(&case.name, &res_s);
-            let row_d = gpc_line(&case.name, &res_d);
-            if row_s != row_d {
-                return Err(BenchError::Msg(format!(
-                    "backend mismatch on {}:\n  dense:  {row_d}\n  sparse: {row_s}",
-                    case.name
-                )));
-            }
-            println!("{row_s}");
-            meter.set(
-                &format!("{}.gpc_nodes", case.name),
-                res_s.nodes_evaluated as u64,
-            );
-        }
-    }
-    Ok(())
 }
 
 fn name_of(choice: SolverChoice) -> &'static str {

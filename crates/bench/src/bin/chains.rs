@@ -41,13 +41,16 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 use linvar_bench::chains::{
-    ac_case_name, ac_frequency, engine_line, gpc_line, run_case, run_case_ac, run_case_ac_sharded,
-    run_case_sharded, run_case_spectral, sample_set, sample_set_sobol,
+    ac_case_name, ac_frequency, ac_mag_for_sample, chains_ac_fingerprint, chains_fingerprint,
+    delay_for_sample, engine_line, gpc_line, sample_set, sample_set_sobol, CHAINS_GPC_CONFIG,
+    CHAINS_SIGMA,
 };
-use linvar_bench::{workspace_note, BenchArgs, BenchError, BenchMeter, Engine};
-use linvar_interconnect::standard_cases;
+use linvar_bench::{
+    run_points, workspace_note, BenchArgs, BenchError, BenchMeter, Engine, Points, PointsRun,
+};
+use linvar_interconnect::{standard_cases, ChainCase};
 use linvar_numeric::{SolverBackend, SolverChoice};
-use linvar_stats::{resolve_threads, AnalysisKind, ShardConfig, Summary};
+use linvar_stats::{resolve_threads, AnalysisKind, RunSpec, SpectralPlan};
 use std::time::Instant;
 
 /// Largest MNA dimension the dense backend is asked to time. Above this
@@ -73,6 +76,7 @@ fn run() -> Result<(), BenchError> {
         ));
     }
     let mut meter = BenchMeter::start("chains");
+    let run_start = Instant::now();
     let threads = resolve_threads(0);
     let engine = args.engine.name();
     let n_samples = if args.quick { 6 } else { 16 };
@@ -106,6 +110,17 @@ fn run() -> Result<(), BenchError> {
         Engine::Sobol => sample_set_sobol(n_samples),
         _ => sample_set(n_samples),
     };
+    let plan = SpectralPlan::build(5, CHAINS_GPC_CONFIG).map_err(|e| e.to_string())?;
+    let (points, unit) = match args.engine {
+        Engine::Gpc => (
+            Points::Nodes {
+                plan: &plan,
+                sigma: CHAINS_SIGMA,
+            },
+            "nodes",
+        ),
+        _ => (Points::Draws(&samples), "samples"),
+    };
     let cases = standard_cases(args.quick)?;
     for case in &cases {
         // AC rows carry a `.ac`-suffixed case name everywhere — output
@@ -128,15 +143,17 @@ fn run() -> Result<(), BenchError> {
                 case.name, case.dim, case.element_count, case.tstop
             ),
         }
-        if args.engine == Engine::Gpc {
-            run_gpc_case(case, threads, pinned, &mut meter)?;
-            meter.set(&format!("{}.dim", case.name), case.dim as u64);
-            println!();
-            continue;
-        }
-        // The `mc` rows stay byte-identical with and without shards —
-        // the identity ci.sh's shard smoke diffs.
-        let shard_cfg = args.shard_config(&row_name)?;
+        // The rows stay byte-identical with and without shards — the
+        // identity ci.sh's shard smoke diffs.
+        let spec = args.run_spec(&row_name, run_start, RunSpec::plain(threads))?;
+        let campaign = |choice| -> Result<(String, f64), BenchError> {
+            let (run, rate) = timed_campaign(case, points, &spec, choice, args.analysis)?;
+            let row = match &run.spectral {
+                Some(res) => gpc_line(&case.name, res),
+                None => engine_line(engine, &row_name, &run.mc.summary, run.mc.failures),
+            };
+            Ok((row, rate))
+        };
         match pinned {
             Some(choice) => {
                 if backend_of(choice) == SolverBackend::Dense && case.dim > DENSE_MAX_DIM {
@@ -147,43 +164,20 @@ fn run() -> Result<(), BenchError> {
                     );
                     continue;
                 }
-                let (summary, failures, rate) = timed_campaign(
-                    case,
-                    &samples,
-                    threads,
-                    choice,
-                    shard_cfg.as_ref(),
-                    args.analysis,
-                )?;
-                println!("{}", engine_line(engine, &row_name, &summary, failures));
-                eprintln!("{row_name}: {} {rate:.2} samples/sec", name_of(choice));
+                let (row, rate) = campaign(choice)?;
+                println!("{row}");
+                eprintln!("{row_name}: {} {rate:.2} {unit}/sec", name_of(choice));
                 meter.set(
-                    &format!("{row_name}.{}.samples_per_sec", name_of(choice)),
+                    &format!("{row_name}.{}.{unit}_per_sec", name_of(choice)),
                     rate,
                 );
             }
             None => {
-                let (sum_s, fail_s, rate_s) = timed_campaign(
-                    case,
-                    &samples,
-                    threads,
-                    SolverChoice::Sparse,
-                    shard_cfg.as_ref(),
-                    args.analysis,
-                )?;
-                meter.set(&format!("{row_name}.sparse.samples_per_sec"), rate_s);
+                let (row_s, rate_s) = campaign(SolverChoice::Sparse)?;
+                meter.set(&format!("{row_name}.sparse.{unit}_per_sec"), rate_s);
                 if case.dim <= DENSE_MAX_DIM {
-                    let (sum_d, fail_d, rate_d) = timed_campaign(
-                        case,
-                        &samples,
-                        threads,
-                        SolverChoice::Dense,
-                        shard_cfg.as_ref(),
-                        args.analysis,
-                    )?;
-                    meter.set(&format!("{row_name}.dense.samples_per_sec"), rate_d);
-                    let row_s = engine_line(engine, &row_name, &sum_s, fail_s);
-                    let row_d = engine_line(engine, &row_name, &sum_d, fail_d);
+                    let (row_d, rate_d) = campaign(SolverChoice::Dense)?;
+                    meter.set(&format!("{row_name}.dense.{unit}_per_sec"), rate_d);
                     if row_s != row_d {
                         return Err(BenchError::Msg(format!(
                             "backend mismatch on {row_name}:\n  dense:  {row_d}\n  sparse: {row_s}"
@@ -192,22 +186,25 @@ fn run() -> Result<(), BenchError> {
                     println!("{row_s}");
                     let speedup = rate_s / rate_d;
                     println!(
-                        "{row_name}: sparse {rate_s:.2} samples/sec, dense {rate_d:.2} \
-                         samples/sec, speedup {speedup:.2}x"
+                        "{row_name}: sparse {rate_s:.2} {unit}/sec, dense {rate_d:.2} \
+                         {unit}/sec, speedup {speedup:.2}x"
                     );
                     meter.set(&format!("{row_name}.speedup"), speedup);
                 } else {
-                    println!("{}", engine_line(engine, &row_name, &sum_s, fail_s));
+                    println!("{row_s}");
                     let dense_gib =
                         (case.dim as f64) * (case.dim as f64) * 8.0 / (1024.0 * 1024.0 * 1024.0);
                     println!(
-                        "{row_name}: sparse {rate_s:.2} samples/sec; dense infeasible at dim {} \
+                        "{row_name}: sparse {rate_s:.2} {unit}/sec; dense infeasible at dim {} \
                          (~{dense_gib:.1} GiB per factor, cap {DENSE_MAX_DIM})",
                         case.dim
                     );
                     meter.set(&format!("{row_name}.dense_infeasible"), true);
                 }
             }
+        }
+        if args.engine == Engine::Gpc {
+            meter.set(&format!("{}.gpc_nodes", case.name), plan.nodes.len() as u64);
         }
         meter.set(&format!("{row_name}.dim"), case.dim as u64);
         println!();
@@ -216,101 +213,34 @@ fn run() -> Result<(), BenchError> {
     meter.finish(&args)
 }
 
-/// Runs one campaign — through the shard supervisor when a
-/// [`ShardConfig`] is given, with the per-sample metric picked by
-/// `analysis` (transient delay or AC gain) — and returns its summary,
-/// failure count, and samples/sec rate.
+/// Runs one campaign through the bench runner — the per-point metric
+/// picked by `analysis` (transient delay or AC gain) — and returns it
+/// with its points/sec rate.
 fn timed_campaign(
-    case: &linvar_interconnect::ChainCase,
-    samples: &[Vec<f64>],
-    threads: usize,
+    case: &ChainCase,
+    points: Points<'_>,
+    spec: &RunSpec,
     solver: SolverChoice,
-    shard: Option<&ShardConfig>,
     analysis: AnalysisKind,
-) -> Result<(Summary, usize, f64), BenchError> {
+) -> Result<(PointsRun, f64), BenchError> {
     let t0 = Instant::now();
-    let ac = analysis == AnalysisKind::Ac;
-    let (summary, failures) = match (shard, ac) {
-        (Some(cfg), false) => {
-            let r = run_case_sharded(case, samples, threads, solver, cfg)?;
-            (r.summary, r.failures)
-        }
-        (Some(cfg), true) => {
-            let r = run_case_ac_sharded(case, samples, threads, solver, cfg)?;
-            (r.summary, r.failures)
-        }
-        (None, false) => {
-            let r = run_case(case, samples, threads, solver)?;
-            (r.summary, r.failures)
-        }
-        (None, true) => {
-            let r = run_case_ac(case, samples, threads, solver)?;
-            (r.summary, r.failures)
-        }
+    let n = match points {
+        Points::Draws(samples) => samples.len(),
+        Points::Nodes { plan, .. } => plan.nodes.len(),
     };
-    let rate = samples.len() as f64 / t0.elapsed().as_secs_f64().max(1e-12);
-    Ok((summary, failures, rate))
-}
-
-/// Runs the gPC spectral analysis for one case: sparse backend always,
-/// dense too when feasible — the `gpc` rows must match byte-for-byte
-/// across backends, exactly like the `mc` rows.
-fn run_gpc_case(
-    case: &linvar_interconnect::ChainCase,
-    threads: usize,
-    pinned: Option<SolverChoice>,
-    meter: &mut BenchMeter,
-) -> Result<(), BenchError> {
-    match pinned {
-        Some(choice) => {
-            if backend_of(choice) == SolverBackend::Dense && case.dim > DENSE_MAX_DIM {
-                println!(
-                    "dense {}: infeasible at dim {} (skipped; dense cap {DENSE_MAX_DIM})",
-                    case.name, case.dim
-                );
-                return Ok(());
-            }
-            let t0 = Instant::now();
-            let res = run_case_spectral(case, threads, choice)?;
-            let rate = res.nodes_evaluated as f64 / t0.elapsed().as_secs_f64().max(1e-12);
-            println!("{}", gpc_line(&case.name, &res));
-            eprintln!("{}: {} {rate:.2} nodes/sec", case.name, name_of(choice));
-            meter.set(
-                &format!("{}.{}.nodes_per_sec", case.name, name_of(choice)),
-                rate,
-            );
-            meter.set(
-                &format!("{}.gpc_nodes", case.name),
-                res.nodes_evaluated as u64,
-            );
-        }
-        None => {
-            let res_s = run_case_spectral(case, threads, SolverChoice::Sparse)?;
-            let row_s = gpc_line(&case.name, &res_s);
-            meter.set(
-                &format!("{}.gpc_nodes", case.name),
-                res_s.nodes_evaluated as u64,
-            );
-            if case.dim <= DENSE_MAX_DIM {
-                let res_d = run_case_spectral(case, threads, SolverChoice::Dense)?;
-                let row_d = gpc_line(&case.name, &res_d);
-                if row_s != row_d {
-                    return Err(BenchError::Msg(format!(
-                        "backend mismatch on {}:\n  dense:  {row_d}\n  sparse: {row_s}",
-                        case.name
-                    )));
-                }
-                println!("{row_s}");
-            } else {
-                println!("{row_s}");
-                println!(
-                    "{}: dense infeasible at dim {} (cap {DENSE_MAX_DIM})",
-                    case.name, case.dim
-                );
-            }
-        }
-    }
-    Ok(())
+    let run = if analysis == AnalysisKind::Ac {
+        let fp = chains_ac_fingerprint(&case.name, n);
+        run_points(&ac_case_name(case), points, spec, &fp, |w| {
+            ac_mag_for_sample(case, w, solver)
+        })?
+    } else {
+        let fp = chains_fingerprint(&case.name, n);
+        run_points(&case.name, points, spec, &fp, |w| {
+            delay_for_sample(case, w, solver)
+        })?
+    };
+    let rate = n as f64 / t0.elapsed().as_secs_f64().max(1e-12);
+    Ok((run, rate))
 }
 
 fn backend_of(choice: SolverChoice) -> SolverBackend {

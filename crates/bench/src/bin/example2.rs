@@ -24,9 +24,9 @@ use linvar_interconnect::{builder::build_coupled_lines, CoupledLineSpec, WireTec
 use linvar_mor::ReductionMethod;
 use linvar_spice::{Transient, TransientOptions};
 use linvar_stats::{
-    fingerprint_str, fingerprint_words, lhs_uniform, monte_carlo_par, resolve_threads,
-    rng_from_seed, run_campaign, CampaignFingerprint, CampaignResult, CampaignVerdict, Histogram,
-    RecoveryPolicy, SampleStatus,
+    execute, fingerprint_str, fingerprint_words, lhs_uniform, monte_carlo_par, resolve_threads,
+    rng_from_seed, CampaignFingerprint, CampaignVerdict, Histogram, MonteCarloResult,
+    RecoveryPolicy, RunSpec, SampleStatus,
 };
 use linvar_teta::{StageModel, Waveform};
 use std::time::Instant;
@@ -264,21 +264,16 @@ fn run() -> Result<(), BenchError> {
     let stage = build_stage(FIG6_LENGTH_UM)?;
     let fig6 = |variant: &str,
                 eval: &(dyn Fn(&Vec<f64>) -> Result<f64, BenchError> + Sync)|
-     -> Result<CampaignResult, BenchError> {
+     -> Result<MonteCarloResult, BenchError> {
         let fp = fig6_fingerprint(variant);
-        let config = args.campaign_config(&format!("fig6-{variant}"), run_start);
-        let res = run_campaign(
-            &samples,
-            threads,
-            fp.policy,
-            &config,
-            fp,
-            |s: &Vec<f64>, _attempt| -> Result<(f64, SampleStatus), String> {
-                eval(s)
-                    .map(|d| (d, SampleStatus::Clean))
-                    .map_err(|e| e.to_string())
-            },
+        let spec = args.run_spec(
+            &format!("fig6-{variant}"),
+            run_start,
+            RunSpec::plain(threads),
         )?;
+        let res = execute(&samples, &spec, &fp, |s: &Vec<f64>, _attempt| {
+            eval(s).map(|d| (d, SampleStatus::Clean))
+        })?;
         if res.verdict == CampaignVerdict::Complete {
             println!(
                 "mc fig6-{variant}: n={} mean={} std={} failures={}",

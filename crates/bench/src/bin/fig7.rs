@@ -29,8 +29,8 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 use linvar_bench::{bits_hex, quantile_at, BenchArgs, BenchError, BenchMeter, Engine};
-use linvar_core::path::{PathModel, PathSpec, VariationSources};
-use linvar_core::{CampaignVerdict, RecoveryPolicy};
+use linvar_core::path::{PathModel, PathSpec, Sampling, VariationSources};
+use linvar_core::{CampaignVerdict, RunSpec};
 use linvar_devices::tech_018;
 use linvar_interconnect::WireTech;
 use linvar_iscas::{benchmark, decompose_to_primitives, longest_path};
@@ -113,18 +113,23 @@ fn run() -> Result<(), BenchError> {
             input_slew: 60e-12,
         };
         let model = PathModel::build(&spec, &tech, &wire)?;
+        let run_spec = args.run_spec(
+            circuit,
+            run_start,
+            RunSpec {
+                threads,
+                ..RunSpec::default()
+            },
+        )?;
         if args.engine == Engine::Gpc {
             let t0 = Instant::now();
-            let config = args.campaign_config(circuit, run_start);
-            let pc = model.polynomial_chaos_campaign(
+            let pc = model.run(
                 &sources,
-                SpectralConfig::stochastic_testing(2),
+                Sampling::Spectral(SpectralConfig::stochastic_testing(2)),
                 7,
-                threads,
-                RecoveryPolicy::default(),
-                &config,
+                &run_spec,
             )?;
-            let Some(res) = pc.result else {
+            let Some(res) = pc.spectral else {
                 truncated += 1;
                 eprintln!(
                     "deadline: {circuit} truncated mid-grid ({} nodes done); resume with \
@@ -162,73 +167,35 @@ fn run() -> Result<(), BenchError> {
             render_vs_ga(&model, &sources, circuit, "gPC", res.mean, res.std, &delays)?;
             continue;
         }
-        let shard_cfg = args.shard_config(circuit)?;
-        if let (Some(cfg), Some(k)) = (&shard_cfg, args.shard_index) {
-            // Worker mode: evaluate only shard k, leave its snapshot as
-            // the output (merged later by `--shards N --resume`).
-            let worker = model.monte_carlo_shard_worker(
-                &sources,
-                100,
-                7,
-                threads,
-                RecoveryPolicy::default(),
-                cfg,
-                k,
-            )?;
+        let t0 = Instant::now();
+        // Plain, durable and sharded runs feed the same deterministic
+        // `mc` line and histogram — byte-identical at any shard count.
+        // The Sobol engine is the identical flow over the quasi-MC
+        // sample stream.
+        let sampling = match args.engine {
+            Engine::Sobol => Sampling::Sobol(100),
+            _ => Sampling::Lhs(100),
+        };
+        let mc = model.run(&sources, sampling, 7, &run_spec)?;
+        if let (Some(n_shards), Some(k)) = (args.shards, args.shard_index) {
+            // Worker mode: only shard k ran; its snapshot is the output
+            // (merged later by `--shards N --resume`).
             println!(
-                "shard {k}/{}: {circuit} completed={} evaluated={} failures={}",
-                cfg.n_shards, worker.completed, worker.evaluated, worker.failures
+                "shard {k}/{n_shards}: {circuit} completed={} evaluated={} failures={}",
+                mc.completed, mc.evaluated, mc.failures
             );
             continue;
         }
-        let t0 = Instant::now();
-        // Sharded and unsharded drivers feed the same deterministic
-        // `mc` line and histogram — byte-identical at any shard count.
-        let (delays, summary, failures, evaluated) = match &shard_cfg {
-            Some(cfg) => {
-                let mc = model.monte_carlo_sharded(
-                    &sources,
-                    100,
-                    7,
-                    threads,
-                    RecoveryPolicy::default(),
-                    cfg,
-                )?;
-                (mc.delays, mc.summary, mc.failures, mc.evaluated)
-            }
-            None => {
-                let config = args.campaign_config(circuit, run_start);
-                // The Sobol engine is the identical campaign flow over
-                // the quasi-MC sample stream.
-                let mc = match args.engine {
-                    Engine::Sobol => model.monte_carlo_campaign_sobol(
-                        &sources,
-                        100,
-                        7,
-                        threads,
-                        RecoveryPolicy::default(),
-                        &config,
-                    )?,
-                    _ => model.monte_carlo_campaign(
-                        &sources,
-                        100,
-                        7,
-                        threads,
-                        RecoveryPolicy::default(),
-                        &config,
-                    )?,
-                };
-                if let CampaignVerdict::Truncated { remaining } = mc.verdict {
-                    truncated += 1;
-                    eprintln!(
-                        "deadline: {circuit} truncated with {remaining}/100 samples pending; \
-                         resume with --resume to finish"
-                    );
-                    continue;
-                }
-                (mc.delays, mc.summary, mc.failures, mc.evaluated)
-            }
-        };
+        if let CampaignVerdict::Truncated { remaining } = mc.verdict {
+            truncated += 1;
+            eprintln!(
+                "deadline: {circuit} truncated with {remaining}/100 samples pending; \
+                 resume with --resume to finish"
+            );
+            continue;
+        }
+        let (delays, summary, failures, evaluated) =
+            (mc.delays, mc.summary, mc.failures, mc.evaluated);
         println!(
             "{engine} {circuit}: n={} mean={} std={} failures={}",
             summary.n,

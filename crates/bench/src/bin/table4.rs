@@ -40,8 +40,8 @@
 use linvar_bench::{
     bits_hex, quantile_at, render_table, BenchArgs, BenchError, BenchMeter, Engine,
 };
-use linvar_core::path::{PathModel, PathSpec, VariationSources};
-use linvar_core::{CampaignVerdict, RecoveryPolicy};
+use linvar_core::path::{PathModel, PathSpec, Sampling, VariationSources};
+use linvar_core::{CampaignVerdict, RunSpec};
 use linvar_devices::tech_018;
 use linvar_interconnect::WireTech;
 use linvar_iscas::{benchmark, decompose_to_primitives, longest_path};
@@ -88,6 +88,10 @@ fn run_engine_mode(args: &BenchArgs) -> Result<(), BenchError> {
     };
     let master_seed = 4;
     let n_elem = 10usize;
+    let base = RunSpec {
+        threads,
+        ..RunSpec::default()
+    };
     let mut rows = Vec::new();
     let mut truncated = 0usize;
     let mut all_within = true;
@@ -103,7 +107,12 @@ fn run_engine_mode(args: &BenchArgs) -> Result<(), BenchError> {
             input_slew: 60e-12,
         };
         let model = PathModel::build(&spec, &tech, &wire)?;
-        let mc = model.monte_carlo_par(&sources, ENGINE_MC_REF_N, master_seed, threads)?;
+        let mc = model.run(
+            &sources,
+            Sampling::Lhs(ENGINE_MC_REF_N),
+            master_seed,
+            &RunSpec::plain(threads),
+        )?;
         let mc_n = mc.summary.n as f64;
         let mean_budget =
             MEAN_BUDGET_REL * mc.summary.mean.abs() + 4.0 * mc.summary.std / mc_n.sqrt();
@@ -116,14 +125,16 @@ fn run_engine_mode(args: &BenchArgs) -> Result<(), BenchError> {
         cfg.set("mc_std_bits", bits_hex(mc.summary.std));
         let (mean, std, solves) = match args.engine {
             Engine::Sobol => {
-                let config = args.campaign_config(&format!("sobol.{circuit}.{n_elem}"), run_start);
-                let qmc = model.monte_carlo_campaign_sobol(
+                let spec = args.run_spec(
+                    &format!("sobol.{circuit}.{n_elem}"),
+                    run_start,
+                    base.clone(),
+                )?;
+                let qmc = model.run(
                     &sources,
-                    ENGINE_MC_REF_N,
+                    Sampling::Sobol(ENGINE_MC_REF_N),
                     master_seed,
-                    threads,
-                    RecoveryPolicy::default(),
-                    &config,
+                    &spec,
                 )?;
                 if let CampaignVerdict::Truncated { remaining } = qmc.verdict {
                     truncated += 1;
@@ -147,24 +158,25 @@ fn run_engine_mode(args: &BenchArgs) -> Result<(), BenchError> {
             }
             _ => {
                 // Cheap estimate: stochastic-testing order 1 (d+1 solves).
-                let lo = model.polynomial_chaos(
-                    &sources,
-                    SpectralConfig::stochastic_testing(1),
-                    master_seed,
-                    threads,
-                    RecoveryPolicy::default(),
-                )?;
+                let lo = model
+                    .run(
+                        &sources,
+                        Sampling::Spectral(SpectralConfig::stochastic_testing(1)),
+                        master_seed,
+                        &base,
+                    )?
+                    .spectral
+                    .ok_or("a plain gPC run completes its grid")?;
                 // Refined estimate: order 2, as a durable campaign.
-                let config = args.campaign_config(&format!("gpc.{circuit}.{n_elem}"), run_start);
-                let pc = model.polynomial_chaos_campaign(
+                let spec =
+                    args.run_spec(&format!("gpc.{circuit}.{n_elem}"), run_start, base.clone())?;
+                let pc = model.run(
                     &sources,
-                    SpectralConfig::stochastic_testing(2),
+                    Sampling::Spectral(SpectralConfig::stochastic_testing(2)),
                     master_seed,
-                    threads,
-                    RecoveryPolicy::default(),
-                    &config,
+                    &spec,
                 )?;
-                let Some(hi) = pc.result else {
+                let Some(hi) = pc.spectral else {
                     truncated += 1;
                     eprintln!(
                         "deadline: {circuit}@{n_elem} truncated mid-grid ({} nodes done); \
@@ -321,67 +333,43 @@ fn run() -> Result<(), BenchError> {
             let build_s = t_build.elapsed().as_secs_f64();
             let n_teta = if n_elem == 500 { 3 } else { 5 };
             let config_tag = format!("{circuit}.{n_elem}");
-            let shard_cfg = args.shard_config(&config_tag)?;
-            if let (Some(cfg), Some(k)) = (&shard_cfg, args.shard_index) {
-                // Process-per-shard worker: evaluate only shard k of
-                // this configuration and leave its snapshot as the
-                // output. A later `--shards N --resume <prefix>` run
-                // merges the snapshots without re-evaluating anything.
-                let worker = model.monte_carlo_shard_worker(
-                    &sources,
-                    n_teta,
-                    master_seed,
+            let spec = args.run_spec(
+                &config_tag,
+                run_start,
+                RunSpec {
                     threads,
-                    RecoveryPolicy::default(),
-                    cfg,
-                    k,
-                )?;
+                    ..RunSpec::default()
+                },
+            )?;
+            let t0 = Instant::now();
+            // Plain, durable and sharded runs all feed the same `mc` line
+            // below — the rows are byte-identical at any shard count,
+            // which ci.sh's shard smoke diffs.
+            let mc = model.run(&sources, Sampling::Lhs(n_teta), master_seed, &spec)?;
+            if let (Some(n_shards), Some(k)) = (args.shards, args.shard_index) {
+                // Process-per-shard worker: only shard k of this
+                // configuration ran, and its snapshot is the output. A
+                // later `--shards N --resume <prefix>` run merges the
+                // snapshots without re-evaluating anything.
                 println!(
-                    "shard {k}/{}: {circuit}@{n_elem} completed={} evaluated={} failures={}",
-                    cfg.n_shards, worker.completed, worker.evaluated, worker.failures
+                    "shard {k}/{n_shards}: {circuit}@{n_elem} completed={} evaluated={} failures={}",
+                    mc.completed, mc.evaluated, mc.failures
                 );
                 eprintln!("done: {circuit} @ {n_elem} elements (shard {k} only)");
                 continue;
             }
-            let t0 = Instant::now();
-            // The sharded supervisor and the plain campaign driver feed
-            // the same `mc` line below — the rows are byte-identical at
-            // any shard count, which ci.sh's shard smoke diffs.
-            let (summary, failures, first_error, evaluated) = match &shard_cfg {
-                Some(cfg) => {
-                    let mc = model.monte_carlo_sharded(
-                        &sources,
-                        n_teta,
-                        master_seed,
-                        threads,
-                        RecoveryPolicy::default(),
-                        cfg,
-                    )?;
-                    (mc.summary, mc.failures, mc.first_error, mc.evaluated)
-                }
-                None => {
-                    let config = args.campaign_config(&config_tag, run_start);
-                    let mc = model.monte_carlo_campaign(
-                        &sources,
-                        n_teta,
-                        master_seed,
-                        threads,
-                        RecoveryPolicy::default(),
-                        &config,
-                    )?;
-                    if let CampaignVerdict::Truncated { remaining } = mc.verdict {
-                        truncated += 1;
-                        eprintln!(
-                            "deadline: {circuit}@{n_elem} truncated with {remaining}/{n_teta} \
-                             samples pending ({} completed this run); resume with --resume to \
-                             finish",
-                            mc.evaluated
-                        );
-                        continue;
-                    }
-                    (mc.summary, mc.failures, mc.first_error, mc.evaluated)
-                }
-            };
+            if let CampaignVerdict::Truncated { remaining } = mc.verdict {
+                truncated += 1;
+                eprintln!(
+                    "deadline: {circuit}@{n_elem} truncated with {remaining}/{n_teta} \
+                     samples pending ({} completed this run); resume with --resume to \
+                     finish",
+                    mc.evaluated
+                );
+                continue;
+            }
+            let (summary, failures, first_error, evaluated) =
+                (mc.summary, mc.failures, mc.first_error, mc.evaluated);
             let elapsed = t0.elapsed().as_secs_f64();
             if failures > 0 {
                 eprintln!(

@@ -14,8 +14,8 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 use linvar_bench::{bits_hex, render_table, BenchArgs, BenchError, BenchMeter};
-use linvar_core::path::{PathModel, PathSpec, VariationSources};
-use linvar_core::{CampaignVerdict, RecoveryPolicy};
+use linvar_core::path::{PathModel, PathSpec, Sampling, VariationSources};
+use linvar_core::{CampaignVerdict, RunSpec};
 use linvar_devices::tech_018;
 use linvar_interconnect::WireTech;
 use linvar_iscas::{benchmark, decompose_to_primitives, longest_path};
@@ -62,17 +62,16 @@ fn run() -> Result<(), BenchError> {
             let model = PathModel::build(&spec, &tech, &wire)?;
             let sources = VariationSources::example3(dl, vt);
             let ga = model.gradient_analysis(&sources)?;
-            let config =
-                args.campaign_config(&format!("{circuit}.dl{dl_label}-vt{vt_label}"), run_start);
-            let t0 = Instant::now();
-            let mc = model.monte_carlo_campaign(
-                &sources,
-                n_mc,
-                5,
-                threads,
-                RecoveryPolicy::default(),
-                &config,
+            let spec = args.run_spec(
+                &format!("{circuit}.dl{dl_label}-vt{vt_label}"),
+                run_start,
+                RunSpec {
+                    threads,
+                    ..RunSpec::default()
+                },
             )?;
+            let t0 = Instant::now();
+            let mc = model.run(&sources, Sampling::Lhs(n_mc), 5, &spec)?;
             let elapsed = t0.elapsed().as_secs_f64();
             if let CampaignVerdict::Truncated { remaining } = mc.verdict {
                 truncated += 1;

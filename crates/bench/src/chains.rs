@@ -2,22 +2,20 @@
 //!
 //! Lives in the library (not the bin) so the golden-fixture test at the
 //! workspace root drives exactly the code the benchmark runs: one
-//! Monte-Carlo delay campaign over a [`ChainCase`], with the linear
-//! solver backend pinned per run. The `mc` rows round their statistics
+//! Monte-Carlo delay campaign over a [`ChainCase`] through
+//! [`crate::run_points`], with the linear solver backend pinned per run. The `mc` rows round their statistics
 //! to `%.6e`, coarse enough that the dense and sparse backends (which
 //! agree to ~1e-10 relative) print byte-identical lines — that is the
 //! property `ci.sh` diffs and `tests/golden_chains.rs` pins.
 
-use crate::BenchError;
+use crate::{run_points, BenchError, Points};
 use linvar_interconnect::ChainCase;
 use linvar_numeric::SolverChoice;
 use linvar_spice::{ac_analysis_with, crossing_time, Transient, TransientOptions};
 use linvar_stats::sampling::lhs_normal_streamed;
 use linvar_stats::{
-    fingerprint_str, fingerprint_words, monte_carlo_par, run_sharded_campaign, run_spectral,
-    sobol_normal_streamed, AnalysisKind, CampaignFingerprint, MonteCarloResult, RecoveryPolicy,
-    SampleStatus, ShardConfig, ShardedCampaignResult, SpectralConfig, SpectralPlan, SpectralResult,
-    Summary,
+    fingerprint_str, fingerprint_words, sobol_normal_streamed, AnalysisKind, CampaignFingerprint,
+    MonteCarloResult, RecoveryPolicy, RunSpec, SpectralConfig, SpectralResult, Summary,
 };
 
 /// Master seed of the chains campaigns (fixtures depend on it).
@@ -66,7 +64,8 @@ pub fn delay_for_sample(
         .ok_or_else(|| BenchError::Msg(format!("{}: no 50% crossing in window", case.name)))
 }
 
-/// Runs the delay campaign for one case on one backend.
+/// Runs the plain delay campaign for one case on one backend:
+/// [`crate::run_points`] with [`RunSpec::plain`].
 ///
 /// # Errors
 ///
@@ -78,18 +77,14 @@ pub fn run_case(
     threads: usize,
     solver: SolverChoice,
 ) -> Result<MonteCarloResult, BenchError> {
-    let mc = monte_carlo_par(samples, threads, |w: &Vec<f64>| {
-        delay_for_sample(case, w, solver)
-    });
-    if mc.summary.n == 0 {
-        return Err(BenchError::Msg(format!(
-            "{}: all {} samples failed ({})",
-            case.name,
-            samples.len(),
-            mc.first_error.as_deref().unwrap_or("no error recorded")
-        )));
-    }
-    Ok(mc)
+    run_points(
+        &case.name,
+        Points::Draws(samples),
+        &RunSpec::plain(threads),
+        &chains_fingerprint(&case.name, samples.len()),
+        |w| delay_for_sample(case, w, solver),
+    )
+    .map(|run| run.mc)
 }
 
 /// The fixed AC measurement frequency of one case (`--analysis ac`): a
@@ -138,35 +133,10 @@ pub fn ac_mag_for_sample(
         .ok_or_else(|| BenchError::Msg(format!("{}: empty AC sweep", case.name)))
 }
 
-/// Runs the AC gain campaign for one case on one backend — the
-/// `--analysis ac` counterpart of [`run_case`].
-///
-/// # Errors
-///
-/// Returns [`BenchError`] if every sample fails.
-pub fn run_case_ac(
-    case: &ChainCase,
-    samples: &[Vec<f64>],
-    threads: usize,
-    solver: SolverChoice,
-) -> Result<MonteCarloResult, BenchError> {
-    let mc = monte_carlo_par(samples, threads, |w: &Vec<f64>| {
-        ac_mag_for_sample(case, w, solver)
-    });
-    if mc.summary.n == 0 {
-        return Err(BenchError::Msg(format!(
-            "{}: all {} samples failed ({})",
-            ac_case_name(case),
-            samples.len(),
-            mc.first_error.as_deref().unwrap_or("no error recorded")
-        )));
-    }
-    Ok(mc)
-}
-
 /// Campaign fingerprint of one chains case: seed, sample-set shape, and
 /// the case name folded into the model hash. Shard snapshots taken under
-/// one case refuse to resume another.
+/// one case refuse to resume another; the seed also seeds a gPC run's
+/// surrogate quantiles.
 pub fn chains_fingerprint(case_name: &str, n_samples: usize) -> CampaignFingerprint {
     CampaignFingerprint {
         master_seed: CHAINS_SEED,
@@ -176,52 +146,8 @@ pub fn chains_fingerprint(case_name: &str, n_samples: usize) -> CampaignFingerpr
     }
 }
 
-/// Runs the delay campaign for one case under the shard supervisor.
-///
-/// The merged statistics are bitwise-identical to [`run_case`] over the
-/// same samples — the property `ci.sh`'s shard smoke byte-diffs — while
-/// gaining per-shard checkpoints, retry, and straggler re-dispatch.
-///
-/// # Errors
-///
-/// Returns [`BenchError`] on a shard-plan problem or if every sample
-/// failed (shard deaths surface as failed samples, not errors).
-pub fn run_case_sharded(
-    case: &ChainCase,
-    samples: &[Vec<f64>],
-    threads: usize,
-    solver: SolverChoice,
-    config: &ShardConfig,
-) -> Result<ShardedCampaignResult, BenchError> {
-    let fp = chains_fingerprint(&case.name, samples.len());
-    let sharded = run_sharded_campaign(
-        samples,
-        threads,
-        RecoveryPolicy::strict(),
-        config,
-        &fp,
-        |w: &Vec<f64>, _attempt| {
-            delay_for_sample(case, w, solver)
-                .map(|d| (d, SampleStatus::Clean))
-                .map_err(|e| e.to_string())
-        },
-    )
-    .map_err(|e| BenchError::Core(e.into()))?;
-    if sharded.summary.n == 0 {
-        return Err(BenchError::Msg(format!(
-            "{}: all {} samples failed ({})",
-            case.name,
-            samples.len(),
-            sharded
-                .first_error
-                .as_deref()
-                .unwrap_or("no error recorded")
-        )));
-    }
-    Ok(sharded)
-}
-
-/// [`chains_fingerprint`] for the AC gain campaigns: folds
+/// [`chains_fingerprint`] for the AC gain campaigns (`--analysis ac`):
+/// folds
 /// [`AnalysisKind::Ac`] into the model hash, so an AC snapshot refuses
 /// to resume a transient campaign of the same case and shape. (The
 /// transient fingerprint predates analysis tagging and stays untouched
@@ -240,49 +166,6 @@ pub fn chains_ac_fingerprint(case_name: &str, n_samples: usize) -> CampaignFinge
     }
 }
 
-/// Runs the AC gain campaign for one case under the shard supervisor —
-/// the `--analysis ac` counterpart of [`run_case_sharded`], merged
-/// statistics bitwise-identical to [`run_case_ac`].
-///
-/// # Errors
-///
-/// Returns [`BenchError`] on a shard-plan problem or if every sample
-/// failed.
-pub fn run_case_ac_sharded(
-    case: &ChainCase,
-    samples: &[Vec<f64>],
-    threads: usize,
-    solver: SolverChoice,
-    config: &ShardConfig,
-) -> Result<ShardedCampaignResult, BenchError> {
-    let fp = chains_ac_fingerprint(&case.name, samples.len());
-    let sharded = run_sharded_campaign(
-        samples,
-        threads,
-        RecoveryPolicy::strict(),
-        config,
-        &fp,
-        |w: &Vec<f64>, _attempt| {
-            ac_mag_for_sample(case, w, solver)
-                .map(|m| (m, SampleStatus::Clean))
-                .map_err(|e| e.to_string())
-        },
-    )
-    .map_err(|e| BenchError::Core(e.into()))?;
-    if sharded.summary.n == 0 {
-        return Err(BenchError::Msg(format!(
-            "{}: all {} samples failed ({})",
-            ac_case_name(case),
-            samples.len(),
-            sharded
-                .first_error
-                .as_deref()
-                .unwrap_or("no error recorded")
-        )));
-    }
-    Ok(sharded)
-}
-
 /// The spectral grid every chains gPC run uses: Smolyak sparse level 1
 /// over the five wire parameters at total degree 2 — 11 transient
 /// solves per case instead of a sample campaign.
@@ -292,46 +175,13 @@ pub const CHAINS_GPC_CONFIG: SpectralConfig = SpectralConfig {
     grid: linvar_stats::GridKind::Smolyak,
 };
 
-/// Runs the gPC delay analysis for one case on one backend: the
-/// [`CHAINS_GPC_CONFIG`] Smolyak plan over the five normalized wire
-/// parameters (germ scaled by [`CHAINS_SIGMA`]), each node evaluated by
-/// [`delay_for_sample`]. Deterministic at any thread count, like the
-/// MC campaigns.
-///
-/// # Errors
-///
-/// Returns [`BenchError`] on a plan failure, a failed node, or a failed
-/// coefficient solve (a spectral rule cannot quarantine nodes).
-pub fn run_case_spectral(
-    case: &ChainCase,
-    threads: usize,
-    solver: SolverChoice,
-) -> Result<SpectralResult, BenchError> {
-    let plan = SpectralPlan::build(5, CHAINS_GPC_CONFIG)
-        .map_err(|e| BenchError::Msg(format!("{}: {e}", case.name)))?;
-    run_spectral(
-        &plan,
-        threads,
-        RecoveryPolicy::strict(),
-        CHAINS_SEED,
-        |node, _attempt| {
-            let w: Vec<f64> = node.iter().map(|x| x * CHAINS_SIGMA).collect();
-            delay_for_sample(case, &w, solver)
-                .map(|d| (d, SampleStatus::Clean))
-                .map_err(|e| e.to_string())
-        },
-    )
-    .map_err(|e| BenchError::Msg(format!("{}: {e}", case.name)))
-}
-
 /// The deterministic statistics row for one completed campaign under
 /// `engine` (`mc` or `sobol` — the row prefix, which `ci.sh` greps per
 /// engine). Statistics are rounded to `%.6e` so both backends and any
 /// worker count print the same bytes (the solver name is deliberately
-/// absent). Takes the summary and failure count rather than a result
-/// struct so the plain ([`MonteCarloResult`]) and sharded
-/// ([`ShardedCampaignResult`]) drivers print through the same formatter
-/// — identity of the two rows is a CI invariant, not a coincidence.
+/// absent). Takes the summary and failure count, so plain, durable and
+/// sharded runs print through the same formatter — identity of their
+/// rows is a CI invariant, not a coincidence.
 pub fn engine_line(engine: &str, case_name: &str, summary: &Summary, failures: usize) -> String {
     format!(
         "{engine} {case_name}: n={} mean={:.6e} std={:.6e} min={:.6e} max={:.6e} failures={}",
@@ -369,6 +219,45 @@ pub fn gpc_line(case_name: &str, res: &SpectralResult) -> String {
 mod tests {
     use super::*;
     use linvar_interconnect::rc_chain_case;
+    use linvar_stats::{ShardConfig, SpectralPlan};
+
+    fn spec(threads: usize, n_shards: Option<usize>) -> RunSpec {
+        RunSpec {
+            shards: n_shards.map(|n_shards| ShardConfig {
+                n_shards,
+                ..ShardConfig::default()
+            }),
+            ..RunSpec::plain(threads)
+        }
+    }
+
+    fn ac_run(case: &ChainCase, samples: &[Vec<f64>], spec: &RunSpec) -> MonteCarloResult {
+        let fp = chains_ac_fingerprint(&case.name, samples.len());
+        run_points(
+            &ac_case_name(case),
+            Points::Draws(samples),
+            spec,
+            &fp,
+            |w| ac_mag_for_sample(case, w, SolverChoice::Sparse),
+        )
+        .unwrap()
+        .mc
+    }
+
+    fn gpc_run(case: &ChainCase, threads: usize, solver: SolverChoice) -> SpectralResult {
+        let plan = SpectralPlan::build(5, CHAINS_GPC_CONFIG).unwrap();
+        let points = Points::Nodes {
+            plan: &plan,
+            sigma: CHAINS_SIGMA,
+        };
+        let fp = chains_fingerprint(&case.name, 0);
+        run_points(&case.name, points, &spec(threads, None), &fp, |w| {
+            delay_for_sample(case, w, solver)
+        })
+        .unwrap()
+        .spectral
+        .unwrap()
+    }
 
     #[test]
     fn samples_are_thread_independent_and_seeded() {
@@ -419,8 +308,8 @@ mod tests {
     #[test]
     fn gpc_rows_match_across_backends_and_threads() {
         let case = rc_chain_case(50).unwrap();
-        let dense = run_case_spectral(&case, 1, SolverChoice::Dense).unwrap();
-        let sparse = run_case_spectral(&case, 2, SolverChoice::Sparse).unwrap();
+        let dense = gpc_run(&case, 1, SolverChoice::Dense);
+        let sparse = gpc_run(&case, 2, SolverChoice::Sparse);
         assert_eq!(dense.nodes_evaluated, 11, "smolyak level-1 grid in 5 dims");
         assert_eq!(
             gpc_line(&case.name, &dense),
@@ -447,7 +336,7 @@ mod tests {
     fn ac_rows_are_distinct_from_transient_rows() {
         let case = rc_chain_case(50).unwrap();
         let samples = sample_set(4);
-        let ac = run_case_ac(&case, &samples, 2, SolverChoice::Sparse).unwrap();
+        let ac = ac_run(&case, &samples, &spec(2, None));
         let tran = run_case(&case, &samples, 2, SolverChoice::Sparse).unwrap();
         let ac_row = mc_line(&ac_case_name(&case), &ac.summary, ac.failures);
         let tran_row = mc_line(&case.name, &tran.summary, tran.failures);
@@ -471,12 +360,8 @@ mod tests {
     fn ac_sharded_rows_match_unsharded() {
         let case = rc_chain_case(50).unwrap();
         let samples = sample_set(6);
-        let base = run_case_ac(&case, &samples, 1, SolverChoice::Sparse).unwrap();
-        let cfg = ShardConfig {
-            n_shards: 3,
-            ..ShardConfig::default()
-        };
-        let sharded = run_case_ac_sharded(&case, &samples, 2, SolverChoice::Sparse, &cfg).unwrap();
+        let base = ac_run(&case, &samples, &spec(1, None));
+        let sharded = ac_run(&case, &samples, &spec(2, Some(3)));
         assert_eq!(
             mc_line(&ac_case_name(&case), &sharded.summary, sharded.failures),
             mc_line(&ac_case_name(&case), &base.summary, base.failures)
@@ -490,11 +375,16 @@ mod tests {
         let base = run_case(&case, &samples, 1, SolverChoice::Sparse).unwrap();
         let base_line = mc_line(&case.name, &base.summary, base.failures);
         for n_shards in [1, 3] {
-            let cfg = ShardConfig {
-                n_shards,
-                ..ShardConfig::default()
-            };
-            let sharded = run_case_sharded(&case, &samples, 2, SolverChoice::Sparse, &cfg).unwrap();
+            let fp = chains_fingerprint(&case.name, samples.len());
+            let sharded = run_points(
+                &case.name,
+                Points::Draws(&samples),
+                &spec(2, Some(n_shards)),
+                &fp,
+                |w| delay_for_sample(&case, w, SolverChoice::Sparse),
+            )
+            .unwrap()
+            .mc;
             assert_eq!(
                 mc_line(&case.name, &sharded.summary, sharded.failures),
                 base_line,

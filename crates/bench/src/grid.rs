@@ -10,14 +10,13 @@
 //! [`AnalysisKind::IrDrop`], so grid checkpoints refuse to resume a
 //! transient or AC campaign of the same shape.
 
-use crate::BenchError;
+use crate::{run_points, BenchError, Points};
 use linvar_interconnect::{ir_drop_for_sample, GridCase};
 use linvar_numeric::SolverChoice;
 use linvar_stats::sampling::lhs_normal_streamed;
 use linvar_stats::{
-    fingerprint_str, fingerprint_words, monte_carlo_par, run_sharded_campaign, run_spectral,
-    sobol_normal_streamed, AnalysisKind, CampaignFingerprint, MonteCarloResult, RecoveryPolicy,
-    SampleStatus, ShardConfig, ShardedCampaignResult, SpectralConfig, SpectralPlan, SpectralResult,
+    fingerprint_str, fingerprint_words, sobol_normal_streamed, AnalysisKind, CampaignFingerprint,
+    MonteCarloResult, RecoveryPolicy, RunSpec, SpectralConfig,
 };
 
 /// Master seed of the grid campaigns (fixtures depend on it).
@@ -56,7 +55,8 @@ pub fn drop_for_sample(
     ir_drop_for_sample(case, w, solver).map_err(|e| BenchError::Msg(format!("{}: {e}", case.name)))
 }
 
-/// Runs the IR-drop campaign for one case on one backend.
+/// Runs the plain IR-drop campaign for one case on one backend:
+/// [`crate::run_points`] with [`RunSpec::plain`].
 ///
 /// # Errors
 ///
@@ -68,24 +68,21 @@ pub fn run_case(
     threads: usize,
     solver: SolverChoice,
 ) -> Result<MonteCarloResult, BenchError> {
-    let mc = monte_carlo_par(samples, threads, |w: &Vec<f64>| {
-        drop_for_sample(case, w, solver)
-    });
-    if mc.summary.n == 0 {
-        return Err(BenchError::Msg(format!(
-            "{}: all {} samples failed ({})",
-            case.name,
-            samples.len(),
-            mc.first_error.as_deref().unwrap_or("no error recorded")
-        )));
-    }
-    Ok(mc)
+    run_points(
+        &case.name,
+        Points::Draws(samples),
+        &RunSpec::plain(threads),
+        &grid_fingerprint(&case.name, samples.len()),
+        |w| drop_for_sample(case, w, solver),
+    )
+    .map(|run| run.mc)
 }
 
 /// Campaign fingerprint of one grid case: seed, sample-set shape, the
 /// case name, and [`AnalysisKind::IrDrop`] folded into the model hash —
 /// a grid snapshot refuses to resume a transient or AC campaign even if
-/// every other coordinate matches.
+/// every other coordinate matches. The seed also seeds a gPC run's
+/// surrogate quantiles.
 pub fn grid_fingerprint(case_name: &str, n_samples: usize) -> CampaignFingerprint {
     CampaignFingerprint {
         master_seed: GRID_SEED,
@@ -100,49 +97,6 @@ pub fn grid_fingerprint(case_name: &str, n_samples: usize) -> CampaignFingerprin
     }
 }
 
-/// Runs the IR-drop campaign for one case under the shard supervisor.
-/// The merged statistics are bitwise-identical to [`run_case`] over the
-/// same samples.
-///
-/// # Errors
-///
-/// Returns [`BenchError`] on a shard-plan problem or if every sample
-/// failed.
-pub fn run_case_sharded(
-    case: &GridCase,
-    samples: &[Vec<f64>],
-    threads: usize,
-    solver: SolverChoice,
-    config: &ShardConfig,
-) -> Result<ShardedCampaignResult, BenchError> {
-    let fp = grid_fingerprint(&case.name, samples.len());
-    let sharded = run_sharded_campaign(
-        samples,
-        threads,
-        RecoveryPolicy::strict(),
-        config,
-        &fp,
-        |w: &Vec<f64>, _attempt| {
-            drop_for_sample(case, w, solver)
-                .map(|d| (d, SampleStatus::Clean))
-                .map_err(|e| e.to_string())
-        },
-    )
-    .map_err(|e| BenchError::Core(e.into()))?;
-    if sharded.summary.n == 0 {
-        return Err(BenchError::Msg(format!(
-            "{}: all {} samples failed ({})",
-            case.name,
-            samples.len(),
-            sharded
-                .first_error
-                .as_deref()
-                .unwrap_or("no error recorded")
-        )));
-    }
-    Ok(sharded)
-}
-
 /// The spectral grid every acgrid gPC run uses — same Smolyak level-1,
 /// degree-2 plan over five parameters as the chains workload (11 DC
 /// solves per case).
@@ -152,42 +106,27 @@ pub const GRID_GPC_CONFIG: SpectralConfig = SpectralConfig {
     grid: linvar_stats::GridKind::Smolyak,
 };
 
-/// Runs the gPC IR-drop analysis for one case on one backend:
-/// [`GRID_GPC_CONFIG`] with the germ scaled by [`GRID_SIGMA`], each
-/// node evaluated by [`drop_for_sample`]. Deterministic at any thread
-/// count.
-///
-/// # Errors
-///
-/// Returns [`BenchError`] on a plan failure, a failed node, or a failed
-/// coefficient solve.
-pub fn run_case_spectral(
-    case: &GridCase,
-    threads: usize,
-    solver: SolverChoice,
-) -> Result<SpectralResult, BenchError> {
-    let plan = SpectralPlan::build(5, GRID_GPC_CONFIG)
-        .map_err(|e| BenchError::Msg(format!("{}: {e}", case.name)))?;
-    run_spectral(
-        &plan,
-        threads,
-        RecoveryPolicy::strict(),
-        GRID_SEED,
-        |node, _attempt| {
-            let w: Vec<f64> = node.iter().map(|x| x * GRID_SIGMA).collect();
-            drop_for_sample(case, &w, solver)
-                .map(|d| (d, SampleStatus::Clean))
-                .map_err(|e| e.to_string())
-        },
-    )
-    .map_err(|e| BenchError::Msg(format!("{}: {e}", case.name)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chains::{gpc_line, mc_line};
     use linvar_interconnect::{power_grid_case, PowerGridSpec, WireTech};
+    use linvar_stats::{ShardConfig, SpectralPlan, SpectralResult};
+
+    fn gpc_run(case: &GridCase, threads: usize, solver: SolverChoice) -> SpectralResult {
+        let plan = SpectralPlan::build(5, GRID_GPC_CONFIG).unwrap();
+        let points = Points::Nodes {
+            plan: &plan,
+            sigma: GRID_SIGMA,
+        };
+        let fp = grid_fingerprint(&case.name, 0);
+        run_points(&case.name, points, &RunSpec::plain(threads), &fp, |w| {
+            drop_for_sample(case, w, solver)
+        })
+        .unwrap()
+        .spectral
+        .unwrap()
+    }
 
     fn quick_case() -> GridCase {
         power_grid_case(&PowerGridSpec::new(8, 8, WireTech::m018())).unwrap()
@@ -228,11 +167,19 @@ mod tests {
         let samples = sample_set(6);
         let base = run_case(&case, &samples, 1, SolverChoice::Sparse).unwrap();
         let base_line = mc_line(&case.name, &base.summary, base.failures);
-        let cfg = ShardConfig {
-            n_shards: 3,
-            ..ShardConfig::default()
+        let spec = RunSpec {
+            shards: Some(ShardConfig {
+                n_shards: 3,
+                ..ShardConfig::default()
+            }),
+            ..RunSpec::plain(2)
         };
-        let sharded = run_case_sharded(&case, &samples, 2, SolverChoice::Sparse, &cfg).unwrap();
+        let fp = grid_fingerprint(&case.name, samples.len());
+        let sharded = run_points(&case.name, Points::Draws(&samples), &spec, &fp, |w| {
+            drop_for_sample(&case, w, SolverChoice::Sparse)
+        })
+        .unwrap()
+        .mc;
         assert_eq!(
             mc_line(&case.name, &sharded.summary, sharded.failures),
             base_line
@@ -242,8 +189,8 @@ mod tests {
     #[test]
     fn gpc_rows_match_across_backends_and_threads() {
         let case = quick_case();
-        let dense = run_case_spectral(&case, 1, SolverChoice::Dense).unwrap();
-        let sparse = run_case_spectral(&case, 2, SolverChoice::Sparse).unwrap();
+        let dense = gpc_run(&case, 1, SolverChoice::Dense);
+        let sparse = gpc_run(&case, 2, SolverChoice::Sparse);
         assert_eq!(dense.nodes_evaluated, 11, "smolyak level-1 grid in 5 dims");
         assert_eq!(gpc_line(&case.name, &dense), gpc_line(&case.name, &sparse));
         assert!(dense.mean > 0.0 && dense.std >= 0.0);

@@ -5,8 +5,10 @@
 //! holds what they share: the table formatter, the [`BenchError`] type
 //! (typed errors + process exit codes instead of panics), the
 //! [`BenchArgs`] parser for the campaign flags
-//! (`--checkpoint`/`--resume`/`--deadline`/`--metrics`), and the
-//! [`BenchMeter`] observability harness that emits the machine-readable
+//! (`--checkpoint`/`--resume`/`--deadline`/`--shards`/`--metrics`) and
+//! the [`RunSpec`] it builds, the one campaign runner [`run_points`]
+//! behind the `chains` and `acgrid` bins, and the [`BenchMeter`]
+//! observability harness that emits the machine-readable
 //! `BENCH_<bin>.json` trajectory.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
@@ -22,7 +24,9 @@ use linvar_core::CoreError;
 use linvar_numeric::NumericError;
 use linvar_spice::SpiceError;
 use linvar_stats::{
-    AnalysisKind, CampaignConfig, CheckpointError, HistogramError, ShardConfig, ShardFault,
+    execute, run_spectral, AnalysisKind, CampaignConfig, CampaignFingerprint, CheckpointError,
+    HistogramError, MonteCarloResult, RecoveryPolicy, RunError, RunSpec, SampleStatus, ShardConfig,
+    ShardFault, SpectralPlan, SpectralResult,
 };
 use linvar_teta::TetaError;
 use std::fmt;
@@ -112,6 +116,12 @@ impl From<CoreError> for BenchError {
 impl From<CheckpointError> for BenchError {
     fn from(e: CheckpointError) -> Self {
         BenchError::Checkpoint(e)
+    }
+}
+
+impl From<RunError> for BenchError {
+    fn from(e: RunError) -> Self {
+        CoreError::from(e).into()
     }
 }
 
@@ -342,6 +352,27 @@ impl BenchArgs {
         }
     }
 
+    /// The [`RunSpec`] of one campaign of this run: `base`'s worker
+    /// count and policy, plus the campaign knobs of
+    /// [`BenchArgs::campaign_config`] and the shard plan of
+    /// [`BenchArgs::shard_config`] — every bin builds its runs here.
+    ///
+    /// # Errors
+    ///
+    /// The usage errors of [`BenchArgs::shard_config`].
+    pub fn run_spec(
+        &self,
+        tag: &str,
+        run_start: Instant,
+        base: RunSpec,
+    ) -> Result<RunSpec, BenchError> {
+        Ok(RunSpec {
+            campaign: self.campaign_config(tag, run_start),
+            shards: self.shard_config(tag)?,
+            ..base
+        })
+    }
+
     /// `true` once the process-wide `--deadline` has elapsed — bins use
     /// this to skip auxiliary measurements (e.g. SPICE baselines) that
     /// are not checkpointable.
@@ -409,6 +440,8 @@ impl BenchArgs {
     ///   coordinates);
     /// * `--resume` resumes each shard from its own snapshot — this is
     ///   also how per-process `--shard-index` outputs are merged;
+    /// * `--shard-index` becomes the config's worker index (run only
+    ///   that shard, leave its snapshot as the output);
     /// * faults can be injected from the environment for smoke tests
     ///   (see [`shard_faults_from_env`]);
     /// * `--deadline` is refused in sharded mode: the supervisor's
@@ -446,6 +479,7 @@ impl BenchArgs {
             }),
             resume: self.resume.is_some(),
             faults: shard_faults_from_env()?,
+            shard_index: self.shard_index,
             ..ShardConfig::default()
         }))
     }
@@ -486,6 +520,86 @@ pub fn shard_faults_from_env() -> Result<Vec<(usize, ShardFault)>, BenchError> {
         }
     };
     Ok(vec![(shard, fault)])
+}
+
+/// The sample points of one bench campaign.
+#[derive(Debug, Clone, Copy)]
+pub enum Points<'a> {
+    /// Monte-Carlo draws (LHS or Sobol), one sample per point.
+    Draws(&'a [Vec<f64>]),
+    /// The nodes of a spectral plan; each germ coordinate is scaled by
+    /// `sigma` before evaluation.
+    Nodes {
+        /// The spectral plan.
+        plan: &'a SpectralPlan,
+        /// Standard deviation of every parameter, in germ units.
+        sigma: f64,
+    },
+}
+
+/// What one bench campaign produced.
+#[derive(Debug, Clone)]
+pub struct PointsRun {
+    /// The executor's merged result (raw node values for a spectral run).
+    pub mc: MonteCarloResult,
+    /// The spectral estimate of a completed [`Points::Nodes`] run.
+    pub spectral: Option<SpectralResult>,
+}
+
+/// The one campaign runner of the `chains` and `acgrid` bins: evaluates
+/// `eval` at every point under `spec` through the executor (a spectral
+/// plan through [`run_spectral`]), one attempt per point.
+///
+/// A spectral rule cannot quarantine a node, so a [`Points::Nodes`] run
+/// stops at its first failed node. `fingerprint` keys the snapshots of
+/// a sharded run; its `master_seed` also seeds a spectral run's
+/// surrogate quantiles.
+///
+/// # Errors
+///
+/// Run-plan and checkpoint errors, a failed spectral node or solve, and
+/// a campaign in which every point failed (per-point failures are
+/// reported in the result, not raised). `name` labels the messages.
+pub fn run_points(
+    name: &str,
+    points: Points<'_>,
+    spec: &RunSpec,
+    fingerprint: &CampaignFingerprint,
+    eval: impl Fn(&[f64]) -> Result<f64, BenchError> + Sync,
+) -> Result<PointsRun, BenchError> {
+    let f = |w: &[f64], _attempt: usize| eval(w).map(|v| (v, SampleStatus::Clean));
+    let run = match points {
+        Points::Draws(samples) => PointsRun {
+            mc: execute(samples, spec, fingerprint, |w: &Vec<f64>, a| f(w, a))?,
+            spectral: None,
+        },
+        Points::Nodes { plan, sigma } => {
+            let spec = RunSpec {
+                policy: RecoveryPolicy {
+                    fail_fast: true,
+                    ..spec.policy
+                },
+                ..spec.clone()
+            };
+            let run = run_spectral(plan, &spec, fingerprint, |node, a| {
+                let w: Vec<f64> = node.iter().map(|x| x * sigma).collect();
+                f(&w, a)
+            })
+            .map_err(|e| BenchError::Msg(format!("{name}: {e}")))?;
+            PointsRun {
+                mc: run.nodes,
+                spectral: run.result,
+            }
+        }
+    };
+    if run.mc.summary.n == 0 {
+        return Err(BenchError::Msg(format!(
+            "{name}: all {} samples failed ({})",
+            run.mc.sample_health.len(),
+            run.mc.first_error.as_deref().unwrap_or("no error recorded")
+        )));
+    }
+    Ok(run)
 }
 
 /// `f64` as its 16-hex-digit bit pattern — the bins print Monte-Carlo

@@ -3,7 +3,7 @@
 use linvar_circuit::CircuitError;
 use linvar_numeric::NumericError;
 use linvar_spice::SpiceError;
-use linvar_stats::{CheckpointError, ShardError, SpectralError};
+use linvar_stats::{CheckpointError, RunError, SpectralError, SpectralRunError};
 use linvar_teta::TetaError;
 use std::fmt;
 
@@ -22,8 +22,8 @@ pub enum CoreError {
     Numeric(NumericError),
     /// A campaign checkpoint could not be written, read, or validated.
     Checkpoint(CheckpointError),
-    /// A sharded campaign could not be planned or its worker failed.
-    Shard(ShardError),
+    /// A run could not be planned (sample-count or shard-plan problem).
+    Run(RunError),
     /// A stochastic-spectral plan or coefficient solve failed.
     Spectral(SpectralError),
     /// A stage output never completed its transition within the retry
@@ -43,7 +43,7 @@ impl fmt::Display for CoreError {
             CoreError::Circuit(e) => write!(f, "circuit: {e}"),
             CoreError::Numeric(e) => write!(f, "numeric: {e}"),
             CoreError::Checkpoint(e) => write!(f, "campaign: {e}"),
-            CoreError::Shard(e) => write!(f, "shard: {e}"),
+            CoreError::Run(e) => write!(f, "run: {e}"),
             CoreError::Spectral(e) => write!(f, "spectral: {e}"),
             CoreError::StageStuck { stage } => {
                 write!(f, "stage {stage} output never completed its transition")
@@ -60,7 +60,7 @@ impl std::error::Error for CoreError {
             CoreError::Circuit(e) => Some(e),
             CoreError::Numeric(e) => Some(e),
             CoreError::Checkpoint(e) => Some(e),
-            CoreError::Shard(e) => Some(e),
+            CoreError::Run(e) => Some(e),
             CoreError::Spectral(e) => Some(e),
             _ => None,
         }
@@ -103,14 +103,23 @@ impl From<SpectralError> for CoreError {
     }
 }
 
-impl From<ShardError> for CoreError {
-    fn from(e: ShardError) -> Self {
-        // A shard-level checkpoint failure IS a checkpoint failure;
+impl From<RunError> for CoreError {
+    fn from(e: RunError) -> Self {
+        // A run-level checkpoint failure IS a checkpoint failure;
         // keeping the variant lets callers (and the bench error-to-exit
         // mapping) treat both layers uniformly.
         match e {
-            ShardError::Checkpoint(ck) => CoreError::Checkpoint(ck),
-            other => CoreError::Shard(other),
+            RunError::Checkpoint(ck) => CoreError::Checkpoint(ck),
+            other => CoreError::Run(other),
+        }
+    }
+}
+
+impl From<SpectralRunError> for CoreError {
+    fn from(e: SpectralRunError) -> Self {
+        match e {
+            SpectralRunError::Checkpoint(ck) => CoreError::Checkpoint(ck),
+            SpectralRunError::Spectral(sp) => CoreError::Spectral(sp),
         }
     }
 }

@@ -26,7 +26,8 @@
 //! # Example
 //!
 //! ```no_run
-//! use linvar_core::path::{PathModel, PathSpec, VariationSources};
+//! use linvar_core::path::{PathModel, PathSpec, Sampling, VariationSources};
+//! use linvar_core::RunSpec;
 //! use linvar_devices::tech_018;
 //! use linvar_interconnect::WireTech;
 //!
@@ -38,8 +39,7 @@
 //! };
 //! let model = PathModel::build(&spec, &tech_018(), &WireTech::m018())?;
 //! let sources = VariationSources::example3(0.33, 0.33);
-//! let mut rng = linvar_stats::rng_from_seed(1);
-//! let mc = model.monte_carlo(&sources, 20, &mut rng)?;
+//! let mc = model.run(&sources, Sampling::Lhs(20), 1, &RunSpec::plain(0))?;
 //! let ga = model.gradient_analysis(&sources)?;
 //! println!("MC {} ± {}", mc.summary.mean, mc.summary.std);
 //! println!("GA {} ± {}", ga.nominal_delay, ga.std);
@@ -56,24 +56,18 @@ pub mod stage_builder;
 pub mod worst_case;
 
 pub use error::CoreError;
-pub use path::{
-    GaPathResult, McPathResult, PathModel, PathSpec, PcCampaignResult, PcPathResult,
-    VariationSources,
-};
-pub use recovery::{
-    DegradationReport, EngineRung, McCampaignResult, McRecoveryResult, McShardedResult,
-};
+pub use path::{GaPathResult, McPathResult, PathModel, PathSpec, Sampling, VariationSources};
+pub use recovery::{DegradationReport, EngineRung};
 pub use registry::{
     CampaignModel, ChainModel, ModelRegistry, ModelRun, SpectralChainModel, SyntheticModel,
 };
 pub use stage_builder::{StageLoad, StageLoadSpec};
 pub use worst_case::WorstCaseResult;
 
-// Policy and campaign types of the statistics layer, re-exported so
-// callers of the recovering and durable Monte-Carlo drivers need only
-// this crate.
+// Run-spec, policy and campaign types of the statistics layer,
+// re-exported so callers of `PathModel::run` need only this crate.
 pub use linvar_stats::{
     shard_checkpoint_path, CampaignConfig, CampaignFingerprint, CampaignVerdict, CheckpointError,
-    HealthSummary, RecoveryPolicy, SampleHealth, SampleStatus, ShardConfig, ShardError, ShardFault,
-    ShardOutcome, ShardPlan, ShardVerdict,
+    HealthSummary, RecoveryPolicy, RunError, RunSpec, SampleHealth, SampleStatus, ShardConfig,
+    ShardFault, ShardOutcome, ShardPlan, ShardVerdict, SpectralResult,
 };

@@ -5,12 +5,14 @@
 //! loads do not depend on the fluctuating parameters. Two statistics
 //! engines run on top:
 //!
-//! * [`PathModel::monte_carlo`] (§4.3.1) — per sample, the stages are
-//!   simulated in topological order and the *full piecewise-linear output
-//!   waveform* is propagated to the next stage's input;
-//!   [`PathModel::monte_carlo_par`] runs the same analysis across worker
-//!   threads with bitwise-identical results (the sample set is a pure
-//!   function of the master seed, evaluation is read-only `&self`);
+//! * [`PathModel::run`] (§4.3.1) — per sample, the stages are simulated
+//!   in topological order and the *full piecewise-linear output
+//!   waveform* is propagated to the next stage's input. One call covers
+//!   every statistics engine: LHS or Sobol Monte Carlo and Hermite
+//!   polynomial chaos ([`Sampling`]), under any [`RunSpec`] — worker
+//!   count, recovery policy, durable checkpoints, shards — with
+//!   bitwise-identical results (the sample set is a pure function of the
+//!   master seed, evaluation is read-only `&self`);
 //! * [`PathModel::gradient_analysis`] (§4.3.2) — one nominal pass plus
 //!   central-difference perturbations of the input-slew and every
 //!   variation source per stage; the saturated-ramp parameters `(M, S)`
@@ -20,19 +22,16 @@
 //! [`StageModel`]: linvar_teta::StageModel
 
 use crate::error::CoreError;
-use crate::recovery::{
-    DegradationReport, EngineRung, McCampaignResult, McRecoveryResult, McShardedResult,
-};
+use crate::recovery::{DegradationReport, EngineRung};
 use crate::stage_builder::{build_stage_load, StageLoad, StageLoadSpec};
 use linvar_devices::{CellLibrary, DeviceVariation, Technology};
 use linvar_interconnect::WireTech;
 use linvar_mor::ReductionMethod;
 use linvar_stats::{
-    fingerprint_str, fingerprint_words, lhs_normal, monte_carlo, monte_carlo_par,
-    monte_carlo_par_with_policy, rng_from_seed, run_campaign, run_shard_worker,
-    run_sharded_campaign, run_spectral, run_spectral_campaign, sobol_normal_streamed,
-    CampaignConfig, CampaignFingerprint, CampaignVerdict, HealthSummary, RecoveryPolicy, SampleRng,
-    SampleStatus, ShardConfig, SpectralConfig, SpectralPlan, SpectralRunError, Summary,
+    execute, fingerprint_str, fingerprint_words, lhs_normal, rng_from_seed, run_spectral,
+    sobol_normal_streamed, CampaignConfig, CampaignFingerprint, CampaignVerdict, HealthSummary,
+    MonteCarloResult, RecoveryPolicy, RunSpec, SampleHealth, SampleRng, SampleStatus, ShardVerdict,
+    SpectralConfig, SpectralPlan, SpectralResult, Summary,
 };
 use linvar_teta::{StageModel, Waveform};
 use std::sync::{Arc, Mutex};
@@ -121,19 +120,93 @@ pub struct PathSample {
     pub device: DeviceVariation,
 }
 
-/// Result of the Monte-Carlo path analysis.
+/// Where a [`PathModel::run`] draws its variation samples from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Sampling {
+    /// `n` Latin-Hypercube draws from `rng_from_seed(master_seed)`
+    /// ([`PathModel::draw_samples`]).
+    Lhs(usize),
+    /// `n` points of the digitally-shifted Sobol sequence
+    /// ([`PathModel::draw_samples_sobol`]).
+    Sobol(usize),
+    /// The collocation/testing nodes of a Hermite polynomial-chaos plan
+    /// over the **active** variation sources.
+    Spectral(SpectralConfig),
+}
+
+/// Result of a path-delay run ([`PathModel::run`]).
+///
+/// Statistics cover every *completed* sample — restored from a resume
+/// snapshot or evaluated in this run — merged in sample-index order,
+/// exactly as an uninterrupted single-process run would produce them.
+/// An all-failed run is not an error: the health summary is the answer.
 #[derive(Debug, Clone)]
 pub struct McPathResult {
-    /// Path delay per successful sample (s), in sample-index order.
+    /// Path delay per successful sample (s), in sample-index order (node
+    /// order for a spectral run).
     pub delays: Vec<f64>,
-    /// Summary statistics.
+    /// Summary statistics of the delays.
     pub summary: Summary,
-    /// Samples whose evaluation failed.
+    /// Samples lost after exhausting the attempt budget (plus samples of
+    /// permanently dead shards).
     pub failures: usize,
     /// Indices of the failed samples, ascending.
     pub failed_indices: Vec<usize>,
     /// Diagnostic of the lowest-index failure, if any.
     pub first_error: Option<String>,
+    /// Per-sample status and attempt count of the completed samples.
+    pub sample_health: Vec<SampleHealth>,
+    /// Run-level tally: clean / recovered / degraded / timed out / failed.
+    pub health: HealthSummary,
+    /// Index a fail-fast policy truncated the run at.
+    pub truncated_at: Option<usize>,
+    /// Complete, or truncated with a resumable snapshot.
+    pub verdict: CampaignVerdict,
+    /// Completed samples (resumed + evaluated this run).
+    pub completed: usize,
+    /// Samples restored from snapshots.
+    pub resumed: usize,
+    /// Samples evaluated in this run (summed over shard attempts).
+    pub evaluated: usize,
+    /// Snapshots written in this run.
+    pub checkpoints_written: usize,
+    /// Per-shard verdicts of a sharded run; empty otherwise.
+    pub shards: Vec<ShardVerdict>,
+    /// Degradation reports of the assisted samples *evaluated in this
+    /// run*, ascending index. Checkpoints persist status and attempts but
+    /// not report notes, so resumed samples carry no report. Spectral
+    /// runs keep none.
+    pub reports: Vec<DegradationReport>,
+    /// The polynomial-chaos estimate of a [`Sampling::Spectral`] run
+    /// whose every node completed; `None` otherwise.
+    pub spectral: Option<SpectralResult>,
+}
+
+impl McPathResult {
+    fn new(
+        res: MonteCarloResult,
+        reports: Vec<DegradationReport>,
+        spectral: Option<SpectralResult>,
+    ) -> McPathResult {
+        McPathResult {
+            delays: res.values,
+            summary: res.summary,
+            failures: res.failures,
+            failed_indices: res.failed_indices,
+            first_error: res.first_error,
+            sample_health: res.sample_health,
+            health: res.health,
+            truncated_at: res.truncated_at,
+            verdict: res.verdict,
+            completed: res.completed,
+            resumed: res.resumed,
+            evaluated: res.evaluated,
+            checkpoints_written: res.checkpoints_written,
+            shards: res.shards,
+            reports,
+            spectral,
+        }
+    }
 }
 
 /// Result of the Gradient-Analysis path analysis.
@@ -148,52 +221,6 @@ pub struct GaPathResult {
     pub sensitivities: Vec<f64>,
     /// Number of stage simulations performed.
     pub evaluations: usize,
-}
-
-/// Result of the polynomial-chaos path analysis.
-#[derive(Debug, Clone)]
-pub struct PcPathResult {
-    /// Surrogate mean delay (s) — the constant gPC coefficient.
-    pub mean: f64,
-    /// Surrogate delay standard deviation (s) — Parseval over the
-    /// non-constant coefficients.
-    pub std: f64,
-    /// `(probability, delay)` quantiles of the surrogate at
-    /// [`linvar_stats::QUANTILE_PROBS`].
-    pub quantiles: Vec<(f64, f64)>,
-    /// gPC coefficients in the plan's basis order.
-    pub coefficients: Vec<f64>,
-    /// Raw path delays at the collocation/testing nodes, node order.
-    pub node_delays: Vec<f64>,
-    /// Model solves spent (== the plan's node count).
-    pub nodes_evaluated: usize,
-    /// Statistics of the deterministic surrogate sample behind the
-    /// quantiles.
-    pub surrogate_summary: Summary,
-    /// Run-level recovery-health tally over the nodes.
-    pub health: HealthSummary,
-}
-
-/// Result of a durable polynomial-chaos campaign.
-#[derive(Debug, Clone)]
-pub struct PcCampaignResult {
-    /// The completed spectral result; `None` when the campaign was
-    /// truncated mid-grid (resume to finish).
-    pub result: Option<PcPathResult>,
-    /// Statistics over the raw completed node delays (partial when
-    /// truncated). Diagnostic only — the spectral estimates live in
-    /// `result`.
-    pub node_summary: Summary,
-    /// Complete, or truncated-but-resumable.
-    pub verdict: CampaignVerdict,
-    /// Completed nodes (resumed + evaluated this run).
-    pub completed: usize,
-    /// Nodes restored from the resume snapshot.
-    pub resumed: usize,
-    /// Nodes evaluated in this run.
-    pub evaluated: usize,
-    /// Snapshots written in this run.
-    pub checkpoints_written: usize,
 }
 
 /// One stage of a path. Stages with the same (driver, receiver) pair share
@@ -340,54 +367,83 @@ impl PathModel {
     /// failures.
     pub fn evaluate_sample(&self, sample: &PathSample) -> Result<f64, CoreError> {
         let _span = linvar_metrics::timer(linvar_metrics::Phase::SampleEval);
+        let h = self.stage_h();
+        self.propagate(|k, stage, input, rising_out| {
+            let settled = self.settle(stage, input, rising_out, |t_end| {
+                let res = stage.model.evaluate(
+                    &sample.wire,
+                    sample.device,
+                    std::slice::from_ref(input),
+                    h,
+                    t_end,
+                )?;
+                Ok::<_, CoreError>((res.waveforms, ()))
+            })?;
+            settled
+                .map(|(out, ())| out)
+                .ok_or(CoreError::StageStuck { stage: k })
+        })
+    }
+
+    /// Walks the stages in order, feeding each one's settled output into
+    /// the next — trimmed past its settled tail and rebased so its
+    /// transition sits near the origin, keeping simulation windows short.
+    /// `stage_out(k, stage, input, rising_out)` produces stage `k`'s
+    /// output, which must cross mid-rail. Returns the path delay.
+    fn propagate(
+        &self,
+        mut stage_out: impl FnMut(usize, &StageEntry, &Waveform, bool) -> Result<Waveform, CoreError>,
+    ) -> Result<f64, CoreError> {
         let mut input = self.input_waveform();
         let m_path_in = input
             .crossing(self.vdd / 2.0, true)
             .expect("ramp crosses midpoint");
         let mut offset = 0.0; // accumulated rebasing shifts
         let mut m_out_abs = m_path_in;
-        let h = self.stage_h();
         for (k, stage) in self.stages.iter().enumerate() {
             let rising_out = !input.is_rising();
-            let mut t_end = input.end_time() + 1.0e-9;
-            let mut out = None;
-            for _attempt in 0..3 {
-                let mut res = stage.model.evaluate(
-                    &sample.wire,
-                    sample.device,
-                    std::slice::from_ref(&input),
-                    h,
-                    t_end,
-                )?;
-                let w = &res.waveforms[stage.out_port];
-                let settled = (w.final_value() - if rising_out { self.vdd } else { 0.0 }).abs()
-                    < 0.05 * self.vdd;
-                if settled && w.crossing(self.vdd / 2.0, rising_out).is_some() {
-                    // Take the winning waveform out of the result instead of
-                    // cloning its point vector; the rest of `res` is dropped.
-                    out = Some(res.waveforms.swap_remove(stage.out_port));
-                    break;
-                }
-                t_end *= 2.0;
-            }
-            let out = out.ok_or(CoreError::StageStuck { stage: k })?;
+            let out = stage_out(k, stage, &input, rising_out)?;
             let m_out = out
                 .crossing(self.vdd / 2.0, rising_out)
-                .expect("checked above");
+                .expect("stage outputs cross mid-rail");
             m_out_abs = m_out + offset;
-            // Rebase the next stage's input so its transition sits near the
-            // origin, keeping simulation windows short.
             let s_est = out
                 .to_saturated_ramp(0.0, self.vdd)
                 .map(|sr| sr.s)
                 .unwrap_or(self.input_slew);
             let shift = (m_out - 2.0 * s_est).max(0.0);
-            // Trim the settled tail so downstream windows stay short, then
-            // rebase the transition near the origin.
             input = out.truncated(m_out + 4.0 * s_est).shifted(-shift);
             offset += shift;
         }
         Ok(m_out_abs - m_path_in)
+    }
+
+    /// Runs `eval(t_end)` on one stage with a growing window — the
+    /// input's end plus 1 ns, doubled up to twice — until the output port
+    /// settles within 5 % of its final rail and crosses mid-rail. `eval`
+    /// returns the port waveforms plus a by-product handed back with the
+    /// winning output; `Ok(None)` when the output never settles.
+    fn settle<R, E>(
+        &self,
+        stage: &StageEntry,
+        input: &Waveform,
+        rising_out: bool,
+        mut eval: impl FnMut(f64) -> Result<(Vec<Waveform>, R), E>,
+    ) -> Result<Option<(Waveform, R)>, E> {
+        let mut t_end = input.end_time() + 1.0e-9;
+        for _attempt in 0..3 {
+            let (mut waveforms, extra) = eval(t_end)?;
+            let w = &waveforms[stage.out_port];
+            let settled =
+                (w.final_value() - if rising_out { self.vdd } else { 0.0 }).abs() < 0.05 * self.vdd;
+            if settled && w.crossing(self.vdd / 2.0, rising_out).is_some() {
+                // Take the winning waveform out instead of cloning its
+                // point vector; the other ports are dropped.
+                return Ok(Some((waveforms.swap_remove(stage.out_port), extra)));
+            }
+            t_end *= 2.0;
+        }
+        Ok(None)
     }
 
     /// Draws `n` variation samples (LHS with normal marginals).
@@ -417,87 +473,6 @@ impl PathModel {
         raw.into_iter().map(|z| scale_sample(sources, &z)).collect()
     }
 
-    /// Monte-Carlo path-delay analysis (§4.3.1).
-    ///
-    /// # Errors
-    ///
-    /// Individual sample failures are counted in the result; this method
-    /// itself only fails if *every* sample fails.
-    pub fn monte_carlo(
-        &self,
-        sources: &VariationSources,
-        n: usize,
-        rng: &mut SampleRng,
-    ) -> Result<McPathResult, CoreError> {
-        let samples = self.draw_samples(sources, n, rng);
-        let res = monte_carlo(&samples, |s| self.evaluate_sample(s));
-        Self::mc_result(res)
-    }
-
-    /// Deterministic parallel Monte-Carlo path-delay analysis.
-    ///
-    /// Samples are drawn exactly as [`PathModel::monte_carlo`] would with
-    /// `rng_from_seed(master_seed)`, then evaluated across `threads`
-    /// scoped workers (`0` = auto: `LINVAR_THREADS`, then available
-    /// parallelism). Stage models are read-only during evaluation
-    /// ([`PathModel`] is `Sync` — statically asserted below), so the
-    /// result is **bitwise-identical** to the serial driver for the same
-    /// master seed, at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Individual sample failures are counted in the result; this method
-    /// itself only fails if *every* sample fails.
-    pub fn monte_carlo_par(
-        &self,
-        sources: &VariationSources,
-        n: usize,
-        master_seed: u64,
-        threads: usize,
-    ) -> Result<McPathResult, CoreError> {
-        let mut rng = rng_from_seed(master_seed);
-        let samples = self.draw_samples(sources, n, &mut rng);
-        let res = monte_carlo_par(&samples, threads, |s| self.evaluate_sample(s));
-        Self::mc_result(res)
-    }
-
-    /// [`PathModel::monte_carlo_par`] over the Sobol quasi-MC sample
-    /// stream ([`PathModel::draw_samples_sobol`]) instead of LHS — the
-    /// cheap variance-reduction rung for plain MC. Bitwise-identical at
-    /// any thread count, like every other engine.
-    ///
-    /// # Errors
-    ///
-    /// Individual sample failures are counted in the result; this method
-    /// itself only fails if *every* sample fails.
-    pub fn monte_carlo_par_sobol(
-        &self,
-        sources: &VariationSources,
-        n: usize,
-        master_seed: u64,
-        threads: usize,
-    ) -> Result<McPathResult, CoreError> {
-        let samples = self.draw_samples_sobol(sources, n, master_seed);
-        let res = monte_carlo_par(&samples, threads, |s| self.evaluate_sample(s));
-        Self::mc_result(res)
-    }
-
-    fn mc_result(res: linvar_stats::MonteCarloResult) -> Result<McPathResult, CoreError> {
-        if res.values.is_empty() {
-            return Err(CoreError::BadSpec(match &res.first_error {
-                Some(diag) => format!("all monte-carlo samples failed; first error: {diag}"),
-                None => "all monte-carlo samples failed".to_string(),
-            }));
-        }
-        Ok(McPathResult {
-            delays: res.values,
-            summary: res.summary,
-            failures: res.failures,
-            failed_indices: res.failed_indices,
-            first_error: res.first_error,
-        })
-    }
-
     /// Evaluates the path delay at one sample under the per-stage
     /// failure-recovery ladder.
     ///
@@ -519,192 +494,52 @@ impl PathModel {
         spice_fallback: bool,
     ) -> Result<(f64, DegradationReport), CoreError> {
         let _span = linvar_metrics::timer(linvar_metrics::Phase::SampleEval);
-        let mut input = self.input_waveform();
-        let m_path_in = input
-            .crossing(self.vdd / 2.0, true)
-            .expect("ramp crosses midpoint");
-        let mut offset = 0.0;
-        let mut m_out_abs = m_path_in;
         let h = self.stage_h();
         let mut report = DegradationReport::clean();
-        for (k, stage) in self.stages.iter().enumerate() {
-            let rising_out = !input.is_rising();
-            let mut t_end = input.end_time() + 1.0e-9;
-            let mut out = None;
-            let mut stage_rec = None;
-            let mut ladder_err: Option<CoreError> = None;
-            for _attempt in 0..3 {
-                match stage.model.evaluate_recovering(
-                    &sample.wire,
-                    sample.device,
-                    std::slice::from_ref(&input),
-                    h,
-                    t_end,
-                ) {
-                    Ok((mut res, rec)) => {
-                        let w = &res.waveforms[stage.out_port];
-                        let settled = (w.final_value() - if rising_out { self.vdd } else { 0.0 })
-                            .abs()
-                            < 0.05 * self.vdd;
-                        if settled && w.crossing(self.vdd / 2.0, rising_out).is_some() {
-                            out = Some(res.waveforms.swap_remove(stage.out_port));
-                            stage_rec = Some(rec);
-                            break;
-                        }
-                        t_end *= 2.0;
-                    }
-                    Err(e) => {
-                        ladder_err = Some(e.into());
-                        break;
-                    }
-                }
-            }
-            let out = match (out, spice_fallback) {
-                (Some(w), _) => w,
-                (None, true) => {
-                    let w = self.spice_stage_output(k, &input, sample, rising_out)?;
+        let delay = self.propagate(|k, stage, input, rising_out| {
+            let settled = self.settle(stage, input, rising_out, |t_end| {
+                stage
+                    .model
+                    .evaluate_recovering(
+                        &sample.wire,
+                        sample.device,
+                        std::slice::from_ref(input),
+                        h,
+                        t_end,
+                    )
+                    .map(|(res, rec)| (res.waveforms, rec))
+            });
+            let (out, rec) = match settled {
+                Ok(Some(served)) => served,
+                Ok(None) | Err(_) if spice_fallback => {
+                    let out = self.spice_stage_output(k, input, sample, rising_out)?;
                     linvar_metrics::incr(linvar_metrics::Counter::StageSpiceRescues);
                     report.rung = report.rung.worst(EngineRung::SpiceBaseline);
                     report.notes.push(format!(
                         "stage {k} ({}): served by baseline SPICE",
                         stage.cell
                     ));
-                    w
+                    return Ok(out);
                 }
-                (None, false) => {
-                    return Err(ladder_err.unwrap_or(CoreError::StageStuck { stage: k }))
-                }
+                Ok(None) => return Err(CoreError::StageStuck { stage: k }),
+                Err(e) => return Err(e.into()),
             };
-            if let Some(rec) = stage_rec {
-                report.sc_retries += rec.sc_retries;
-                let rung = EngineRung::from_stage(&rec);
-                report.rung = report.rung.worst(rung);
-                if !rec.was_clean() {
-                    report.notes.push(format!(
-                        "stage {k} ({}): {rung}, order {}→{}, {} SC retr{}",
-                        stage.cell,
-                        rec.original_order,
-                        rec.served_order,
-                        rec.sc_retries,
-                        if rec.sc_retries == 1 { "y" } else { "ies" }
-                    ));
-                }
+            report.sc_retries += rec.sc_retries;
+            let rung = EngineRung::from_stage(&rec);
+            report.rung = report.rung.worst(rung);
+            if !rec.was_clean() {
+                report.notes.push(format!(
+                    "stage {k} ({}): {rung}, order {}→{}, {} SC retr{}",
+                    stage.cell,
+                    rec.original_order,
+                    rec.served_order,
+                    rec.sc_retries,
+                    if rec.sc_retries == 1 { "y" } else { "ies" }
+                ));
             }
-            let m_out = out
-                .crossing(self.vdd / 2.0, rising_out)
-                .expect("checked above");
-            m_out_abs = m_out + offset;
-            let s_est = out
-                .to_saturated_ramp(0.0, self.vdd)
-                .map(|sr| sr.s)
-                .unwrap_or(self.input_slew);
-            let shift = (m_out - 2.0 * s_est).max(0.0);
-            input = out.truncated(m_out + 4.0 * s_est).shifted(-shift);
-            offset += shift;
-        }
-        Ok((m_out_abs - m_path_in, report))
-    }
-
-    /// Deterministic parallel Monte-Carlo with the failure-recovery
-    /// ladder.
-    ///
-    /// Attempt mapping per sample: attempt 0 is the fast path
-    /// ([`PathModel::evaluate_sample`]); attempts `1..=max_retries` run
-    /// the per-stage TETA recovery ladder
-    /// ([`PathModel::evaluate_sample_recovering`], with per-stage SPICE
-    /// fallback when the policy allows fallback); the final fallback
-    /// attempt runs the whole path through the baseline SPICE engine.
-    /// Every assisted sample gets a [`DegradationReport`]; the run-level
-    /// health tally distinguishes clean / recovered / degraded / failed.
-    ///
-    /// Inherits both determinism contracts: the sample set is a pure
-    /// function of `master_seed`, every attempt is a pure function of
-    /// `(sample, attempt)`, and results merge in sample-index order — so
-    /// the result (reports included) is **bitwise-identical at any thread
-    /// count**, fail-fast truncation included.
-    ///
-    /// Unlike [`PathModel::monte_carlo_par`], an all-failed run is not an
-    /// error: the health summary *is* the answer.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible beyond sample bookkeeping; returns `Result`
-    /// so stricter run-level gates can be added without an API break.
-    pub fn monte_carlo_par_recovering(
-        &self,
-        sources: &VariationSources,
-        n: usize,
-        master_seed: u64,
-        threads: usize,
-        policy: RecoveryPolicy,
-    ) -> Result<McRecoveryResult, CoreError> {
-        let mut rng = rng_from_seed(master_seed);
-        let samples = self.draw_samples(sources, n, &mut rng);
-        let indexed: Vec<(usize, PathSample)> = samples.into_iter().enumerate().collect();
-        // Side channel for the degradation reports: keyed by sample index,
-        // written at most once per sample (only the succeeding attempt
-        // writes), sorted after the merge — deterministic because each
-        // report is a pure function of its sample.
-        let reports: Mutex<Vec<DegradationReport>> = Mutex::new(Vec::new());
-        let res = monte_carlo_par_with_policy(
-            &indexed,
-            threads,
-            policy,
-            |&(idx, ref sample), attempt| -> Result<(f64, SampleStatus), String> {
-                if attempt == 0 {
-                    return self
-                        .evaluate_sample(sample)
-                        .map(|d| {
-                            linvar_metrics::incr(linvar_metrics::Counter::RungVariationalRom);
-                            (d, SampleStatus::Clean)
-                        })
-                        .map_err(|e| e.to_string());
-                }
-                if policy.is_fallback_attempt(attempt) {
-                    let d = self
-                        .evaluate_sample_spice(sample)
-                        .map_err(|e| e.to_string())?;
-                    let mut report = DegradationReport::clean();
-                    report.sample_index = idx;
-                    report.rung = EngineRung::SpiceBaseline;
-                    report
-                        .notes
-                        .push("whole path served by baseline SPICE".into());
-                    reports.lock().expect("reports lock").push(report);
-                    linvar_metrics::incr(linvar_metrics::Counter::RungSpiceBaseline);
-                    return Ok((d, SampleStatus::Degraded));
-                }
-                let (d, mut report) = self
-                    .evaluate_sample_recovering(sample, policy.allow_fallback)
-                    .map_err(|e| e.to_string())?;
-                report.sample_index = idx;
-                let status = report.status();
-                linvar_metrics::incr(rung_counter(report.rung));
-                if !report.is_clean() {
-                    reports.lock().expect("reports lock").push(report);
-                }
-                Ok((d, status))
-            },
-        );
-        let mut reports = reports.into_inner().expect("workers joined");
-        // Drop reports for samples beyond a fail-fast truncation point
-        // (they were evaluated before the cancellation propagated but are
-        // not part of the run's output).
-        if let Some(cut) = res.truncated_at {
-            reports.retain(|r| r.sample_index <= cut);
-        }
-        reports.sort_by_key(|r| r.sample_index);
-        Ok(McRecoveryResult {
-            delays: res.values,
-            summary: res.summary,
-            failures: res.failures,
-            failed_indices: res.failed_indices,
-            first_error: res.first_error,
-            sample_health: res.sample_health,
-            health: res.health,
-            truncated_at: res.truncated_at,
-            reports,
-        })
+            Ok(out)
+        })?;
+        Ok((delay, report))
     }
 
     /// Fingerprint of everything (beyond seed and sample count) that
@@ -729,36 +564,64 @@ impl PathModel {
         fingerprint_words(words)
     }
 
-    /// Durable Monte-Carlo path-delay campaign: the recovering parallel
-    /// driver ([`PathModel::monte_carlo_par_recovering`], same attempt
-    /// ladder) wrapped in the checkpoint/resume/deadline machinery of
-    /// [`linvar_stats::campaign`].
+    /// Path-delay statistics (§4.3.1) under any engine and any run
+    /// shape: the one entry point for Monte Carlo, quasi-Monte Carlo and
+    /// polynomial chaos, plain or durable or sharded.
     ///
-    /// * `config.checkpoint` — atomic, checksummed snapshots of every
-    ///   completed sample, written periodically and once more before
-    ///   returning;
-    /// * `config.resume` — restore completed samples from a snapshot and
-    ///   evaluate only the missing indices. The snapshot's seed, sample
-    ///   count, policy and model fingerprints must match
-    ///   ([`PathModel::campaign_fingerprint`]) or the resume refuses with
-    ///   a typed error. The merged result is **bitwise-identical** to an
-    ///   uninterrupted run at any thread count;
-    /// * `config.deadline` / `config.sample_budget` — graceful
-    ///   truncation: in-flight samples finish, the result carries valid
-    ///   partial statistics, a `Truncated` verdict, and a resumable final
-    ///   snapshot;
-    /// * `config.sample_timeout` — the cooperative watchdog: an attempt
-    ///   overrunning the soft budget floors the sample's health to
-    ///   [`SampleStatus::TimedOut`] (an overrunning *failure* falls down
-    ///   the recovery ladder instead of stalling the queue).
+    /// * `sampling` picks the sample set: LHS draws from
+    ///   `rng_from_seed(master_seed)`, Sobol points of `master_seed`, or
+    ///   the nodes of a Hermite polynomial-chaos plan over the active
+    ///   sources (a node in standard-normal germ coordinates maps to a
+    ///   sample by scaling each coordinate with its source's σ;
+    ///   `master_seed` then seeds only the surrogate quantile sample).
+    /// * `spec` is handed to the executor ([`linvar_stats::execute`]):
+    ///   worker count, [`RecoveryPolicy`], checkpoint/resume/deadline/
+    ///   watchdog/budget/cancel, and shards.
     ///
-    /// `policy.fail_fast` is ignored by campaigns — their answer to a
-    /// failing sample is quarantine-and-checkpoint, not truncation.
+    /// Attempt mapping per sample: attempt 0 is the fast path
+    /// ([`PathModel::evaluate_sample`]); attempts `1..=max_retries` run
+    /// the per-stage TETA recovery ladder
+    /// ([`PathModel::evaluate_sample_recovering`], with per-stage SPICE
+    /// fallback when the policy allows fallback); the final fallback
+    /// attempt runs the whole path through the baseline SPICE engine.
+    ///
+    /// Snapshots are keyed by [`PathModel::campaign_fingerprint`] (folded
+    /// with a `sobol-v1` tag for Sobol runs and the plan's fingerprint
+    /// for spectral runs) plus the seed, sample count and policy, so a
+    /// snapshot never resumes a different campaign. The result —
+    /// degradation reports included — is **bitwise-identical at any
+    /// thread count, any shard count, and across any interrupt/resume
+    /// schedule**.
     ///
     /// # Errors
     ///
-    /// Checkpoint load/validation failures and the final snapshot write,
-    /// as [`CoreError::Checkpoint`].
+    /// Checkpoint load/validation failures and the final snapshot write
+    /// as [`CoreError::Checkpoint`]; run-plan problems as
+    /// [`CoreError::Run`]; a spectral run with no active source, an
+    /// unbuildable plan, a failed node or a failed coefficient solve as
+    /// [`CoreError::BadSpec`] / [`CoreError::Spectral`]. Failed samples
+    /// and truncation are reported in the result, not raised.
+    pub fn run(
+        &self,
+        sources: &VariationSources,
+        sampling: Sampling,
+        master_seed: u64,
+        spec: &RunSpec,
+    ) -> Result<McPathResult, CoreError> {
+        self.run_fingerprinted(sources, sampling, master_seed, spec, spec.policy)
+    }
+
+    /// Durable LHS Monte-Carlo path-delay campaign: [`PathModel::run`]
+    /// with `threads`, `policy` and `config` as the run spec.
+    ///
+    /// `policy.fail_fast` is ignored for execution — a campaign's answer
+    /// to a failing sample is quarantine-and-checkpoint, not truncation —
+    /// but stays part of the snapshot fingerprint, so existing snapshots
+    /// keep resuming.
+    ///
+    /// # Errors
+    ///
+    /// As [`PathModel::run`].
     pub fn monte_carlo_campaign(
         &self,
         sources: &VariationSources,
@@ -767,100 +630,75 @@ impl PathModel {
         threads: usize,
         policy: RecoveryPolicy,
         config: &CampaignConfig,
-    ) -> Result<McCampaignResult, CoreError> {
-        let mut rng = rng_from_seed(master_seed);
-        let samples = self.draw_samples(sources, n, &mut rng);
-        let model = self.campaign_fingerprint(sources);
-        self.run_path_campaign(samples, master_seed, threads, policy, config, model)
+    ) -> Result<McPathResult, CoreError> {
+        let spec = RunSpec::durable(threads, policy, config);
+        self.run_fingerprinted(sources, Sampling::Lhs(n), master_seed, &spec, policy)
     }
 
-    /// [`PathModel::monte_carlo_campaign`] over the Sobol quasi-MC
-    /// sample stream ([`PathModel::draw_samples_sobol`]) instead of LHS.
-    /// The checkpoint fingerprint folds the sample-source tag, so a
-    /// snapshot taken under one stream refuses to resume under the
-    /// other.
-    ///
-    /// # Errors
-    ///
-    /// As [`PathModel::monte_carlo_campaign`].
-    pub fn monte_carlo_campaign_sobol(
+    /// [`PathModel::run`] with the snapshot fingerprint's policy given
+    /// separately from the executed one (the campaign front doors clear
+    /// `fail_fast` for execution but keep it in the fingerprint).
+    pub(crate) fn run_fingerprinted(
         &self,
         sources: &VariationSources,
-        n: usize,
+        sampling: Sampling,
         master_seed: u64,
-        threads: usize,
-        policy: RecoveryPolicy,
-        config: &CampaignConfig,
-    ) -> Result<McCampaignResult, CoreError> {
-        let samples = self.draw_samples_sobol(sources, n, master_seed);
-        let model = fingerprint_words([
-            self.campaign_fingerprint(sources),
-            fingerprint_str("sobol-v1"),
-        ]);
-        self.run_path_campaign(samples, master_seed, threads, policy, config, model)
-    }
-
-    /// Shared campaign tail of the LHS and Sobol sample streams: index
-    /// the samples, run the durable campaign over the shared attempt
-    /// ladder ([`PathModel::campaign_eval`]), collect the degradation
-    /// reports.
-    fn run_path_campaign(
-        &self,
-        samples: Vec<PathSample>,
-        master_seed: u64,
-        threads: usize,
-        policy: RecoveryPolicy,
-        config: &CampaignConfig,
-        model: u64,
-    ) -> Result<McCampaignResult, CoreError> {
-        let n = samples.len();
-        let indexed: Vec<(usize, PathSample)> = samples.into_iter().enumerate().collect();
-        let fingerprint = CampaignFingerprint {
+        spec: &RunSpec,
+        fingerprint_policy: RecoveryPolicy,
+    ) -> Result<McPathResult, CoreError> {
+        let mut fingerprint = CampaignFingerprint {
             master_seed,
-            n_samples: n,
-            policy,
-            model,
+            n_samples: 0,
+            policy: fingerprint_policy,
+            model: self.campaign_fingerprint(sources),
         };
-        // Report side channel, as in `monte_carlo_par_recovering`: written
-        // at most once per sample evaluated this run, sorted after the
-        // merge. Resumed samples carry no report (checkpoints persist
-        // status/attempts, not notes).
+        // Report side channel: written at most once per successful
+        // evaluation, sorted after the merge — deterministic because each
+        // report is a pure function of its sample.
         let reports: Mutex<Vec<DegradationReport>> = Mutex::new(Vec::new());
-        let res = run_campaign(
-            &indexed,
-            threads,
-            policy,
-            config,
-            fingerprint,
-            |s: &(usize, PathSample), attempt| self.campaign_eval(policy, &reports, s, attempt),
-        )?;
+        let samples = match sampling {
+            Sampling::Lhs(n) => self.draw_samples(sources, n, &mut rng_from_seed(master_seed)),
+            Sampling::Sobol(n) => {
+                fingerprint.model =
+                    fingerprint_words([fingerprint.model, fingerprint_str("sobol-v1")]);
+                self.draw_samples_sobol(sources, n, master_seed)
+            }
+            Sampling::Spectral(config) => {
+                let active = sources.active();
+                if active.is_empty() {
+                    return Err(CoreError::BadSpec(
+                        "polynomial chaos needs at least one active variation source".into(),
+                    ));
+                }
+                let plan = SpectralPlan::build(active.len(), config)?;
+                let run = run_spectral(&plan, spec, &fingerprint, |node, attempt| {
+                    let s = (0usize, sample_at_node(&active, node));
+                    self.campaign_eval(spec.policy, &reports, &s, attempt)
+                })?;
+                return Ok(McPathResult::new(run.nodes, Vec::new(), run.result));
+            }
+        };
+        fingerprint.n_samples = samples.len();
+        let indexed: Vec<(usize, PathSample)> = samples.into_iter().enumerate().collect();
+        let res = execute(&indexed, spec, &fingerprint, |s, attempt| {
+            self.campaign_eval(spec.policy, &reports, s, attempt)
+        })?;
         let mut reports = reports.into_inner().expect("workers joined");
+        // Drop reports beyond a fail-fast cut; shard retries and straggler
+        // re-dispatches can evaluate a sample more than once, and reports
+        // are pure per sample, so keeping the first of each index is exact.
+        reports.retain(|r| res.truncated_at.is_none_or(|cut| r.sample_index <= cut));
         reports.sort_by_key(|r| r.sample_index);
-        Ok(McCampaignResult {
-            delays: res.values,
-            summary: res.summary,
-            failures: res.failures,
-            failed_indices: res.failed_indices,
-            first_error: res.first_error,
-            sample_health: res.sample_health,
-            health: res.health,
-            verdict: res.verdict,
-            completed: res.completed,
-            resumed: res.resumed,
-            evaluated: res.evaluated,
-            checkpoints_written: res.checkpoints_written,
-            reports,
-        })
+        reports.dedup_by_key(|r| r.sample_index);
+        Ok(McPathResult::new(res, reports, None))
     }
 
-    /// The campaign attempt ladder for one globally-indexed sample:
-    /// attempt 0 on the vROM fast path, middle attempts through the
-    /// per-stage recovery ladder, the final attempt on the whole-path
-    /// SPICE baseline. Shared verbatim by [`PathModel::monte_carlo_campaign`],
-    /// [`PathModel::monte_carlo_sharded`] and
-    /// [`PathModel::monte_carlo_shard_worker`] — structural identity of
-    /// the evaluator is one half of the sharded bitwise-identity
-    /// contract (the other is the index-ordered merge).
+    /// The attempt ladder for one globally-indexed sample: attempt 0 on
+    /// the vROM fast path, middle attempts through the per-stage recovery
+    /// ladder, the final attempt on the whole-path SPICE baseline. Every
+    /// engine and run shape evaluates samples through this one function —
+    /// structural identity of the evaluator is one half of the bitwise
+    /// identity contracts (the other is the index-ordered merge).
     fn campaign_eval(
         &self,
         policy: RecoveryPolicy,
@@ -902,252 +740,6 @@ impl PathModel {
             reports.lock().expect("reports lock").push(report);
         }
         Ok((d, status))
-    }
-
-    /// Hermite-basis polynomial-chaos path-delay analysis: builds a
-    /// [`SpectralPlan`] over the **active** variation sources (canonical
-    /// [`VariationSources::active`] order defines the germ dimensions),
-    /// evaluates the path at each collocation/testing node through the
-    /// same attempt ladder as the campaigns
-    /// ([`PathModel::campaign_eval`]), and solves for the coefficients,
-    /// moments and surrogate quantiles. A node in standard-normal germ
-    /// coordinates maps to a sample by scaling each coordinate with its
-    /// source's σ.
-    ///
-    /// `master_seed` seeds only the quantile surrogate stream — the node
-    /// set is seed-free — but is kept in the signature so engines swap
-    /// interchangeably in the bench bins.
-    ///
-    /// Bitwise-identical at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// A source set with no active sources or an unbuildable plan as
-    /// [`CoreError::Spectral`] ([`CoreError::BadSpec`] for the former);
-    /// node failures and solve failures as [`CoreError::Spectral`].
-    pub fn polynomial_chaos(
-        &self,
-        sources: &VariationSources,
-        config: SpectralConfig,
-        master_seed: u64,
-        threads: usize,
-        policy: RecoveryPolicy,
-    ) -> Result<PcPathResult, CoreError> {
-        let active = sources.active();
-        if active.is_empty() {
-            return Err(CoreError::BadSpec(
-                "polynomial chaos needs at least one active variation source".into(),
-            ));
-        }
-        let plan = SpectralPlan::build(active.len(), config)?;
-        let reports: Mutex<Vec<DegradationReport>> = Mutex::new(Vec::new());
-        let res = run_spectral(&plan, threads, policy, master_seed, |node, attempt| {
-            let s = (0usize, sample_at_node(&active, node));
-            self.campaign_eval(policy, &reports, &s, attempt)
-        })
-        .map_err(CoreError::Spectral)?;
-        Ok(Self::pc_result(res))
-    }
-
-    /// Durable polynomial-chaos campaign: [`PathModel::polynomial_chaos`]
-    /// wrapped in the checkpoint/resume/deadline machinery, exactly as
-    /// [`PathModel::monte_carlo_campaign`] wraps the MC driver. The
-    /// checkpoint fingerprint extends
-    /// [`PathModel::campaign_fingerprint`] with the plan's own
-    /// fingerprint, so a snapshot taken under one grid/basis refuses to
-    /// resume under another. Kill-and-resume is bitwise-exact.
-    ///
-    /// # Errors
-    ///
-    /// Checkpoint failures as [`CoreError::Checkpoint`]; plan/node/solve
-    /// failures as [`CoreError::Spectral`]. Deadline or budget truncation
-    /// is not an error: `result` comes back `None` with a `Truncated`
-    /// verdict and a resumable snapshot.
-    pub fn polynomial_chaos_campaign(
-        &self,
-        sources: &VariationSources,
-        config: SpectralConfig,
-        master_seed: u64,
-        threads: usize,
-        policy: RecoveryPolicy,
-        campaign: &CampaignConfig,
-    ) -> Result<PcCampaignResult, CoreError> {
-        let active = sources.active();
-        if active.is_empty() {
-            return Err(CoreError::BadSpec(
-                "polynomial chaos needs at least one active variation source".into(),
-            ));
-        }
-        let plan = SpectralPlan::build(active.len(), config)?;
-        let reports: Mutex<Vec<DegradationReport>> = Mutex::new(Vec::new());
-        let res = run_spectral_campaign(
-            &plan,
-            threads,
-            policy,
-            campaign,
-            master_seed,
-            self.campaign_fingerprint(sources),
-            |node, attempt| {
-                let s = (0usize, sample_at_node(&active, node));
-                self.campaign_eval(policy, &reports, &s, attempt)
-            },
-        )
-        .map_err(|e| match e {
-            SpectralRunError::Checkpoint(ck) => CoreError::Checkpoint(ck),
-            SpectralRunError::Spectral(sp) => CoreError::Spectral(sp),
-        })?;
-        Ok(PcCampaignResult {
-            result: res.result.map(Self::pc_result),
-            node_summary: res.node_summary,
-            verdict: res.verdict,
-            completed: res.completed,
-            resumed: res.resumed,
-            evaluated: res.evaluated,
-            checkpoints_written: res.checkpoints_written,
-        })
-    }
-
-    fn pc_result(res: linvar_stats::SpectralResult) -> PcPathResult {
-        PcPathResult {
-            mean: res.mean,
-            std: res.std,
-            quantiles: res.quantiles,
-            coefficients: res.coefficients,
-            node_delays: res.node_values,
-            nodes_evaluated: res.nodes_evaluated,
-            surrogate_summary: res.surrogate_summary,
-            health: res.health,
-        }
-    }
-
-    /// Sharded Monte-Carlo path-delay campaign: the sample range is
-    /// split into `config.n_shards` supervised shards, each running the
-    /// same attempt ladder as [`PathModel::monte_carlo_campaign`] with
-    /// its own fingerprinted checkpoint, heartbeat-watched for stalls,
-    /// retried with capped backoff on death, and merged first-writer-
-    /// wins per sample index.
-    ///
-    /// The merged result is **bitwise-identical** to
-    /// [`PathModel::monte_carlo_campaign`] at any shard count and any
-    /// thread count — including under every injected
-    /// [`linvar_stats::ShardFault`].
-    ///
-    /// # Errors
-    ///
-    /// Shard-plan problems, as [`CoreError::Shard`]. Shard deaths do
-    /// not error: a permanently dead shard surfaces as `Failed` samples
-    /// in the merged health, with a typed per-shard verdict.
-    pub fn monte_carlo_sharded(
-        &self,
-        sources: &VariationSources,
-        n: usize,
-        master_seed: u64,
-        threads: usize,
-        policy: RecoveryPolicy,
-        config: &ShardConfig,
-    ) -> Result<McShardedResult, CoreError> {
-        let mut rng = rng_from_seed(master_seed);
-        let samples = self.draw_samples(sources, n, &mut rng);
-        let indexed: Vec<(usize, PathSample)> = samples.into_iter().enumerate().collect();
-        let fingerprint = CampaignFingerprint {
-            master_seed,
-            n_samples: n,
-            policy,
-            model: self.campaign_fingerprint(sources),
-        };
-        let reports: Mutex<Vec<DegradationReport>> = Mutex::new(Vec::new());
-        let res = run_sharded_campaign(
-            &indexed,
-            threads,
-            policy,
-            config,
-            &fingerprint,
-            |s: &(usize, PathSample), attempt| self.campaign_eval(policy, &reports, s, attempt),
-        )?;
-        let mut reports = reports.into_inner().expect("supervisor joined");
-        // Shard retries and straggler re-dispatches can evaluate a
-        // sample more than once; reports are pure per (sample, attempt
-        // trail), so keeping the first of each index is exact.
-        reports.sort_by_key(|r| r.sample_index);
-        reports.dedup_by_key(|r| r.sample_index);
-        Ok(McShardedResult {
-            delays: res.values,
-            summary: res.summary,
-            failures: res.failures,
-            failed_indices: res.failed_indices,
-            first_error: res.first_error,
-            sample_health: res.sample_health,
-            health: res.health,
-            completed: res.completed,
-            resumed: res.resumed,
-            evaluated: res.evaluated,
-            checkpoints_written: res.checkpoints_written,
-            shards: res.shards,
-            reports,
-        })
-    }
-
-    /// Runs exactly one shard of the plan — the process-per-shard mode
-    /// behind the bench bins' `--shard-index` flag. The shard's
-    /// fingerprinted snapshot is its output; a later
-    /// [`PathModel::monte_carlo_sharded`] over the same prefix with
-    /// `resume: true` merges the per-process snapshots without
-    /// re-evaluating anything.
-    ///
-    /// # Errors
-    ///
-    /// Shard-plan problems (including a missing checkpoint prefix) and
-    /// the shard campaign's own checkpoint errors, as
-    /// [`CoreError::Shard`].
-    // Mirrors `monte_carlo_campaign`'s signature plus the shard index;
-    // collapsing the knobs into a struct would just move the noise.
-    #[allow(clippy::too_many_arguments)]
-    pub fn monte_carlo_shard_worker(
-        &self,
-        sources: &VariationSources,
-        n: usize,
-        master_seed: u64,
-        threads: usize,
-        policy: RecoveryPolicy,
-        config: &ShardConfig,
-        shard_index: usize,
-    ) -> Result<McCampaignResult, CoreError> {
-        let mut rng = rng_from_seed(master_seed);
-        let samples = self.draw_samples(sources, n, &mut rng);
-        let indexed: Vec<(usize, PathSample)> = samples.into_iter().enumerate().collect();
-        let fingerprint = CampaignFingerprint {
-            master_seed,
-            n_samples: n,
-            policy,
-            model: self.campaign_fingerprint(sources),
-        };
-        let reports: Mutex<Vec<DegradationReport>> = Mutex::new(Vec::new());
-        let res = run_shard_worker(
-            &indexed,
-            threads,
-            policy,
-            config,
-            &fingerprint,
-            shard_index,
-            |s: &(usize, PathSample), attempt| self.campaign_eval(policy, &reports, s, attempt),
-        )?;
-        let mut reports = reports.into_inner().expect("worker joined");
-        reports.sort_by_key(|r| r.sample_index);
-        Ok(McCampaignResult {
-            delays: res.values,
-            summary: res.summary,
-            failures: res.failures,
-            failed_indices: res.failed_indices,
-            first_error: res.first_error,
-            sample_health: res.sample_health,
-            health: res.health,
-            verdict: res.verdict,
-            completed: res.completed,
-            resumed: res.resumed,
-            evaluated: res.evaluated,
-            checkpoints_written: res.checkpoints_written,
-            reports,
-        })
     }
 
     /// One GA stage evaluation: ramp input with slew `s_in` (direction by
@@ -1329,7 +921,13 @@ fn apply_source(sample: &mut PathSample, name: &str, value: f64) {
 mod tests {
     use super::*;
     use linvar_devices::tech_018;
-    use linvar_stats::rng_from_seed;
+
+    /// A plain LHS run: one attempt per sample, no persistence.
+    fn plain(model: &PathModel, sources: &VariationSources, n: usize, seed: u64) -> McPathResult {
+        model
+            .run(sources, Sampling::Lhs(n), seed, &RunSpec::plain(1))
+            .unwrap()
+    }
 
     fn small_path() -> PathModel {
         let spec = PathSpec {
@@ -1365,8 +963,7 @@ mod tests {
     fn monte_carlo_produces_spread() {
         let model = small_path();
         let sources = VariationSources::example3(0.33, 0.33);
-        let mut rng = rng_from_seed(5);
-        let mc = model.monte_carlo(&sources, 12, &mut rng).unwrap();
+        let mc = plain(&model, &sources, 12, 5);
         assert_eq!(mc.failures, 0);
         assert_eq!(mc.delays.len(), 12);
         assert!(mc.summary.std > 0.0);
@@ -1378,11 +975,11 @@ mod tests {
         let model = small_path();
         let sources = VariationSources::example3(0.33, 0.33);
         let seed = 21;
-        let serial = model
-            .monte_carlo(&sources, 8, &mut rng_from_seed(seed))
-            .unwrap();
-        for threads in [1, 2, 4] {
-            let par = model.monte_carlo_par(&sources, 8, seed, threads).unwrap();
+        let serial = plain(&model, &sources, 8, seed);
+        for threads in [2, 4] {
+            let par = model
+                .run(&sources, Sampling::Lhs(8), seed, &RunSpec::plain(threads))
+                .unwrap();
             let serial_bits: Vec<u64> = serial.delays.iter().map(|d| d.to_bits()).collect();
             let par_bits: Vec<u64> = par.delays.iter().map(|d| d.to_bits()).collect();
             assert_eq!(par_bits, serial_bits, "delays at {threads} threads");
@@ -1401,8 +998,13 @@ mod tests {
         let sources = VariationSources::example3(0.33, 0.33);
         let policy = RecoveryPolicy::default();
         let seed = 21;
+        let spec = |threads| RunSpec {
+            threads,
+            policy,
+            ..RunSpec::default()
+        };
         let base = model
-            .monte_carlo_par_recovering(&sources, 8, seed, 1, policy)
+            .run(&sources, Sampling::Lhs(8), seed, &spec(1))
             .unwrap();
         // A moderate spread is served entirely by the fast path.
         assert!(base.health.all_clean(), "health: {:?}", base.health);
@@ -1412,7 +1014,7 @@ mod tests {
         let base_bits: Vec<u64> = base.delays.iter().map(|d| d.to_bits()).collect();
         for threads in [2, 4] {
             let par = model
-                .monte_carlo_par_recovering(&sources, 8, seed, threads, policy)
+                .run(&sources, Sampling::Lhs(8), seed, &spec(threads))
                 .unwrap();
             let par_bits: Vec<u64> = par.delays.iter().map(|d| d.to_bits()).collect();
             assert_eq!(par_bits, base_bits, "delays at {threads} threads");
@@ -1421,7 +1023,9 @@ mod tests {
             assert_eq!(par.reports, base.reports);
         }
         // On a clean run the recovering driver reproduces the plain one.
-        let plain = model.monte_carlo_par(&sources, 8, seed, 2).unwrap();
+        let plain = model
+            .run(&sources, Sampling::Lhs(8), seed, &RunSpec::plain(2))
+            .unwrap();
         let plain_bits: Vec<u64> = plain.delays.iter().map(|d| d.to_bits()).collect();
         assert_eq!(plain_bits, base_bits);
     }
@@ -1431,8 +1035,7 @@ mod tests {
         let model = small_path();
         let sources = VariationSources::example3(0.33, 0.33);
         let ga = model.gradient_analysis(&sources).unwrap();
-        let mut rng = rng_from_seed(9);
-        let mc = model.monte_carlo(&sources, 24, &mut rng).unwrap();
+        let mc = plain(&model, &sources, 24, 9);
         // Means within a few percent; σ within a factor of two (the
         // paper's Table 5 shows GA σ within ~30 % of MC σ).
         let mean_err = (ga.nominal_delay - mc.summary.mean).abs() / mc.summary.mean;
@@ -1475,8 +1078,7 @@ mod tests {
     fn timing_yield_integration() {
         let model = small_path();
         let sources = VariationSources::example3(0.33, 0.33);
-        let mut rng = rng_from_seed(3);
-        let mc = model.monte_carlo(&sources, 16, &mut rng).unwrap();
+        let mc = plain(&model, &sources, 16, 3);
         let ga = model.gradient_analysis(&sources).unwrap();
         // Yield is monotone in the period and hits the extremes.
         assert_eq!(mc.timing_yield(0.0), 0.0);

@@ -17,11 +17,11 @@
 //!
 //! Every assisted sample is annotated with a [`DegradationReport`] naming
 //! the rung that served it, and the run-level
-//! [`McRecoveryResult`] aggregates per-sample health under the
-//! [`RecoveryPolicy`] attempt budget. See DESIGN.md, "Failure semantics &
-//! degradation ladder".
+//! [`crate::McPathResult`] aggregates per-sample health under the
+//! [`linvar_stats::RecoveryPolicy`] attempt budget. See DESIGN.md,
+//! "Failure semantics & degradation ladder".
 
-use linvar_stats::{CampaignVerdict, HealthSummary, SampleHealth, SampleStatus, Summary};
+use linvar_stats::SampleStatus;
 use linvar_teta::StageRecovery;
 use std::fmt;
 
@@ -168,122 +168,6 @@ impl fmt::Display for DegradationReport {
         }
         Ok(())
     }
-}
-
-/// Result of a Monte-Carlo run under a recovery policy.
-///
-/// Unlike the plain drivers, an all-failed run is *not* an error here —
-/// the health summary and reports are the product; callers inspect
-/// [`McRecoveryResult::health`] to decide what the run is worth.
-#[derive(Debug, Clone)]
-pub struct McRecoveryResult {
-    /// Path delay per successful sample (s), in sample-index order.
-    pub delays: Vec<f64>,
-    /// Summary statistics of the delays.
-    pub summary: Summary,
-    /// Samples lost after exhausting the attempt budget.
-    pub failures: usize,
-    /// Indices of the failed samples, ascending.
-    pub failed_indices: Vec<usize>,
-    /// Diagnostic of the lowest-index failure, if any.
-    pub first_error: Option<String>,
-    /// Per-sample status and attempt count, in sample-index order.
-    pub sample_health: Vec<SampleHealth>,
-    /// Run-level tally: `n_clean` / `n_recovered` / `n_degraded` /
-    /// `n_failed`.
-    pub health: HealthSummary,
-    /// Index the run was truncated at under a fail-fast policy.
-    pub truncated_at: Option<usize>,
-    /// Degradation reports of the assisted samples, ascending index.
-    pub reports: Vec<DegradationReport>,
-}
-
-/// Result of a durable Monte-Carlo campaign
-/// ([`crate::PathModel::monte_carlo_campaign`]).
-///
-/// Statistics cover every *completed* sample — restored from a resume
-/// snapshot or evaluated in this run — merged in sample-index order,
-/// exactly as an uninterrupted run would produce them (the bitwise-resume
-/// contract; see DESIGN.md, "Durable campaigns: checkpoint format &
-/// resume invariants"). Like [`McRecoveryResult`], an all-failed run is
-/// not an error: the health summary and verdict are the product.
-#[derive(Debug, Clone)]
-pub struct McCampaignResult {
-    /// Path delay per successful sample (s), in sample-index order.
-    pub delays: Vec<f64>,
-    /// Summary statistics of the delays.
-    pub summary: Summary,
-    /// Samples lost after exhausting the attempt budget.
-    pub failures: usize,
-    /// Indices of the failed samples, ascending.
-    pub failed_indices: Vec<usize>,
-    /// Diagnostic of the lowest-index failure, if any.
-    pub first_error: Option<String>,
-    /// Per-sample status and attempt count for completed samples, in
-    /// sample-index order.
-    pub sample_health: Vec<SampleHealth>,
-    /// Run-level tally of the completed samples.
-    pub health: HealthSummary,
-    /// Whether the campaign finished or was truncated (deadline /
-    /// sample budget) with a resumable snapshot.
-    pub verdict: CampaignVerdict,
-    /// Completed samples (resumed + evaluated this run).
-    pub completed: usize,
-    /// Samples restored from the resume snapshot.
-    pub resumed: usize,
-    /// Samples evaluated in this run.
-    pub evaluated: usize,
-    /// Snapshots written in this run (periodic + final).
-    pub checkpoints_written: usize,
-    /// Degradation reports of the assisted samples *evaluated in this
-    /// run*, ascending index. Checkpoints persist status and attempts but
-    /// not report notes, so resumed samples carry no report — the
-    /// per-sample [`SampleStatus`] in `sample_health` is the durable
-    /// record.
-    pub reports: Vec<DegradationReport>,
-}
-
-/// Result of a sharded Monte-Carlo campaign
-/// ([`crate::PathModel::monte_carlo_sharded`]).
-///
-/// The statistical fields obey the sharded bitwise-identity contract:
-/// at any shard count and thread count — and under every injected
-/// [`linvar_stats::ShardFault`] — they are byte-identical to the
-/// single-process [`McCampaignResult`] (see DESIGN.md, "Sharding
-/// protocol & merge invariants"). The bookkeeping fields count real
-/// work, which under faults legitimately exceeds the single-process
-/// figures.
-#[derive(Debug, Clone)]
-pub struct McShardedResult {
-    /// Path delay per successful sample (s), in global index order.
-    pub delays: Vec<f64>,
-    /// Summary statistics of the delays.
-    pub summary: Summary,
-    /// Samples lost after exhausting the attempt budget, plus samples
-    /// owned by permanently dead shards.
-    pub failures: usize,
-    /// Indices of the failed samples, ascending.
-    pub failed_indices: Vec<usize>,
-    /// Diagnostic of the lowest **global**-index failure, if any.
-    pub first_error: Option<String>,
-    /// Per-sample status and attempt count, in global index order.
-    pub sample_health: Vec<SampleHealth>,
-    /// Run-level tally; dead shards appear as `Failed` samples.
-    pub health: HealthSummary,
-    /// Samples delivered by shard attempts.
-    pub completed: usize,
-    /// Samples restored from shard snapshots, summed over attempts.
-    pub resumed: usize,
-    /// Samples evaluated, summed over every shard attempt (including
-    /// attempts that later died).
-    pub evaluated: usize,
-    /// Shard snapshots written across all attempts.
-    pub checkpoints_written: usize,
-    /// Per-shard verdicts, in shard order.
-    pub shards: Vec<linvar_stats::ShardVerdict>,
-    /// Degradation reports of the assisted samples evaluated this run,
-    /// ascending index, deduplicated across shard re-runs.
-    pub reports: Vec<DegradationReport>,
 }
 
 #[cfg(test)]

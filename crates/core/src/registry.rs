@@ -23,14 +23,15 @@
 //!   milliseconds so kill/cancel windows are easy to hit in tests;
 //! * `chain<k>@<elems>` — real framework paths: a `k`-cell inv/nand2
 //!   chain with `elems` linear elements between stages, built lazily on
-//!   first run and evaluated through [`PathModel::monte_carlo_campaign`].
+//!   first run and evaluated through [`PathModel::monte_carlo_campaign`];
+//! * `gpc-chain<k>@<elems>` — the same chain under polynomial chaos.
 //!
 //! Binaries that link heavier circuit collections (the ISCAS bench
 //! suite lives above this crate in the dependency graph) register their
 //! own models with [`ModelRegistry::register`].
 
-use crate::path::{PathModel, PathSpec, VariationSources};
-use crate::{CampaignConfig, CampaignVerdict, CoreError};
+use crate::path::{PathModel, PathSpec, Sampling, VariationSources};
+use crate::{CampaignConfig, CampaignVerdict, CoreError, RunSpec};
 use linvar_devices::tech_018;
 use linvar_interconnect::WireTech;
 use linvar_stats::{
@@ -247,8 +248,8 @@ impl CampaignModel for ChainModel {
 }
 
 /// A chain path served by the stochastic-spectral engine: the same
-/// lazily built [`PathModel`] as [`ChainModel`], evaluated through
-/// [`PathModel::polynomial_chaos_campaign`] instead of Monte Carlo.
+/// lazily built [`PathModel`] as [`ChainModel`], run with
+/// [`Sampling::Spectral`] instead of Monte Carlo.
 ///
 /// The job's requested sample count is **ignored for node selection**
 /// — the spectral plan fixes the solve count — mirroring how
@@ -299,17 +300,17 @@ impl CampaignModel for SpectralChainModel {
         config: &CampaignConfig,
     ) -> Result<ModelRun, CoreError> {
         let model = self.chain.model()?;
-        let pc = model.polynomial_chaos_campaign(
+        let spec = RunSpec::durable(threads, policy, config);
+        let pc = model.run_fingerprinted(
             &self.chain.sources,
-            self.config,
+            Sampling::Spectral(self.config),
             master_seed,
-            threads,
+            &spec,
             policy,
-            config,
         )?;
-        let summary = match &pc.result {
+        let summary = match &pc.spectral {
             Some(r) => r.surrogate_summary,
-            None => pc.node_summary,
+            None => pc.summary,
         };
         Ok(ModelRun {
             summary,

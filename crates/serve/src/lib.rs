@@ -57,7 +57,7 @@ pub use fault::ServeFault;
 pub use http::{Request, Response};
 pub use json::{parse_json, JsonGet, JsonParseError};
 pub use server::{install_signal_handlers, Server, ServerHandle};
-pub use store::{JobRecord, JobState, JobStore};
+pub use store::{JobRecord, JobState, JobStore, MAX_JOB_RETRIES, MAX_JOB_SAMPLES};
 
 /// Raw bit pattern of an `f64` as 16 lowercase hex digits — the exact
 /// form the bench bins print in their deterministic `mc` lines (this

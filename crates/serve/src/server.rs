@@ -29,7 +29,9 @@ use crate::config::ServeConfig;
 use crate::fault::{crash_now, FaultArm, ServeFault};
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::json::{parse_json, JsonGet};
-use crate::store::{JobRecord, JobState, JobStore, RecoveryReport};
+use crate::store::{
+    JobRecord, JobState, JobStore, RecoveryReport, MAX_JOB_RETRIES, MAX_JOB_SAMPLES,
+};
 use linvar_core::{CampaignConfig, CampaignVerdict, ModelRegistry};
 use linvar_metrics::{Counter, Json, Phase};
 use linvar_stats::RecoveryPolicy;
@@ -419,9 +421,15 @@ fn submit(shared: &Shared, body: &[u8]) -> Response {
     let Some(model_id) = doc.get_str("model") else {
         return bad("missing string field \"model\"");
     };
-    let Some(n) = doc.get_u64("n").map(|v| v as usize).filter(|&v| v > 0) else {
+    let Some(n) = doc.get_u64("n").filter(|&v| v > 0) else {
         return bad("missing positive integer field \"n\"");
     };
+    if n > MAX_JOB_SAMPLES as u64 {
+        return bad(&format!(
+            "field \"n\" exceeds the job limit of {MAX_JOB_SAMPLES} samples"
+        ));
+    }
+    let n = n as usize;
     let seed = match doc.get("seed") {
         Some(Json::U64(s)) => *s,
         None => 0,
@@ -430,6 +438,11 @@ fn submit(shared: &Shared, body: &[u8]) -> Response {
     let tenant = doc.get_str("tenant").unwrap_or("default").to_string();
     let mut policy = RecoveryPolicy::default();
     if let Some(r) = doc.get_u64("max_retries") {
+        if r > MAX_JOB_RETRIES as u64 {
+            return bad(&format!(
+                "field \"max_retries\" exceeds the job limit of {MAX_JOB_RETRIES}"
+            ));
+        }
         policy.max_retries = r as usize;
     }
     if let Some(fb) = doc.get_bool("allow_fallback") {

@@ -37,6 +37,15 @@ use std::path::{Path, PathBuf};
 /// On-disk format tag, first line of every job record.
 pub const JOB_FORMAT_VERSION: &str = "linvar-job-v1";
 
+/// Largest sample count a job may request. A run holds one record per
+/// sample in memory, so the submit handler and the journal loader both
+/// refuse anything larger rather than let one request exhaust memory.
+pub const MAX_JOB_SAMPLES: usize = 1 << 20;
+
+/// Largest `max_retries` a job may request: keeps the per-sample attempt
+/// budget small and far from integer overflow.
+pub const MAX_JOB_RETRIES: usize = 64;
+
 /// Lifecycle state of a job.
 ///
 /// ```text
@@ -365,13 +374,26 @@ fn parse_record(text: &str) -> Result<JobRecord, CheckpointError> {
             return Err(malformed(format!("unrecognized line: {line:?}")));
         }
     }
+    let n = n.ok_or_else(|| malformed("missing n= line".into()))?;
+    if n == 0 || n > MAX_JOB_SAMPLES {
+        return Err(malformed(format!(
+            "sample count {n} outside 1..={MAX_JOB_SAMPLES}"
+        )));
+    }
+    let policy: RecoveryPolicy = policy.ok_or_else(|| malformed("missing policy= line".into()))?;
+    if policy.max_retries > MAX_JOB_RETRIES {
+        return Err(malformed(format!(
+            "max_retries {} above {MAX_JOB_RETRIES}",
+            policy.max_retries
+        )));
+    }
     Ok(JobRecord {
         id: id.ok_or_else(|| malformed("missing id= line".into()))?,
         tenant: tenant.ok_or_else(|| malformed("missing tenant= line".into()))?,
         model: model.ok_or_else(|| malformed("missing model= line".into()))?,
         seed: seed.ok_or_else(|| malformed("missing seed= line".into()))?,
-        n: n.ok_or_else(|| malformed("missing n= line".into()))?,
-        policy: policy.ok_or_else(|| malformed("missing policy= line".into()))?,
+        n,
+        policy,
         budget,
         state: state.ok_or_else(|| malformed("missing state= line".into()))?,
         result,
@@ -540,9 +562,7 @@ impl JobStore {
                             // one re-run, never a wrong answer.
                             let ckpt = self.checkpoint_path(&rec.id);
                             if ckpt.exists() {
-                                let ok = load_checkpoint(&ckpt)
-                                    .and_then(|ck| ck.validate(&fp).map(|()| ck))
-                                    .is_ok();
+                                let ok = load_checkpoint(&ckpt, &fp).is_ok();
                                 if !ok {
                                     report.corrupt_checkpoints += 1;
                                     let _ = std::fs::remove_file(&ckpt);
@@ -667,6 +687,40 @@ mod tests {
         assert_eq!(records.len(), 0);
         assert_eq!(quarantined, 1);
         assert!(!path.exists(), "rotten record renamed away");
+        std::fs::remove_dir_all(store.dir()).ok();
+    }
+
+    #[test]
+    fn oversized_journaled_jobs_are_rejected_and_quarantined() {
+        let store = JobStore::open(&tmp_dir("oversized")).unwrap();
+        let huge_retries = RecoveryPolicy {
+            max_retries: usize::MAX,
+            ..RecoveryPolicy::default()
+        };
+        let jobs = [
+            JobRecord::new(
+                "acme",
+                "demo-fast",
+                1,
+                7,
+                1 << 50,
+                RecoveryPolicy::default(),
+                None,
+            ),
+            JobRecord::new("acme", "demo-fast", 1, 7, 40, huge_retries, None),
+        ];
+        for r in &jobs {
+            store.save(r).unwrap();
+            assert!(
+                matches!(store.load(&r.id), Err(CheckpointError::Malformed { .. })),
+                "n={} max_retries={} must be refused",
+                r.n,
+                r.policy.max_retries
+            );
+        }
+        let (records, quarantined) = store.load_all();
+        assert!(records.is_empty());
+        assert_eq!(quarantined, 2);
         std::fs::remove_dir_all(store.dir()).ok();
     }
 

@@ -1,14 +1,16 @@
 //! Durable Monte-Carlo campaigns: checkpoint/resume, deadline budgets
 //! and a cooperative per-sample watchdog.
 //!
-//! The parallel drivers in [`crate::montecarlo`] make *individual
-//! samples* resilient; this module makes the *campaign itself*
-//! survivable. A [`run_campaign`] call periodically writes atomic,
-//! checksummed snapshots of every completed sample, can resume from such
-//! a snapshot by re-running only the missing indices, and enforces a
-//! wall-clock deadline with graceful truncation — on deadline, in-flight
-//! samples finish, the run returns valid partial statistics plus a final
-//! checkpoint so the campaign can be continued later.
+//! The attempt ladder in [`crate::executor`] makes *individual samples*
+//! resilient; the knobs and snapshot format here make the *campaign
+//! itself* survivable. A run whose [`CampaignConfig`] names a checkpoint
+//! periodically writes atomic, checksummed snapshots of every completed
+//! sample, can resume from such a snapshot by re-running only the
+//! missing indices, and enforces a wall-clock deadline with graceful
+//! truncation — on deadline, in-flight samples finish, the run returns
+//! valid partial statistics plus a final checkpoint so the campaign can
+//! be continued later. [`run_campaign`] is the durable-campaign front
+//! door of [`crate::execute`].
 //!
 //! **Resume invariant.** Sample outcomes are pure functions of
 //! `(sample, attempt)` and the sample set is a pure function of the
@@ -29,15 +31,13 @@
 //! See DESIGN.md, "Durable campaigns: checkpoint format & resume
 //! invariants".
 
-use crate::montecarlo::panic_message;
-use crate::summary::Summary;
-use crate::{HealthSummary, RecoveryPolicy, SampleHealth, SampleStatus};
+use crate::executor::{execute, RunError, RunSpec};
+use crate::{MonteCarloResult, RecoveryPolicy, SampleStatus};
 use std::fmt::{self, Display};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// On-disk format tag, first line of every snapshot.
 pub const FORMAT_VERSION: &str = "linvar-campaign-v1";
@@ -249,16 +249,11 @@ pub struct Checkpoint {
     pub outcomes: Vec<Option<SampleRecord>>,
 }
 
-impl Checkpoint {
-    /// Number of completed samples in the snapshot.
-    pub fn completed(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.is_some()).count()
-    }
-
-    /// Refuses (with a typed error) unless the snapshot's fingerprint
-    /// matches the running campaign's on every field.
-    pub fn validate(&self, expected: &CampaignFingerprint) -> Result<(), CheckpointError> {
-        let fp = &self.fingerprint;
+impl CampaignFingerprint {
+    /// Refuses (with a typed error) unless `self` — a snapshot's recorded
+    /// identity — matches the running campaign's on every field.
+    fn check_against(&self, expected: &CampaignFingerprint) -> Result<(), CheckpointError> {
+        let fp = self;
         let mismatch = |field, exp: String, found: String| {
             Err(CheckpointError::FingerprintMismatch {
                 field,
@@ -468,10 +463,18 @@ pub fn reap_tmp_in_dir(dir: &Path) -> usize {
     reaped
 }
 
-/// Loads and checksum-verifies a snapshot. Truncated, bit-flipped or
-/// otherwise damaged files are rejected with a typed error — a partial
-/// load is never returned.
-pub fn load_checkpoint(path: &Path) -> Result<Checkpoint, CheckpointError> {
+/// Loads, checksum-verifies and fingerprint-validates a snapshot.
+/// Truncated, bit-flipped or otherwise damaged files are rejected with a
+/// typed error — a partial load is never returned — and a snapshot of a
+/// different campaign (seed, sample count, policy, model or RNG scheme)
+/// is refused with [`CheckpointError::FingerprintMismatch`]. The header
+/// is checked against `expected` before anything sized by the file's
+/// `n=` line is allocated, so a crafted sample count cannot exhaust
+/// memory.
+pub fn load_checkpoint(
+    path: &Path,
+    expected: &CampaignFingerprint,
+) -> Result<Checkpoint, CheckpointError> {
     let bytes = std::fs::read(path).map_err(|e| io_err("read", path, e))?;
     let text = String::from_utf8(bytes).map_err(|_| CheckpointError::Malformed {
         reason: "not valid UTF-8".into(),
@@ -505,10 +508,13 @@ pub fn load_checkpoint(path: &Path) -> Result<Checkpoint, CheckpointError> {
             found,
         });
     }
-    parse_payload(payload)
+    parse_payload(payload, expected)
 }
 
-fn parse_payload(payload: &str) -> Result<Checkpoint, CheckpointError> {
+fn parse_payload(
+    payload: &str,
+    expected: &CampaignFingerprint,
+) -> Result<Checkpoint, CheckpointError> {
     let malformed = |reason: String| CheckpointError::Malformed { reason };
     let mut lines = payload.lines();
     let version = lines
@@ -524,38 +530,13 @@ fn parse_payload(payload: &str) -> Result<Checkpoint, CheckpointError> {
     let mut n = None;
     let mut policy = None;
     let mut model = None;
-    let mut outcomes: Option<Vec<Option<SampleRecord>>> = None;
-    for (lineno, line) in lines.enumerate() {
-        if let Some(rest) = line.strip_prefix("s ") {
-            let n = n.ok_or_else(|| malformed("sample line before the n= header".into()))?;
-            let outcomes = outcomes.get_or_insert_with(|| vec![None; n]);
-            let mut parts = rest.splitn(5, ' ');
-            let bad = || malformed(format!("unparseable sample line {}: {line:?}", lineno + 2));
-            let idx: usize = parts.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
-            let status = parts.next().and_then(status_from_tag).ok_or_else(bad)?;
-            let attempts: usize = parts.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
-            let kind = parts.next().ok_or_else(bad)?;
-            let rest = parts.next().ok_or_else(bad)?;
-            let outcome = match kind {
-                "v" => Ok(f64::from_bits(
-                    u64::from_str_radix(rest, 16).map_err(|_| bad())?,
-                )),
-                "e" => Err(unescape(rest)),
-                _ => return Err(bad()),
-            };
-            if idx >= n {
-                return Err(malformed(format!(
-                    "sample index {idx} out of range (n={n})"
-                )));
+    // Pass 1: the header. Sample lines are only noted here; nothing is
+    // sized by `n=` until the header has matched `expected`.
+    for line in lines.clone() {
+        if line.starts_with("s ") {
+            if n.is_none() {
+                return Err(malformed("sample line before the n= header".into()));
             }
-            if outcomes[idx].is_some() {
-                return Err(malformed(format!("duplicate sample index {idx}")));
-            }
-            outcomes[idx] = Some(SampleRecord {
-                status,
-                attempts,
-                outcome,
-            });
         } else if let Some(v) = line.strip_prefix("scheme=") {
             scheme = Some(v.to_string());
         } else if let Some(v) = line.strip_prefix("seed=") {
@@ -609,8 +590,45 @@ fn parse_payload(payload: &str) -> Result<Checkpoint, CheckpointError> {
         policy: policy.ok_or_else(|| malformed("missing policy= header".into()))?,
         model: model.ok_or_else(|| malformed("missing model= header".into()))?,
     };
+    fingerprint.check_against(expected)?;
+
+    // Pass 2: the samples, into a table the validated header sized.
+    let n = fingerprint.n_samples;
+    let mut outcomes: Vec<Option<SampleRecord>> = vec![None; n];
+    for (lineno, line) in lines.enumerate() {
+        let Some(rest) = line.strip_prefix("s ") else {
+            continue;
+        };
+        let mut parts = rest.splitn(5, ' ');
+        let bad = || malformed(format!("unparseable sample line {}: {line:?}", lineno + 2));
+        let idx: usize = parts.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
+        let status = parts.next().and_then(status_from_tag).ok_or_else(bad)?;
+        let attempts: usize = parts.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
+        let kind = parts.next().ok_or_else(bad)?;
+        let rest = parts.next().ok_or_else(bad)?;
+        let outcome = match kind {
+            "v" => Ok(f64::from_bits(
+                u64::from_str_radix(rest, 16).map_err(|_| bad())?,
+            )),
+            "e" => Err(unescape(rest)),
+            _ => return Err(bad()),
+        };
+        if idx >= n {
+            return Err(malformed(format!(
+                "sample index {idx} out of range (n={n})"
+            )));
+        }
+        if outcomes[idx].is_some() {
+            return Err(malformed(format!("duplicate sample index {idx}")));
+        }
+        outcomes[idx] = Some(SampleRecord {
+            status,
+            attempts,
+            outcome,
+        });
+    }
     Ok(Checkpoint {
-        outcomes: outcomes.unwrap_or_else(|| vec![None; fingerprint.n_samples]),
+        outcomes,
         fingerprint,
     })
 }
@@ -626,8 +644,8 @@ pub struct CampaignConfig {
     pub resume: Option<PathBuf>,
     /// Completed samples between periodic snapshots (0 = default, 32).
     pub checkpoint_every: usize,
-    /// Wall-clock budget for this run, measured from the start of
-    /// [`run_campaign`]. On expiry workers stop claiming new samples;
+    /// Wall-clock budget for this run, measured from its start. On
+    /// expiry workers stop claiming new samples;
     /// in-flight samples finish, a final snapshot is written, and the
     /// result carries a [`CampaignVerdict::Truncated`] verdict with
     /// valid statistics over the completed prefix of work.
@@ -655,16 +673,6 @@ pub struct CampaignConfig {
     pub cancel: Option<Arc<AtomicBool>>,
 }
 
-impl CampaignConfig {
-    fn every(&self) -> usize {
-        if self.checkpoint_every == 0 {
-            32
-        } else {
-            self.checkpoint_every
-        }
-    }
-}
-
 /// Did the campaign finish?
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CampaignVerdict {
@@ -679,107 +687,11 @@ pub enum CampaignVerdict {
     },
 }
 
-/// Result of a (possibly resumed, possibly truncated) campaign run.
+/// Runs a durable Monte-Carlo campaign over `samples`: the executor
+/// ([`crate::execute`]) with `config` as the run's campaign knobs.
 ///
-/// Statistics cover every *completed* sample — both those restored from
-/// the resume snapshot and those evaluated in this run — merged in
-/// sample-index order, exactly as an uninterrupted run would produce
-/// them.
-#[derive(Debug, Clone)]
-pub struct CampaignResult {
-    /// Value per successful sample, in sample-index order.
-    pub values: Vec<f64>,
-    /// Summary statistics of `values`.
-    pub summary: Summary,
-    /// Samples that exhausted their attempt budget.
-    pub failures: usize,
-    /// Indices of the failed samples, ascending.
-    pub failed_indices: Vec<usize>,
-    /// Diagnostic of the lowest-index failure, if any.
-    pub first_error: Option<String>,
-    /// Per-sample status and attempt count for completed samples, in
-    /// sample-index order.
-    pub sample_health: Vec<SampleHealth>,
-    /// Run-level health tally of the completed samples.
-    pub health: HealthSummary,
-    /// Whether the campaign is complete or resumable-truncated.
-    pub verdict: CampaignVerdict,
-    /// Completed samples (resumed + evaluated this run).
-    pub completed: usize,
-    /// Samples restored from the resume snapshot.
-    pub resumed: usize,
-    /// Samples evaluated in this run.
-    pub evaluated: usize,
-    /// Snapshots written in this run (periodic + final).
-    pub checkpoints_written: usize,
-}
-
-struct CampaignState {
-    records: Vec<Option<SampleRecord>>,
-    since_snapshot: usize,
-}
-
-/// Runs one sample under the policy's attempt budget with per-attempt
-/// panic containment and the optional soft watchdog.
-fn evaluate_sample<S, E: Display>(
-    f: &(impl Fn(&S, usize) -> Result<(f64, SampleStatus), E> + Sync),
-    s: &S,
-    policy: RecoveryPolicy,
-    soft_timeout: Option<Duration>,
-) -> SampleRecord {
-    let budget = policy.attempt_budget();
-    let mut last: Option<String> = None;
-    let mut timed_out = false;
-    for attempt in 0..budget {
-        let t0 = Instant::now();
-        let res = match catch_unwind(AssertUnwindSafe(|| {
-            f(s, attempt).map_err(|e| e.to_string())
-        })) {
-            Ok(res) => res,
-            Err(payload) => Err(format!("panic: {}", panic_message(payload.as_ref()))),
-        };
-        let overran = soft_timeout.is_some_and(|lim| t0.elapsed() > lim);
-        timed_out |= overran;
-        match res {
-            Ok((v, status)) => {
-                let floor = if policy.is_fallback_attempt(attempt) {
-                    SampleStatus::Degraded
-                } else if attempt > 0 {
-                    SampleStatus::Recovered
-                } else {
-                    SampleStatus::Clean
-                };
-                let mut status = status.max(floor);
-                if timed_out {
-                    status = status.max(SampleStatus::TimedOut);
-                }
-                return SampleRecord {
-                    status,
-                    attempts: attempt + 1,
-                    outcome: Ok(v),
-                };
-            }
-            Err(msg) => {
-                last = Some(if overran {
-                    format!("soft timeout overrun on attempt {attempt}: {msg}")
-                } else {
-                    msg
-                })
-            }
-        }
-    }
-    SampleRecord {
-        status: SampleStatus::Failed,
-        attempts: budget,
-        outcome: Err(last.unwrap_or_else(|| "empty attempt budget".to_string())),
-    }
-}
-
-/// Runs a durable Monte-Carlo campaign over `samples`.
-///
-/// The evaluator contract is that of
-/// [`crate::monte_carlo_par_with_policy`]: `f(sample, attempt)` must be a
-/// deterministic pure function (attempt 0 the fast path, later attempts
+/// The evaluator contract is the executor's: `f(sample, attempt)` must be
+/// a deterministic pure function (attempt 0 the fast path, later attempts
 /// the recovery rungs). Given that, the merged output over any
 /// interrupted-and-resumed schedule is **bitwise-identical** to an
 /// uninterrupted run at any worker count.
@@ -791,19 +703,20 @@ fn evaluate_sample<S, E: Display>(
 ///   `checkpoint_every` completions, plus a final one before returning.
 ///   Periodic write failures are tolerated (the run is worth more than a
 ///   snapshot); the *final* write's failure is returned as an error.
-/// * `config.deadline` / `config.sample_budget` — stop claiming new
-///   samples on expiry; in-flight samples finish; the verdict is
+/// * `config.deadline` / `config.sample_budget` / `config.cancel` — stop
+///   claiming new samples; in-flight samples finish; the verdict is
 ///   [`CampaignVerdict::Truncated`] and the final snapshot makes the
 ///   remainder resumable.
 ///
-/// `policy.fail_fast` is ignored: a campaign's answer to a failing
-/// sample is the quarantine-and-checkpoint bookkeeping, not truncation
-/// (truncating at a failure would make "resume to completion" and "stop
-/// at first failure" contradictory goals).
+/// `policy.fail_fast` is ignored for execution (a campaign's answer to a
+/// failing sample is the quarantine-and-checkpoint bookkeeping, not
+/// truncation) but stays part of `fingerprint`, so existing snapshots
+/// keep resuming.
 ///
 /// # Errors
 ///
-/// Checkpoint load/validation failures, and the final snapshot write.
+/// Checkpoint load/validation failures, the final snapshot write, and a
+/// fingerprint whose sample count disagrees with `samples`.
 pub fn run_campaign<S, E>(
     samples: &[S],
     threads: usize,
@@ -811,176 +724,22 @@ pub fn run_campaign<S, E>(
     config: &CampaignConfig,
     fingerprint: CampaignFingerprint,
     f: impl Fn(&S, usize) -> Result<(f64, SampleStatus), E> + Sync,
-) -> Result<CampaignResult, CheckpointError>
+) -> Result<MonteCarloResult, CheckpointError>
 where
     S: Sync,
     E: Display,
 {
-    let start = Instant::now();
-    let n = samples.len();
-    if fingerprint.n_samples != n {
-        return Err(CheckpointError::Malformed {
-            reason: format!(
-                "fingerprint says {} samples but {} were provided",
-                fingerprint.n_samples, n
-            ),
-        });
-    }
-
-    let mut records: Vec<Option<SampleRecord>> = vec![None; n];
-    let mut resumed = 0usize;
-    if let Some(resume_path) = &config.resume {
-        // Checkpoint hygiene: a crash between `File::create(tmp)` and the
-        // rename leaves an orphaned staging file next to the snapshot.
-        // The resume boundary is the one place no writer can be active,
-        // so reap it here (and at the checkpoint path, if different).
-        reap_orphan_tmp(resume_path);
-        if let Some(ck_path) = &config.checkpoint {
-            if ck_path != resume_path {
-                reap_orphan_tmp(ck_path);
-            }
-        }
-        let ck = load_checkpoint(resume_path)?;
-        ck.validate(&fingerprint)?;
-        records = ck.outcomes;
-        resumed = records.iter().filter(|r| r.is_some()).count();
-    }
-
-    let pending: Vec<usize> = (0..n).filter(|&i| records[i].is_none()).collect();
-    let deadline = config.deadline.map(|d| start + d);
-    let budget = config.sample_budget;
-    let snapshots = AtomicUsize::new(0);
-
-    if !pending.is_empty() && budget != Some(0) {
-        let workers = crate::resolve_threads(threads).min(pending.len());
-        let cursor = AtomicUsize::new(0);
-        let started = AtomicUsize::new(0);
-        let state = Mutex::new(CampaignState {
-            records,
-            since_snapshot: 0,
-        });
-        // Serializes snapshot writes (never held while evaluating).
-        let write_gate = Mutex::new(());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    // Merge this worker's solver-phase metrics on every exit
-                    // path before the scope joins (TLS teardown is not
-                    // ordered before the join).
-                    let _flush = linvar_metrics::flush_on_drop();
-                    loop {
-                        if deadline.is_some_and(|dl| Instant::now() >= dl) {
-                            break;
-                        }
-                        if config
-                            .cancel
-                            .as_ref()
-                            .is_some_and(|c| c.load(Ordering::Relaxed))
-                        {
-                            break;
-                        }
-                        if let Some(b) = budget {
-                            if started.fetch_add(1, Ordering::Relaxed) >= b {
-                                break;
-                            }
-                        }
-                        let pos = cursor.fetch_add(1, Ordering::Relaxed);
-                        if pos >= pending.len() {
-                            break;
-                        }
-                        let idx = pending[pos];
-                        let rec = evaluate_sample(&f, &samples[idx], policy, config.sample_timeout);
-                        let snapshot = {
-                            let mut st = state.lock().expect("campaign state lock");
-                            st.records[idx] = Some(rec);
-                            st.since_snapshot += 1;
-                            if config.checkpoint.is_some() && st.since_snapshot >= config.every() {
-                                st.since_snapshot = 0;
-                                Some(st.records.clone())
-                            } else {
-                                None
-                            }
-                        };
-                        if let (Some(snap), Some(path)) = (snapshot, &config.checkpoint) {
-                            // Periodic snapshots are best-effort: a write
-                            // failure must not kill the run it exists to
-                            // protect. The final write below is authoritative.
-                            let _gate = write_gate.lock().expect("checkpoint write gate");
-                            if save_checkpoint(path, &fingerprint, &snap).is_ok() {
-                                snapshots.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        records = state.into_inner().expect("workers joined").records;
-    }
-
-    let completed = records.iter().filter(|r| r.is_some()).count();
-    if let Some(path) = &config.checkpoint {
-        save_checkpoint(path, &fingerprint, &records)?;
-        snapshots.fetch_add(1, Ordering::Relaxed);
-    }
-
-    let mut values = Vec::with_capacity(completed);
-    let mut failed_indices = Vec::new();
-    let mut first_error = None;
-    let mut sample_health = Vec::with_capacity(completed);
-    let mut health = HealthSummary::default();
-    for (idx, rec) in records.iter().enumerate() {
-        let Some(rec) = rec else { continue };
-        // Counted at the merge point over *completed* samples (resumed +
-        // evaluated), mirroring what the statistics themselves cover.
-        linvar_metrics::incr(linvar_metrics::Counter::McSamplesCompleted);
-        if rec.outcome.is_err() {
-            linvar_metrics::incr(linvar_metrics::Counter::McSamplesFailed);
-        }
-        linvar_metrics::count(
-            linvar_metrics::Counter::McSampleRetries,
-            rec.attempts.saturating_sub(1) as u64,
-        );
-        health.count(rec.status);
-        sample_health.push(SampleHealth {
-            index: idx,
-            status: rec.status,
-            attempts: rec.attempts,
-        });
-        match &rec.outcome {
-            Ok(v) => values.push(*v),
-            Err(msg) => {
-                if first_error.is_none() {
-                    first_error = Some(msg.clone());
-                }
-                failed_indices.push(idx);
-            }
-        }
-    }
-    let summary = Summary::of(&values);
-    let remaining = n - completed;
-    Ok(CampaignResult {
-        values,
-        summary,
-        failures: failed_indices.len(),
-        failed_indices,
-        first_error,
-        sample_health,
-        health,
-        verdict: if remaining == 0 {
-            CampaignVerdict::Complete
-        } else {
-            CampaignVerdict::Truncated { remaining }
-        },
-        completed,
-        resumed,
-        evaluated: completed - resumed,
-        checkpoints_written: snapshots.into_inner(),
+    let spec = RunSpec::durable(threads, policy, config);
+    execute(samples, &spec, &fingerprint, f).map_err(|e| match e {
+        RunError::Checkpoint(e) => e,
+        RunError::Plan { reason } => CheckpointError::Malformed { reason },
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tmp_path(tag: &str) -> PathBuf {
         static SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -1026,10 +785,9 @@ mod tests {
             }),
         ];
         save_checkpoint(&path, &fp(4), &outcomes).unwrap();
-        let ck = load_checkpoint(&path).unwrap();
+        let ck = load_checkpoint(&path, &fp(4)).unwrap();
         assert_eq!(ck.fingerprint, fp(4));
         assert_eq!(ck.outcomes, outcomes);
-        assert_eq!(ck.completed(), 3);
         // Bit-exactness (−0.0 and π survive exactly).
         let restored = ck.outcomes[3].as_ref().unwrap();
         assert_eq!(

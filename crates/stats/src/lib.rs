@@ -8,14 +8,18 @@
 //!   (§4.1.1), including a synthetic correlated-device-parameter demo that
 //!   reproduces the "60 BSIM3 parameters → ~10 factors" observation of the
 //!   paper's reference \[11\];
-//! * [`montecarlo`] — the generic Monte-Carlo driver (serial and
-//!   deterministic parallel — see DESIGN.md, "Parallel execution &
-//!   determinism contract") with summary statistics, standard-error
-//!   estimates and per-sample failure diagnostics;
-//! * [`campaign`] — the durable campaign runner: atomic checksummed
-//!   checkpoints, fingerprint-validated resume, deadline budgets and a
-//!   cooperative per-sample watchdog (see DESIGN.md, "Durable campaigns:
-//!   checkpoint format & resume invariants");
+//! * [`executor`] — the one sample executor: [`execute`] evaluates a
+//!   pure function at an indexed sample set under a [`RunSpec`] (workers,
+//!   recovery policy, campaign knobs, shards) and merges the outcomes in
+//!   index order, bitwise-identically at any worker or shard count (see
+//!   DESIGN.md, "The sample executor & determinism contract");
+//! * [`montecarlo`] — the executor's vocabulary (statuses, health,
+//!   [`RecoveryPolicy`], the merged [`MonteCarloResult`]) and the plain
+//!   parallel front door [`monte_carlo_par`];
+//! * [`campaign`] — durable-campaign knobs and the checkpoint format:
+//!   atomic checksummed snapshots, fingerprint-validated resume, deadline
+//!   budgets and a cooperative per-sample watchdog (see DESIGN.md,
+//!   "Durable campaigns: checkpoint format & resume invariants");
 //! * [`shard`] — the sharded campaign supervisor: fingerprinted per-shard
 //!   checkpoints, heartbeats with a straggler-re-dispatching watchdog, a
 //!   retry ladder with capped exponential backoff, and a first-writer-wins
@@ -26,8 +30,8 @@
 //!   [`montecarlo::resolve_threads`] and the campaign service's knobs;
 //! * [`spectral`] — the stochastic-spectral engine family: Hermite-basis
 //!   generalized polynomial chaos with tensor/Smolyak collocation and
-//!   stochastic-testing node selection, riding the same recovery ladder,
-//!   parallel driver and durable-campaign stack as Monte Carlo (see
+//!   stochastic-testing node selection, its nodes run by the same
+//!   executor as Monte Carlo (see
 //!   DESIGN.md, "Stochastic spectral engines: basis, node selection &
 //!   determinism contract");
 //! * [`gradient`] — Gradient Analysis (§4.1.3, eq. 24): σ of a performance
@@ -37,6 +41,7 @@
 
 pub mod campaign;
 pub mod envknob;
+pub mod executor;
 pub mod gradient;
 pub mod histogram;
 pub mod montecarlo;
@@ -50,15 +55,16 @@ pub mod timing_yield;
 pub use campaign::{
     fingerprint_str, fingerprint_words, fnv1a64, load_checkpoint, reap_orphan_tmp, reap_tmp_in_dir,
     run_campaign, save_checkpoint, AnalysisKind, CampaignConfig, CampaignFingerprint,
-    CampaignResult, CampaignVerdict, Checkpoint, CheckpointError, SampleRecord,
+    CampaignVerdict, Checkpoint, CheckpointError, SampleRecord,
 };
 pub use envknob::{env_knob_str, env_knob_usize, EnvKnob};
+pub use executor::{execute, RunError, RunSpec};
 pub use gradient::central_difference_sensitivities;
 pub use gradient::gradient_std;
 pub use histogram::{Histogram, HistogramError};
 pub use montecarlo::{
-    monte_carlo, monte_carlo_par, monte_carlo_par_with_policy, monte_carlo_with_policy,
-    resolve_threads, HealthSummary, MonteCarloResult, RecoveryPolicy, SampleHealth, SampleStatus,
+    monte_carlo_par, resolve_threads, HealthSummary, MonteCarloResult, RecoveryPolicy,
+    SampleHealth, SampleStatus,
 };
 pub use pca::demo_correlated_device_parameters;
 pub use pca::{Pca, PcaModel};
@@ -68,13 +74,13 @@ pub use sampling::{
     SampleSource, SeedStream, SOBOL_MAX_DIMS,
 };
 pub use shard::{
-    run_shard_worker, run_sharded_campaign, shard_checkpoint_path, shard_fingerprint, ShardConfig,
-    ShardError, ShardFault, ShardOutcome, ShardPlan, ShardVerdict, ShardedCampaignResult,
+    shard_checkpoint_path, shard_fingerprint, ShardConfig, ShardFault, ShardOutcome, ShardPlan,
+    ShardVerdict,
 };
 pub use spectral::{
-    basis_eval, gauss_hermite, hermite_prob, multi_indices, run_spectral, run_spectral_campaign,
-    GridKind, SpectralCampaignResult, SpectralConfig, SpectralError, SpectralPlan, SpectralResult,
-    SpectralRunError, QUANTILE_PROBS, SURROGATE_SAMPLES,
+    basis_eval, gauss_hermite, hermite_prob, multi_indices, run_spectral, GridKind, SpectralConfig,
+    SpectralError, SpectralPlan, SpectralResult, SpectralRun, SpectralRunError, QUANTILE_PROBS,
+    SURROGATE_SAMPLES,
 };
 pub use summary::Summary;
 pub use timing_yield::{empirical_yield, normal_cdf, normal_yield, period_for_yield};

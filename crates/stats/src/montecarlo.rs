@@ -1,29 +1,16 @@
-//! The Monte-Carlo driver (paper §4.1.2): serial and deterministic
-//! parallel execution.
+//! The sample-level vocabulary of the executor — statuses, health,
+//! recovery policy and the merged [`MonteCarloResult`] — plus the plain
+//! parallel Monte-Carlo front door [`monte_carlo_par`].
 //!
-//! The parallel driver [`monte_carlo_par`] shards samples across scoped
-//! worker threads in fixed-size chunks handed out through an atomic
-//! cursor, evaluates each sample independently, and merges per-worker
-//! results back **in sample-index order**. Because every sample's result
-//! is a pure function of the sample itself (the evaluator must be
-//! deterministic — enforced by the `Fn` bound, no shared mutable state),
-//! the merged output is bitwise-identical at any thread count and equal
-//! to the serial driver's output. See DESIGN.md, "Parallel execution &
-//! determinism contract".
-//!
-//! Each worker thread owns a thread-local scratch **workspace**
-//! (`linvar_numeric::with_workspace`) that the sample hot path draws its
-//! LU/eigen/matrix temporaries from, so steady-state evaluation allocates
-//! nothing per sample. The pool only recycles storage — every buffer is
-//! zero-filled (or fully overwritten) on take, so pooling cannot leak one
-//! sample's values into the next and the determinism contract above is
-//! unaffected. See DESIGN.md, "Hot path & workspace model".
+//! Every run, plain or durable or sharded, goes through
+//! [`crate::execute`]; see [`crate::executor`] for the determinism
+//! contract.
 
+use crate::campaign::{CampaignFingerprint, CampaignVerdict, SampleRecord};
+use crate::executor::{execute, RunSpec};
+use crate::shard::ShardVerdict;
 use crate::summary::Summary;
 use std::fmt::Display;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// How a sample was ultimately served. Ordered worst-last so
 /// [`Ord::max`] implements "floor the status by how hard we had to try".
@@ -137,11 +124,14 @@ impl RecoveryPolicy {
     }
 }
 
-/// Result of a Monte-Carlo analysis.
+/// Result of any run of the executor: plain, durable or sharded.
+///
+/// Statistics cover every *completed* sample — restored from a resume
+/// snapshot or evaluated in this run — merged in sample-index order,
+/// exactly as an uninterrupted single-process run would produce them.
 #[derive(Debug, Clone)]
 pub struct MonteCarloResult {
-    /// Performance value per successful sample, in sample-index order
-    /// (failed evaluations are skipped).
+    /// Value per successful sample, in sample-index order.
     pub values: Vec<f64>,
     /// Summary statistics of the values.
     pub summary: Summary,
@@ -153,109 +143,99 @@ pub struct MonteCarloResult {
     /// the evaluator are captured as `"panic: …"`). `None` when every
     /// sample succeeded.
     pub first_error: Option<String>,
-    /// Per-sample status and attempt count, in sample-index order. The
-    /// plain drivers report every successful sample as `Clean` with one
-    /// attempt; the policy drivers record the real recovery trail.
+    /// Per-sample status and attempt count of the completed samples, in
+    /// sample-index order.
     pub sample_health: Vec<SampleHealth>,
     /// Run-level tally of `sample_health`.
     pub health: HealthSummary,
     /// Index of the failing sample a fail-fast policy stopped at; samples
-    /// beyond it were not evaluated. `None` for complete runs.
+    /// beyond it were not kept. `None` otherwise.
     pub truncated_at: Option<usize>,
-}
-
-/// One sample's final outcome, before aggregation.
-struct Outcome {
-    res: Result<f64, String>,
-    status: SampleStatus,
-    attempts: usize,
+    /// Complete, or truncated (deadline, budget, cancel, fail-fast) with
+    /// the remainder resumable from the final snapshot.
+    pub verdict: CampaignVerdict,
+    /// Completed samples (resumed + evaluated this run).
+    pub completed: usize,
+    /// Samples restored from snapshots instead of evaluated.
+    pub resumed: usize,
+    /// Samples evaluated in this run; in a sharded run, summed over every
+    /// shard attempt, including attempts that later died.
+    pub evaluated: usize,
+    /// Snapshots written in this run (periodic + final, every shard).
+    pub checkpoints_written: usize,
+    /// Per-shard verdicts of a sharded run, in shard order; empty
+    /// otherwise.
+    pub shards: Vec<ShardVerdict>,
 }
 
 impl MonteCarloResult {
-    fn from_ordered(outcomes: Vec<Result<f64, String>>) -> MonteCarloResult {
-        let outcomes = outcomes
-            .into_iter()
-            .map(|res| Outcome {
-                status: if res.is_ok() {
-                    SampleStatus::Clean
-                } else {
-                    SampleStatus::Failed
-                },
-                attempts: 1,
-                res,
-            })
-            .collect();
-        MonteCarloResult::from_outcomes(outcomes, None)
-    }
-
-    fn from_outcomes(outcomes: Vec<Outcome>, truncated_at: Option<usize>) -> MonteCarloResult {
-        let mut values = Vec::with_capacity(outcomes.len());
+    /// The index-ordered merge: folds per-index records (`None` = not
+    /// completed) into values, failure bookkeeping and health.
+    ///
+    /// With `count`, the `mc.*` counters are recorded here — at the merge
+    /// point, over exactly the samples the merged output covers — and
+    /// nowhere else. The shard supervisor's final merge passes `false`:
+    /// each shard attempt already counted its own samples.
+    pub(crate) fn merge(records: &[Option<SampleRecord>], count: bool) -> MonteCarloResult {
+        let mut values = Vec::with_capacity(records.len());
         let mut failed_indices = Vec::new();
         let mut first_error = None;
-        let mut sample_health = Vec::with_capacity(outcomes.len());
+        let mut sample_health = Vec::with_capacity(records.len());
         let mut health = HealthSummary::default();
-        // Metrics are recorded at this merge point (not in the workers), so
-        // the counts cover exactly the samples that made it into the
-        // deterministic merged output — scheduling-dependent extra work
-        // discarded by a fail-fast cancellation never skews them.
-        for (idx, outcome) in outcomes.into_iter().enumerate() {
-            linvar_metrics::incr(linvar_metrics::Counter::McSamplesCompleted);
-            if outcome.res.is_err() {
-                linvar_metrics::incr(linvar_metrics::Counter::McSamplesFailed);
+        for (idx, rec) in records.iter().enumerate() {
+            let Some(rec) = rec else { continue };
+            if count {
+                linvar_metrics::incr(linvar_metrics::Counter::McSamplesCompleted);
+                if rec.outcome.is_err() {
+                    linvar_metrics::incr(linvar_metrics::Counter::McSamplesFailed);
+                }
+                linvar_metrics::count(
+                    linvar_metrics::Counter::McSampleRetries,
+                    rec.attempts.saturating_sub(1) as u64,
+                );
             }
-            linvar_metrics::count(
-                linvar_metrics::Counter::McSampleRetries,
-                outcome.attempts.saturating_sub(1) as u64,
-            );
-            health.count(outcome.status);
+            health.count(rec.status);
             sample_health.push(SampleHealth {
                 index: idx,
-                status: outcome.status,
-                attempts: outcome.attempts,
+                status: rec.status,
+                attempts: rec.attempts,
             });
-            match outcome.res {
-                Ok(v) => values.push(v),
+            match &rec.outcome {
+                Ok(v) => values.push(*v),
                 Err(msg) => {
                     if first_error.is_none() {
-                        first_error = Some(msg);
+                        first_error = Some(msg.clone());
                     }
                     failed_indices.push(idx);
                 }
             }
         }
-        let summary = Summary::of(&values);
+        let completed = sample_health.len();
+        let remaining = records.len() - completed;
         MonteCarloResult {
+            summary: Summary::of(&values),
             values,
-            summary,
             failures: failed_indices.len(),
             failed_indices,
             first_error,
             sample_health,
             health,
-            truncated_at,
+            truncated_at: None,
+            verdict: if remaining == 0 {
+                CampaignVerdict::Complete
+            } else {
+                CampaignVerdict::Truncated { remaining }
+            },
+            completed,
+            resumed: 0,
+            evaluated: completed,
+            checkpoints_written: 0,
+            shards: Vec::new(),
         }
     }
 }
 
-/// Evaluates `f` on every sample and summarizes the results.
-///
-/// Sample evaluation returns `Result`; failed samples (for example an SC
-/// divergence on a pathological corner) are counted and recorded with
-/// their index and first diagnostic, not fatal — a statistical analysis
-/// should report partial results with diagnostics rather than lose an
-/// hour of work to one corner.
-pub fn monte_carlo<S, E: Display>(
-    samples: &[S],
-    mut f: impl FnMut(&S) -> Result<f64, E>,
-) -> MonteCarloResult {
-    let outcomes = samples
-        .iter()
-        .map(|s| f(s).map_err(|e| e.to_string()))
-        .collect();
-    MonteCarloResult::from_ordered(outcomes)
-}
-
-/// Resolves the worker count for the parallel driver.
+/// Resolves the worker count of a run (`RunSpec::threads`).
 ///
 /// Precedence: an explicit `requested > 0` wins; otherwise the
 /// `LINVAR_THREADS` environment variable (a positive integer); otherwise
@@ -278,28 +258,16 @@ pub fn resolve_threads(requested: usize) -> usize {
         .unwrap_or(1)
 }
 
-/// Number of samples each worker claims per trip to the shared cursor.
-/// Small enough to balance load on heterogeneous per-sample cost, large
-/// enough that cursor contention is negligible.
-const CHUNK: usize = 4;
-
-/// Parallel Monte-Carlo: evaluates `f` on every sample across `threads`
-/// scoped workers and summarizes the results.
+/// Plain parallel Monte-Carlo: evaluates `f` once per sample across
+/// `threads` workers (`0` = auto, one = inline on the calling thread)
+/// and summarizes the results — [`crate::execute`] with
+/// [`RunSpec::plain`].
 ///
-/// **Determinism contract:** the output — `values` order, summary,
-/// failure bookkeeping — is bitwise-identical to [`monte_carlo`] with the
-/// same deterministic evaluator, at *any* thread count. Workers claim
-/// fixed-size chunks of sample indices from an atomic cursor (so the
-/// assignment of samples to workers varies run to run), but every result
-/// is keyed by sample index and merged in index order, which erases the
-/// scheduling from the output.
-///
-/// A panicking evaluator does not poison the run: the panic is caught per
-/// sample and recorded as a counted failure with a `"panic: …"`
-/// diagnostic.
-///
-/// `threads` = 0 resolves via [`resolve_threads`] (`LINVAR_THREADS`, then
-/// available parallelism).
+/// Failed samples (including panics, captured as `"panic: …"`) are
+/// quarantined and counted, not fatal: a statistical analysis should
+/// report partial results with diagnostics rather than lose an hour of
+/// work to one corner. The output is bitwise-identical at any thread
+/// count.
 pub fn monte_carlo_par<S, E>(
     samples: &[S],
     threads: usize,
@@ -309,238 +277,17 @@ where
     S: Sync,
     E: Display,
 {
-    let n = samples.len();
-    let threads = resolve_threads(threads).min(n.max(1));
-    if threads <= 1 || n <= 1 {
-        // One worker degenerates to the serial driver (same code path the
-        // contract is stated against), minus thread-spawn overhead.
-        return monte_carlo(samples, |s| contained(&f, s));
-    }
-
-    let cursor = AtomicUsize::new(0);
-    // Each worker appends (index, outcome) pairs to its own slot; the
-    // Mutex is locked once per worker at the very end, not per sample.
-    let collected: Mutex<Vec<(usize, Result<f64, String>)>> = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut local: Vec<(usize, Result<f64, String>)> = Vec::new();
-                loop {
-                    let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + CHUNK).min(n);
-                    for (idx, s) in samples[start..end].iter().enumerate() {
-                        local.push((start + idx, contained(&f, s)));
-                    }
-                }
-                collected
-                    .lock()
-                    .expect("no worker holds this lock across a panic")
-                    .append(&mut local);
-                // Merge this worker's solver-phase metrics before the scope
-                // joins (TLS teardown is not ordered before the join).
-                linvar_metrics::flush_local();
-            });
-        }
-    });
-
-    let mut outcomes: Vec<Option<Result<f64, String>>> = (0..n).map(|_| None).collect();
-    for (idx, outcome) in collected.into_inner().expect("workers joined") {
-        outcomes[idx] = Some(outcome);
-    }
-    MonteCarloResult::from_ordered(
-        outcomes
-            .into_iter()
-            .map(|o| o.expect("every index evaluated exactly once"))
-            .collect(),
-    )
-}
-
-/// Runs one evaluation with panic containment: a panicking evaluator
-/// surfaces as an `Err` diagnostic instead of unwinding across the worker.
-fn contained<S, E: Display>(
-    f: &(impl Fn(&S) -> Result<f64, E> + Sync),
-    s: &S,
-) -> Result<f64, String> {
-    match catch_unwind(AssertUnwindSafe(|| f(s).map_err(|e| e.to_string()))) {
-        Ok(res) => res,
-        Err(payload) => Err(format!("panic: {}", panic_message(payload.as_ref()))),
-    }
-}
-
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "unknown panic payload".to_string())
-}
-
-/// Runs one sample under a [`RecoveryPolicy`]: walks the attempt budget,
-/// containing panics per attempt, and floors the reported status by the
-/// effort spent (retry ⇒ at least `Recovered`, fallback attempt ⇒ at
-/// least `Degraded`).
-fn evaluate_with_policy<S, E: Display>(
-    f: &(impl Fn(&S, usize) -> Result<(f64, SampleStatus), E> + Sync),
-    s: &S,
-    policy: RecoveryPolicy,
-) -> Outcome {
-    let budget = policy.attempt_budget();
-    let mut last: Option<String> = None;
-    for attempt in 0..budget {
-        let res = match catch_unwind(AssertUnwindSafe(|| {
-            f(s, attempt).map_err(|e| e.to_string())
-        })) {
-            Ok(res) => res,
-            Err(payload) => Err(format!("panic: {}", panic_message(payload.as_ref()))),
-        };
-        match res {
-            Ok((v, status)) => {
-                let floor = if policy.is_fallback_attempt(attempt) {
-                    SampleStatus::Degraded
-                } else if attempt > 0 {
-                    SampleStatus::Recovered
-                } else {
-                    SampleStatus::Clean
-                };
-                return Outcome {
-                    res: Ok(v),
-                    status: status.max(floor),
-                    attempts: attempt + 1,
-                };
-            }
-            Err(msg) => last = Some(msg),
-        }
-    }
-    Outcome {
-        res: Err(last.unwrap_or_else(|| "empty attempt budget".to_string())),
-        status: SampleStatus::Failed,
-        attempts: budget,
-    }
-}
-
-/// Serial Monte-Carlo under a [`RecoveryPolicy`].
-///
-/// The evaluator receives `(sample, attempt)` — attempt 0 is the fast
-/// path, attempts `1..=max_retries` are recovery rungs, and (when
-/// `allow_fallback`) the final attempt is the reduced-fidelity fallback.
-/// It reports the status it *earned*; the driver floors it by the attempt
-/// number, so an evaluator that ignores `attempt` still yields honest
-/// health bookkeeping.
-///
-/// With `fail_fast`, the run stops at the first sample that exhausts its
-/// budget; [`MonteCarloResult::truncated_at`] records where.
-pub fn monte_carlo_with_policy<S, E: Display>(
-    samples: &[S],
-    policy: RecoveryPolicy,
-    f: impl Fn(&S, usize) -> Result<(f64, SampleStatus), E> + Sync,
-) -> MonteCarloResult {
-    let mut outcomes = Vec::with_capacity(samples.len());
-    let mut truncated_at = None;
-    for (idx, s) in samples.iter().enumerate() {
-        let outcome = evaluate_with_policy(&f, s, policy);
-        let failed = outcome.status == SampleStatus::Failed;
-        outcomes.push(outcome);
-        if failed && policy.fail_fast {
-            truncated_at = Some(idx);
-            break;
-        }
-    }
-    MonteCarloResult::from_outcomes(outcomes, truncated_at)
-}
-
-/// Parallel Monte-Carlo under a [`RecoveryPolicy`].
-///
-/// Same determinism contract as [`monte_carlo_par`]: bitwise-identical to
-/// [`monte_carlo_with_policy`] at any thread count. `fail_fast` is honored
-/// deterministically — workers publish the smallest failing index through
-/// an atomic and stop claiming work beyond it, and the merged run is
-/// truncated at that index exactly as the serial driver would have
-/// stopped. Which *extra* samples the workers happened to evaluate before
-/// the cancellation propagated is scheduling-dependent, but those samples
-/// are dropped from the output, so the result is not.
-pub fn monte_carlo_par_with_policy<S, E>(
-    samples: &[S],
-    threads: usize,
-    policy: RecoveryPolicy,
-    f: impl Fn(&S, usize) -> Result<(f64, SampleStatus), E> + Sync,
-) -> MonteCarloResult
-where
-    S: Sync,
-    E: Display,
-{
-    let n = samples.len();
-    let threads = resolve_threads(threads).min(n.max(1));
-    if threads <= 1 || n <= 1 {
-        return monte_carlo_with_policy(samples, policy, f);
-    }
-
-    let cursor = AtomicUsize::new(0);
-    // Smallest failing sample index seen so far; only ever decreases
-    // (fetch_min), so a stale read can only delay cancellation, never
-    // cancel work that the serial driver would have performed.
-    let min_failed = AtomicUsize::new(usize::MAX);
-    let collected: Mutex<Vec<(usize, Outcome)>> = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut local: Vec<(usize, Outcome)> = Vec::new();
-                loop {
-                    let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    if policy.fail_fast && min_failed.load(Ordering::Relaxed) < start {
-                        // Everything from here on is beyond the truncation
-                        // point; the cursor only grows, so stop entirely.
-                        break;
-                    }
-                    let end = (start + CHUNK).min(n);
-                    for (off, s) in samples[start..end].iter().enumerate() {
-                        let idx = start + off;
-                        if policy.fail_fast && idx > min_failed.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        let outcome = evaluate_with_policy(&f, s, policy);
-                        if policy.fail_fast && outcome.status == SampleStatus::Failed {
-                            min_failed.fetch_min(idx, Ordering::Relaxed);
-                        }
-                        local.push((idx, outcome));
-                    }
-                }
-                collected
-                    .lock()
-                    .expect("no worker holds this lock across a panic")
-                    .append(&mut local);
-                linvar_metrics::flush_local();
-            });
-        }
-    });
-
-    let mut slots: Vec<Option<Outcome>> = (0..n).map(|_| None).collect();
-    for (idx, outcome) in collected.into_inner().expect("workers joined") {
-        slots[idx] = Some(outcome);
-    }
-    // Deterministic truncation: cut at the smallest failing index, exactly
-    // where the serial driver stops. Indices at or below the cut are
-    // guaranteed evaluated (cancellation only skips indices strictly
-    // beyond an observed — hence ≥ final — minimum).
-    let truncated_at = if policy.fail_fast {
-        slots
-            .iter()
-            .position(|o| matches!(o, Some(out) if out.status == SampleStatus::Failed))
-    } else {
-        None
+    let spec = RunSpec::plain(threads);
+    let fingerprint = CampaignFingerprint {
+        master_seed: 0,
+        n_samples: samples.len(),
+        policy: spec.policy,
+        model: 0,
     };
-    let keep = truncated_at.map_or(n, |cut| cut + 1);
-    let outcomes = slots
-        .into_iter()
-        .take(keep)
-        .map(|o| o.expect("every index up to the truncation point evaluated"))
-        .collect();
-    MonteCarloResult::from_outcomes(outcomes, truncated_at)
+    execute(samples, &spec, &fingerprint, |s, _attempt| {
+        f(s).map(|v| (v, SampleStatus::Clean))
+    })
+    .expect("a plain run has no snapshot or shard plan that can fail")
 }
 
 #[cfg(test)]
@@ -548,13 +295,35 @@ mod tests {
     use super::*;
     use crate::sampling::{lhs_normal, rng_from_seed};
 
+    /// A policy run through the executor (no persistence, no shards).
+    fn policy_run<S: Sync>(
+        samples: &[S],
+        threads: usize,
+        policy: RecoveryPolicy,
+        f: impl Fn(&S, usize) -> Result<(f64, SampleStatus), String> + Sync,
+    ) -> MonteCarloResult {
+        let spec = RunSpec {
+            threads,
+            policy,
+            ..RunSpec::default()
+        };
+        let fp = CampaignFingerprint {
+            master_seed: 0,
+            n_samples: samples.len(),
+            policy,
+            model: 0,
+        };
+        execute(samples, &spec, &fp, f).unwrap()
+    }
+
     #[test]
     fn linear_function_of_normals() {
         // f(w) = 3 + 2·w0 − w1 with unit normals: mean 3, σ = √5.
         let mut rng = rng_from_seed(77);
         let samples = lhs_normal(&mut rng, 2000, 2, 1.0);
-        let res =
-            monte_carlo::<_, std::convert::Infallible>(&samples, |w| Ok(3.0 + 2.0 * w[0] - w[1]));
+        let res = monte_carlo_par::<_, std::convert::Infallible>(&samples, 1, |w| {
+            Ok(3.0 + 2.0 * w[0] - w[1])
+        });
         assert_eq!(res.failures, 0);
         assert!((res.summary.mean - 3.0).abs() < 0.05);
         assert!((res.summary.std - 5.0_f64.sqrt()).abs() < 0.05);
@@ -563,16 +332,13 @@ mod tests {
     #[test]
     fn failures_are_counted_not_fatal() {
         let samples: Vec<f64> = (0..10).map(|k| k as f64).collect();
-        let res = monte_carlo(
-            &samples,
-            |&x| {
-                if x < 3.0 {
-                    Err("corner failed")
-                } else {
-                    Ok(x)
-                }
-            },
-        );
+        let res = monte_carlo_par(&samples, 1, |&x| {
+            if x < 3.0 {
+                Err("corner failed")
+            } else {
+                Ok(x)
+            }
+        });
         assert_eq!(res.failures, 3);
         assert_eq!(res.values.len(), 7);
         assert_eq!(res.summary.n, 7);
@@ -582,7 +348,7 @@ mod tests {
 
     #[test]
     fn empty_sample_set() {
-        let res = monte_carlo::<f64, &str>(&[], |_| Ok(0.0));
+        let res = monte_carlo_par::<f64, &str>(&[], 1, |_| Ok(0.0));
         assert_eq!(res.summary.n, 0);
         assert_eq!(res.failures, 0);
         assert!(res.first_error.is_none());
@@ -602,8 +368,8 @@ mod tests {
                 Ok((w[0] * 1.5 - w[1]).exp() + w[2])
             }
         };
-        let serial = monte_carlo(&samples, f);
-        for threads in [1, 2, 3, 8] {
+        let serial = monte_carlo_par(&samples, 1, f);
+        for threads in [2, 3, 8] {
             let par = monte_carlo_par(&samples, threads, f);
             assert_eq!(par.values, serial.values, "values at {threads} threads");
             assert_eq!(par.failed_indices, serial.failed_indices);
@@ -665,7 +431,7 @@ mod tests {
                 _ => Err(format!("sample {k} attempt {attempt}")),
             }
         };
-        let res = monte_carlo_with_policy(&samples, policy, f);
+        let res = policy_run(&samples, 1, policy, f);
         assert_eq!(res.health.n_clean, 4);
         assert_eq!(res.health.n_recovered, 4);
         assert_eq!(res.health.n_degraded, 4);
@@ -706,10 +472,10 @@ mod tests {
                 Ok(((w[0] - 0.3 * w[1]).exp(), SampleStatus::Clean))
             }
         };
-        let serial = monte_carlo_with_policy(&samples, policy, f);
+        let serial = policy_run(&samples, 1, policy, f);
         assert!(serial.health.n_recovered > 0, "schedule exercises retries");
-        for threads in [1, 2, 8] {
-            let par = monte_carlo_par_with_policy(&samples, threads, policy, f);
+        for threads in [2, 8] {
+            let par = policy_run(&samples, threads, policy, f);
             assert_eq!(par.values, serial.values, "values at {threads} threads");
             assert_eq!(par.sample_health, serial.sample_health);
             assert_eq!(par.health, serial.health);
@@ -733,12 +499,12 @@ mod tests {
                 Ok((k as f64, SampleStatus::Clean))
             }
         };
-        let serial = monte_carlo_with_policy(&samples, policy, f);
+        let serial = policy_run(&samples, 1, policy, f);
         assert_eq!(serial.truncated_at, Some(73));
         assert_eq!(serial.values.len(), 73);
         assert_eq!(serial.failed_indices, vec![73]);
-        for threads in [1, 2, 8] {
-            let par = monte_carlo_par_with_policy(&samples, threads, policy, f);
+        for threads in [2, 8] {
+            let par = policy_run(&samples, threads, policy, f);
             assert_eq!(par.truncated_at, Some(73), "at {threads} threads");
             assert_eq!(par.values, serial.values);
             assert_eq!(par.failed_indices, serial.failed_indices);
@@ -755,7 +521,7 @@ mod tests {
             allow_fallback: true,
             fail_fast: false,
         };
-        let res = monte_carlo_par_with_policy(
+        let res = policy_run(
             &samples,
             4,
             policy,
@@ -786,8 +552,9 @@ mod tests {
         assert_eq!(policy.attempt_budget(), 1);
         assert!(!policy.is_fallback_attempt(0));
         let samples = [1.0_f64, 2.0, 3.0];
-        let res = monte_carlo_with_policy(
+        let res = policy_run(
             &samples,
+            1,
             policy,
             |&x, _| -> Result<(f64, SampleStatus), String> { Ok((x, SampleStatus::Clean)) },
         );
@@ -796,9 +563,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_drivers_report_clean_health() {
+    fn plain_runs_report_clean_health() {
         let samples: Vec<f64> = (0..6).map(|k| k as f64).collect();
-        let res = monte_carlo(&samples, |&x| if x < 2.0 { Err("corner") } else { Ok(x) });
+        let res = monte_carlo_par(
+            &samples,
+            1,
+            |&x| if x < 2.0 { Err("corner") } else { Ok(x) },
+        );
         assert_eq!(res.health.n_clean, 4);
         assert_eq!(res.health.n_failed, 2);
         assert!(res.truncated_at.is_none());

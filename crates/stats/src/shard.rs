@@ -1,10 +1,10 @@
 //! Sharded campaign supervisor (see DESIGN.md, "Sharding protocol &
 //! merge invariants").
 //!
-//! A campaign's sample range is split into contiguous shards, each run
-//! as a supervised [`run_campaign`] with its own fingerprinted
-//! checkpoint. The supervisor provides the robustness layer the durable
-//! campaign machinery stops short of:
+//! A run whose [`crate::RunSpec`] carries a [`ShardConfig`] has its
+//! sample range split into contiguous shards, each run by the executor
+//! with its own fingerprinted checkpoint. The supervisor provides the
+//! robustness layer the durable campaign machinery stops short of:
 //!
 //! * **heartbeats + watchdog** — every evaluator call ticks a per-shard
 //!   heartbeat; a shard silent past `stall_after` is re-dispatched as a
@@ -18,16 +18,14 @@
 //!   re-dispatch, a shard delivering twice) cannot perturb the result;
 //! * **typed verdicts** — each shard reports a [`ShardVerdict`];
 //!   permanently dead shards surface as `Failed` samples in the merged
-//!   [`HealthSummary`] instead of aborting the whole run.
+//!   health instead of aborting the whole run.
 //!
-//! The merge contract: because every sample outcome is a pure function
-//! of `(sample, attempt)` and the merged aggregation walks global
-//! sample-index order exactly like [`run_campaign`]'s own merge loop,
-//! the merged result is **bitwise-identical to a single-process run at
-//! any shard count and any thread count** — including under every
-//! injected [`ShardFault`].
+//! The merge contract: every sample outcome is a pure function of
+//! `(sample, attempt)`, and the delivered records go through the
+//! executor's own index-ordered merge, so the merged result is
+//! **bitwise-identical to a single-process run at any shard count and
+//! any thread count** — including under every injected [`ShardFault`].
 
-use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -36,11 +34,10 @@ use std::time::{Duration, Instant};
 use linvar_metrics::{Counter, Phase};
 
 use crate::campaign::{
-    fingerprint_words, load_checkpoint, run_campaign, CampaignConfig, CampaignFingerprint,
-    CampaignResult, CampaignVerdict, CheckpointError,
+    fingerprint_words, load_checkpoint, CampaignConfig, CampaignFingerprint, SampleRecord,
 };
-use crate::montecarlo::{HealthSummary, RecoveryPolicy, SampleHealth, SampleStatus};
-use crate::summary::Summary;
+use crate::executor::{run_range, Eval, RunError};
+use crate::montecarlo::{MonteCarloResult, RecoveryPolicy, SampleStatus};
 
 /// Contiguous near-equal split of `n_samples` into shards. The first
 /// `n_samples % n_shards` shards hold one extra sample, so the plan is
@@ -49,15 +46,14 @@ use crate::summary::Summary;
 /// same ranges independently.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
-    n_samples: usize,
     ranges: Vec<(usize, usize)>,
 }
 
 impl ShardPlan {
     /// Splits `n_samples` into `n_shards` contiguous ranges.
-    pub fn new(n_samples: usize, n_shards: usize) -> Result<Self, ShardError> {
+    pub fn new(n_samples: usize, n_shards: usize) -> Result<Self, RunError> {
         if n_shards == 0 {
-            return Err(ShardError::Plan {
+            return Err(RunError::Plan {
                 reason: "shard count must be at least 1".into(),
             });
         }
@@ -70,7 +66,7 @@ impl ShardPlan {
             ranges.push((at, at + len));
             at += len;
         }
-        Ok(Self { n_samples, ranges })
+        Ok(Self { ranges })
     }
 
     /// Number of shards in the plan.
@@ -78,51 +74,9 @@ impl ShardPlan {
         self.ranges.len()
     }
 
-    /// Total samples covered by the plan.
-    pub fn n_samples(&self) -> usize {
-        self.n_samples
-    }
-
     /// Half-open global sample range `[start, end)` of shard `k`.
     pub fn range(&self, k: usize) -> (usize, usize) {
         self.ranges[k]
-    }
-
-    /// Shard owning global sample index `idx`.
-    pub fn shard_of(&self, idx: usize) -> usize {
-        self.ranges
-            .iter()
-            .position(|&(s, e)| idx >= s && idx < e)
-            .expect("index inside the planned sample range")
-    }
-}
-
-/// Typed error of the sharding layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardError {
-    /// The shard plan or supervisor configuration is unusable.
-    Plan {
-        /// What was wrong with it.
-        reason: String,
-    },
-    /// A shard checkpoint operation failed.
-    Checkpoint(CheckpointError),
-}
-
-impl Display for ShardError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardError::Plan { reason } => write!(f, "shard plan error: {reason}"),
-            ShardError::Checkpoint(e) => write!(f, "shard checkpoint error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ShardError {}
-
-impl From<CheckpointError> for ShardError {
-    fn from(e: CheckpointError) -> Self {
-        ShardError::Checkpoint(e)
     }
 }
 
@@ -217,6 +171,11 @@ pub struct ShardConfig {
     /// Injected faults: `(shard index, fault)`, fired once on that
     /// shard's first attempt.
     pub faults: Vec<(usize, ShardFault)>,
+    /// Process-per-shard mode: run only this shard of the plan, with no
+    /// supervisor, and leave its snapshot under `checkpoint` as the
+    /// output. A later run over the same prefix with `resume: true`
+    /// merges the per-process snapshots without re-evaluating anything.
+    pub shard_index: Option<usize>,
 }
 
 impl Default for ShardConfig {
@@ -232,6 +191,7 @@ impl Default for ShardConfig {
             poll_interval: Duration::from_millis(10),
             checkpoint_every: 0,
             faults: Vec::new(),
+            shard_index: None,
         }
     }
 }
@@ -285,64 +245,12 @@ pub fn shard_fingerprint(
     }
 }
 
-/// Result of a supervised sharded campaign. The statistical fields
-/// (`values` through `health`) obey the bitwise-identity contract with
-/// a single-process [`run_campaign`]; the bookkeeping fields
-/// (`completed`/`resumed`/`evaluated`/`checkpoints_written`) count real
-/// work done, which under faults legitimately exceeds the
-/// single-process figures (a killed-then-retried shard really did
-/// evaluate some samples twice).
-#[derive(Debug, Clone)]
-pub struct ShardedCampaignResult {
-    /// Successful sample values in global index order.
-    pub values: Vec<f64>,
-    /// Summary statistics of `values`.
-    pub summary: Summary,
-    /// Number of failed samples (including dead-shard fills).
-    pub failures: usize,
-    /// Global indices of the failed samples, ascending.
-    pub failed_indices: Vec<usize>,
-    /// Diagnostic of the failure with the smallest **global** sample
-    /// index — not the smallest per-shard index.
-    pub first_error: Option<String>,
-    /// Per-sample status and attempts, in global index order.
-    pub sample_health: Vec<SampleHealth>,
-    /// Run-level tally of `sample_health`; permanently dead shards
-    /// appear here as `Failed` samples.
-    pub health: HealthSummary,
-    /// Samples delivered by shard attempts (== `n` when no shard died).
-    pub completed: usize,
-    /// Samples restored from shard snapshots instead of evaluated,
-    /// summed over every shard attempt.
-    pub resumed: usize,
-    /// Samples actually evaluated, summed over every shard attempt
-    /// (including attempts that later died).
-    pub evaluated: usize,
-    /// Shard snapshots written across all attempts.
-    pub checkpoints_written: usize,
-    /// Per-shard verdicts, in shard order.
-    pub shards: Vec<ShardVerdict>,
-}
-
-/// One sample's merged outcome. Error strings are not kept per sample
-/// — the merged `first_error` is reconstructed from the owning shard's
-/// own `first_error` (valid because shard ranges are contiguous: the
-/// globally lowest failing index inside a shard is also that shard's
-/// lowest).
-#[derive(Clone)]
-struct MergedSample {
-    status: SampleStatus,
-    attempts: usize,
-    value: Option<f64>,
-}
-
-/// Merge ledger: first-writer-wins sample slots plus per-shard
+/// Merge ledger: first-writer-wins sample records plus per-shard
 /// delivery state, all under one mutex (deliveries are rare and
 /// coarse; contention is not a concern).
 struct MergeState {
-    slots: Vec<Option<MergedSample>>,
+    slots: Vec<Option<SampleRecord>>,
     delivered: Vec<bool>,
-    shard_errors: Vec<Option<String>>,
     merged: usize,
     resumed: usize,
     evaluated: usize,
@@ -354,7 +262,6 @@ impl MergeState {
         MergeState {
             slots: vec![None; n_samples],
             delivered: vec![false; n_shards],
-            shard_errors: vec![None; n_shards],
             merged: 0,
             resumed: 0,
             evaluated: 0,
@@ -363,34 +270,19 @@ impl MergeState {
     }
 
     /// Books the work a shard attempt did, delivered or not.
-    fn account(&mut self, result: &CampaignResult) {
-        self.resumed += result.resumed;
-        self.evaluated += result.evaluated;
-        self.checkpoints_written += result.checkpoints_written;
+    fn account(&mut self, attempt: &MonteCarloResult) {
+        self.resumed += attempt.resumed;
+        self.evaluated += attempt.evaluated;
+        self.checkpoints_written += attempt.checkpoints_written;
     }
 
-    /// Delivers a completed shard result into the global slots,
+    /// Delivers a completed shard's records into the global slots,
     /// first writer wins per sample index.
-    fn deliver(&mut self, shard: usize, start: usize, result: &CampaignResult) {
-        let mut vi = 0;
-        let mut fi = 0;
-        for sh in &result.sample_health {
-            let failed = fi < result.failed_indices.len() && result.failed_indices[fi] == sh.index;
-            let value = if failed {
-                fi += 1;
-                None
-            } else {
-                let v = result.values[vi];
-                vi += 1;
-                Some(v)
-            };
-            let slot = &mut self.slots[start + sh.index];
+    fn deliver(&mut self, shard: usize, start: usize, records: &[Option<SampleRecord>]) {
+        for (local, rec) in records.iter().enumerate() {
+            let slot = &mut self.slots[start + local];
             if slot.is_none() {
-                *slot = Some(MergedSample {
-                    status: sh.status,
-                    attempts: sh.attempts,
-                    value,
-                });
+                *slot = rec.clone();
                 self.merged += 1;
                 linvar_metrics::incr(Counter::ShardMergedSamples);
             } else {
@@ -399,7 +291,6 @@ impl MergeState {
         }
         if !self.delivered[shard] {
             self.delivered[shard] = true;
-            self.shard_errors[shard] = result.first_error.clone();
             linvar_metrics::incr(Counter::ShardsCompleted);
         }
     }
@@ -434,50 +325,44 @@ struct ControllerOutcome {
     last_err: Option<String>,
 }
 
-/// Runs a campaign split into supervised shards and merges the shard
-/// results into a [`ShardedCampaignResult`] that is bitwise-identical
-/// to a single-process [`run_campaign`] over the same samples — at any
-/// shard count, any thread count, and under every [`ShardFault`].
+/// Runs `samples` split into supervised shards (or, with
+/// `config.shard_index`, exactly one shard) and merges the shard results
+/// into one [`MonteCarloResult`] that is bitwise-identical to a
+/// single-process run over the same samples — at any shard count, any
+/// thread count, and under every [`ShardFault`].
 ///
 /// `threads` is the worker count *per shard attempt* (shards run
-/// concurrently; correctness never depends on the schedule).
+/// concurrently; correctness never depends on the schedule). The policy's
+/// `fail_fast` is ignored: a dead sample is quarantined, never a reason
+/// to stop the other shards.
 ///
-/// # Errors
-///
-/// Only plan-level problems (`n_shards == 0`, fingerprint/sample-count
-/// disagreement) error out. Shard deaths do not: a shard that exhausts
-/// its retry ladder surfaces as `Failed` samples in the merged health,
-/// with a [`ShardOutcome::Failed`] verdict.
-pub fn run_sharded_campaign<S, E>(
+/// Only plan-level problems error out. Shard deaths do not: a shard that
+/// exhausts its retry ladder surfaces as `Failed` samples in the merged
+/// health, with a [`ShardOutcome::Failed`] verdict.
+pub(crate) fn supervise<S: Sync>(
     samples: &[S],
     threads: usize,
     policy: RecoveryPolicy,
     config: &ShardConfig,
     fingerprint: &CampaignFingerprint,
-    f: impl Fn(&S, usize) -> Result<(f64, SampleStatus), E> + Sync,
-) -> Result<ShardedCampaignResult, ShardError>
-where
-    S: Sync,
-    E: Display,
-{
+    f: &Eval<'_, S>,
+) -> Result<MonteCarloResult, RunError> {
     let n = samples.len();
-    if fingerprint.n_samples != n {
-        return Err(ShardError::Plan {
-            reason: format!(
-                "fingerprint says {} samples but {} were provided",
-                fingerprint.n_samples, n
-            ),
-        });
-    }
     let plan = ShardPlan::new(n, config.n_shards)?;
     let n_shards = plan.n_shards();
+    let policy = RecoveryPolicy {
+        fail_fast: false,
+        ..policy
+    };
+    if let Some(k) = config.shard_index {
+        return run_one(samples, threads, policy, config, fingerprint, k, f);
+    }
     let start_time = Instant::now();
 
     let states: Vec<ShardState> = (0..n_shards).map(|_| ShardState::new()).collect();
     let merge = Mutex::new(MergeState::new(n, n_shards));
     let outcomes: Mutex<Vec<ControllerOutcome>> =
         Mutex::new(vec![ControllerOutcome::default(); n_shards]);
-    let f = &f;
     let plan_ref = &plan;
     let states_ref = &states;
     let merge_ref = &merge;
@@ -525,16 +410,14 @@ where
             })
             .flatten();
 
-        // Pre-validate a resume candidate so a corrupted snapshot costs
-        // one rejection (deleted, then a from-scratch run) instead of
-        // failing every attempt of the ladder.
+        // Pre-validate a resume candidate: a damaged or foreign snapshot
+        // costs one deletion and a from-scratch attempt, not the whole
+        // ladder.
         let mut resume = None;
         if resume_allowed {
             if let Some(p) = ckpt.as_ref().filter(|p| p.exists()) {
-                match load_checkpoint(p).and_then(|ck| ck.validate(&shard_fp)) {
-                    Ok(()) => resume = Some(p.clone()),
-                    // A damaged or foreign snapshot costs one deletion
-                    // and a from-scratch attempt, not the whole ladder.
+                match load_checkpoint(p, &shard_fp) {
+                    Ok(_) => resume = Some(p.clone()),
                     Err(_) => {
                         let _ = std::fs::remove_file(p);
                     }
@@ -546,10 +429,8 @@ where
             checkpoint: ckpt.clone(),
             resume,
             checkpoint_every: config.checkpoint_every,
-            deadline: None,
-            sample_timeout: None,
             sample_budget: kill_after,
-            cancel: None,
+            ..CampaignConfig::default()
         };
 
         // Heartbeat-wrapped evaluator: every sample entry and exit
@@ -563,16 +444,20 @@ where
             r
         };
 
-        let result = run_campaign(
+        let ran = run_range(
             &samples[start..end],
             threads,
             policy,
             &campaign_config,
-            shard_fp,
-            wrapped,
+            &shard_fp,
+            &wrapped,
         )
         .map_err(|e| format!("shard {k} campaign error: {e}"))?;
-        merge_ref.lock().expect("shard merge lock").account(&result);
+        let attempt = ran.result();
+        merge_ref
+            .lock()
+            .expect("shard merge lock")
+            .account(&attempt);
 
         // Fault post-processing: the injected deaths happen *after* the
         // truncated run, simulating a worker crash at that point.
@@ -604,16 +489,16 @@ where
             }
             _ => {}
         }
-        if let CampaignVerdict::Truncated { remaining } = result.verdict {
+        if let crate::CampaignVerdict::Truncated { remaining } = attempt.verdict {
             return Err(format!(
                 "shard {k} truncated with {remaining} samples remaining"
             ));
         }
 
         let mut ledger = merge_ref.lock().expect("shard merge lock");
-        ledger.deliver(k, start, &result);
+        ledger.deliver(k, start, &ran.records);
         if matches!(fault, Some(ShardFault::DuplicateCompletion)) {
-            ledger.deliver(k, start, &result);
+            ledger.deliver(k, start, &ran.records);
         }
         Ok(())
     };
@@ -624,9 +509,8 @@ where
             let (start, end) = plan.range(k);
             let outcomes = &outcomes;
             scope.spawn(move || {
-                // Controllers run inner campaign merge loops on this
-                // thread; their phase metrics must be folded in before
-                // the scope joins.
+                // Controllers run shard merges on this thread; their
+                // phase metrics must be folded in before the scope joins.
                 let _flush = linvar_metrics::flush_on_drop();
                 let mut outcome = ControllerOutcome::default();
                 if start == end {
@@ -695,23 +579,29 @@ where
         }
     });
 
-    let merge = merge.into_inner().expect("supervisor joined");
+    let mut ledger = merge.into_inner().expect("supervisor joined");
     let outcomes = outcomes.into_inner().expect("supervisor joined");
 
-    // Verdicts + dead-shard fills.
-    let mut slots = merge.slots;
+    // Verdicts + dead-shard fills: a permanently dead shard's samples
+    // enter the merge as failed records carrying its diagnostic.
     let mut shards = Vec::with_capacity(n_shards);
-    let mut dead_msgs: Vec<Option<String>> = vec![None; n_shards];
     for (k, oc) in outcomes.iter().enumerate() {
         let (start, end) = plan.range(k);
-        let outcome = if merge.delivered[k] {
+        let outcome = if ledger.delivered[k] {
             ShardOutcome::Completed
         } else {
             let msg = oc
                 .last_err
                 .clone()
                 .unwrap_or_else(|| "shard never completed".into());
-            dead_msgs[k] = Some(format!("shard {k} dead: {msg}"));
+            let fill = SampleRecord {
+                status: SampleStatus::Failed,
+                attempts: 0,
+                outcome: Err(format!("shard {k} dead: {msg}")),
+            };
+            for slot in &mut ledger.slots[start..end] {
+                slot.get_or_insert_with(|| fill.clone());
+            }
             ShardOutcome::Failed(msg)
         };
         shards.push(ShardVerdict {
@@ -722,110 +612,34 @@ where
             redispatched: states[k].redispatched.load(Ordering::Relaxed),
             outcome,
         });
-        if dead_msgs[k].is_some() {
-            for slot in &mut slots[start..end] {
-                if slot.is_none() {
-                    *slot = Some(MergedSample {
-                        status: SampleStatus::Failed,
-                        attempts: 0,
-                        value: None,
-                    });
-                }
-            }
-        }
     }
 
-    // Final aggregation: global sample-index order, exactly the merge
-    // loop of `run_campaign` (which is what makes the result bitwise-
-    // identical to a single-process run). The `mc.*` counters are NOT
-    // re-counted here — each shard's inner campaign already counted its
-    // own merge.
-    let mut values = Vec::with_capacity(n);
-    let mut failed_indices = Vec::new();
-    let mut first_error: Option<String> = None;
-    let mut sample_health = Vec::with_capacity(n);
-    let mut health = HealthSummary::default();
-    for (idx, slot) in slots.iter().enumerate() {
-        let s = slot
-            .as_ref()
-            .expect("every slot filled after dead-shard fill");
-        health.count(s.status);
-        sample_health.push(SampleHealth {
-            index: idx,
-            status: s.status,
-            attempts: s.attempts,
-        });
-        match s.value {
-            Some(v) => values.push(v),
-            None => {
-                if first_error.is_none() {
-                    let k = plan.shard_of(idx);
-                    first_error = Some(match &dead_msgs[k] {
-                        Some(m) => m.clone(),
-                        // Contiguous ranges: the globally lowest failing
-                        // index in shard k is also shard k's first
-                        // failure, so its message is exact.
-                        None => merge.shard_errors[k]
-                            .clone()
-                            .unwrap_or_else(|| "sample failed".into()),
-                    });
-                }
-                failed_indices.push(idx);
-            }
-        }
-    }
-    let summary = Summary::of(&values);
-    Ok(ShardedCampaignResult {
-        values,
-        summary,
-        failures: failed_indices.len(),
-        failed_indices,
-        first_error,
-        sample_health,
-        health,
-        completed: merge.merged,
-        resumed: merge.resumed,
-        evaluated: merge.evaluated,
-        checkpoints_written: merge.checkpoints_written,
-        shards,
-    })
+    // The executor's own index-ordered merge over global indices. The
+    // `mc.*` counters are NOT recorded again here — each shard attempt
+    // already counted its own samples.
+    let mut res = MonteCarloResult::merge(&ledger.slots, false);
+    res.completed = ledger.merged;
+    res.resumed = ledger.resumed;
+    res.evaluated = ledger.evaluated;
+    res.checkpoints_written = ledger.checkpoints_written;
+    res.shards = shards;
+    Ok(res)
 }
 
-/// Runs exactly one shard of the plan — the process-per-shard entry
-/// point behind the bench bins' `--shard-index` flag. The shard's
-/// snapshot is written under the configured prefix; a later
-/// [`run_sharded_campaign`] with `resume: true` merges the per-shard
-/// snapshots without re-evaluating anything.
-///
-/// # Errors
-///
-/// Plan problems, a missing checkpoint prefix, and the shard campaign's
-/// own checkpoint errors.
-pub fn run_shard_worker<S, E>(
+/// Process-per-shard mode: runs exactly shard `k` of the plan and leaves
+/// its snapshot under the configured prefix as the output.
+fn run_one<S: Sync>(
     samples: &[S],
     threads: usize,
     policy: RecoveryPolicy,
     config: &ShardConfig,
     fingerprint: &CampaignFingerprint,
     k: usize,
-    f: impl Fn(&S, usize) -> Result<(f64, SampleStatus), E> + Sync,
-) -> Result<CampaignResult, ShardError>
-where
-    S: Sync,
-    E: Display,
-{
-    let n = samples.len();
-    if fingerprint.n_samples != n {
-        return Err(ShardError::Plan {
-            reason: format!(
-                "fingerprint says {} samples but {} were provided",
-                fingerprint.n_samples, n
-            ),
-        });
-    }
-    let plan = ShardPlan::new(n, config.n_shards)?;
+    f: &Eval<'_, S>,
+) -> Result<MonteCarloResult, RunError> {
+    let plan = ShardPlan::new(samples.len(), config.n_shards)?;
     if k >= plan.n_shards() {
-        return Err(ShardError::Plan {
+        return Err(RunError::Plan {
             reason: format!(
                 "shard index {k} out of range (plan has {})",
                 plan.n_shards()
@@ -833,7 +647,7 @@ where
         });
     }
     let Some(prefix) = config.checkpoint.as_ref() else {
-        return Err(ShardError::Plan {
+        return Err(RunError::Plan {
             reason: "a shard worker requires a checkpoint prefix (its snapshot IS its output)"
                 .into(),
         });
@@ -845,23 +659,20 @@ where
         checkpoint: Some(path.clone()),
         resume: (config.resume && path.exists()).then(|| path.clone()),
         checkpoint_every: config.checkpoint_every,
-        deadline: None,
-        sample_timeout: None,
-        sample_budget: None,
-        cancel: None,
+        ..CampaignConfig::default()
     };
     linvar_metrics::incr(Counter::ShardsLaunched);
     let _span = linvar_metrics::timer(Phase::ShardRun);
-    let result = run_campaign(
+    let ran = run_range(
         &samples[start..end],
         threads,
         policy,
         &campaign_config,
-        shard_fp,
+        &shard_fp,
         f,
     )?;
     linvar_metrics::incr(Counter::ShardsCompleted);
-    Ok(result)
+    Ok(ran.result())
 }
 
 /// Flips one byte in the middle of a file (fault injection helper).
@@ -878,8 +689,24 @@ fn corrupt_one_byte(path: &Path) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::save_checkpoint;
+    use crate::campaign::{run_campaign, save_checkpoint, CheckpointError};
+    use crate::executor::{execute, RunSpec};
     use std::sync::atomic::AtomicUsize;
+
+    /// A sharded run through the executor.
+    fn sharded(
+        samples: &[usize],
+        threads: usize,
+        config: &ShardConfig,
+        fp: &CampaignFingerprint,
+    ) -> Result<MonteCarloResult, RunError> {
+        let spec = RunSpec {
+            threads,
+            shards: Some(config.clone()),
+            ..RunSpec::default()
+        };
+        execute(samples, &spec, fp, synth)
+    }
 
     fn tmp_prefix(tag: &str) -> PathBuf {
         static SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -922,16 +749,13 @@ mod tests {
         assert_eq!(plan.range(0), (0, 4));
         assert_eq!(plan.range(1), (4, 7));
         assert_eq!(plan.range(2), (7, 10));
-        assert_eq!(plan.shard_of(0), 0);
-        assert_eq!(plan.shard_of(6), 1);
-        assert_eq!(plan.shard_of(9), 2);
         // More shards than samples: trailing shards are empty.
         let wide = ShardPlan::new(2, 4).expect("plan");
         assert_eq!(wide.range(0), (0, 1));
         assert_eq!(wide.range(1), (1, 2));
         assert_eq!(wide.range(2), (2, 2));
         assert_eq!(wide.range(3), (2, 2));
-        assert!(matches!(ShardPlan::new(5, 0), Err(ShardError::Plan { .. })));
+        assert!(matches!(ShardPlan::new(5, 0), Err(RunError::Plan { .. })));
     }
 
     #[test]
@@ -945,15 +769,7 @@ mod tests {
             n_shards: 2,
             ..ShardConfig::default()
         };
-        let res = run_sharded_campaign(
-            &samples,
-            2,
-            RecoveryPolicy::default(),
-            &config,
-            &base_fp(8),
-            synth,
-        )
-        .expect("sharded run");
+        let res = sharded(&samples, 2, &config, &base_fp(8)).expect("sharded run");
         assert_eq!(res.failed_indices, vec![3, 5]);
         assert_eq!(res.first_error.as_deref(), Some("boom at three"));
 
@@ -981,10 +797,9 @@ mod tests {
         // refused when validated as shard 1.
         let path = tmp_prefix("foreign").with_extension("ckpt");
         save_checkpoint(&path, &fp0, &vec![None; 4]).expect("write");
-        let ck = load_checkpoint(&path).expect("load");
-        assert!(ck.validate(&fp0).is_ok());
+        assert!(load_checkpoint(&path, &fp0).is_ok());
         assert!(matches!(
-            ck.validate(&fp1),
+            load_checkpoint(&path, &fp1),
             Err(CheckpointError::FingerprintMismatch { .. })
         ));
         let _ = std::fs::remove_file(&path);
@@ -997,15 +812,7 @@ mod tests {
             n_shards: 4,
             ..ShardConfig::default()
         };
-        let res = run_sharded_campaign(
-            &samples,
-            1,
-            RecoveryPolicy::default(),
-            &config,
-            &base_fp(2),
-            synth,
-        )
-        .expect("sharded run");
+        let res = sharded(&samples, 1, &config, &base_fp(2)).expect("sharded run");
         assert_eq!(res.values.len(), 2);
         assert_eq!(res.shards.len(), 4);
         assert!(res
@@ -1027,15 +834,7 @@ mod tests {
             faults: vec![(1, ShardFault::KillBeforeCheckpoint)],
             ..ShardConfig::default()
         };
-        let res = run_sharded_campaign(
-            &samples,
-            1,
-            RecoveryPolicy::default(),
-            &config,
-            &base_fp(8),
-            synth,
-        )
-        .expect("sharded run");
+        let res = sharded(&samples, 1, &config, &base_fp(8)).expect("sharded run");
         assert_eq!(res.health.n_failed, 4);
         assert_eq!(res.failed_indices, vec![4, 5, 6, 7]);
         let msg = res.first_error.expect("dead-shard diagnostic");
@@ -1050,47 +849,28 @@ mod tests {
         let samples: Vec<usize> = (0..4).collect();
         let config = ShardConfig {
             n_shards: 2,
+            shard_index: Some(0),
             ..ShardConfig::default()
         };
         assert!(matches!(
-            run_shard_worker(
-                &samples,
-                1,
-                RecoveryPolicy::default(),
-                &config,
-                &base_fp(4),
-                0,
-                synth,
-            ),
-            Err(ShardError::Plan { .. })
+            sharded(&samples, 1, &config, &base_fp(4)),
+            Err(RunError::Plan { .. })
         ));
         let with_ckpt = ShardConfig {
             checkpoint: Some(tmp_prefix("worker")),
+            shard_index: Some(5),
             ..config
         };
         assert!(matches!(
-            run_shard_worker(
-                &samples,
-                1,
-                RecoveryPolicy::default(),
-                &with_ckpt,
-                &base_fp(4),
-                5,
-                synth,
-            ),
-            Err(ShardError::Plan { .. })
+            sharded(&samples, 1, &with_ckpt, &base_fp(4)),
+            Err(RunError::Plan { .. })
         ));
         let prefix = with_ckpt.checkpoint.clone().expect("prefix");
-        let res = run_shard_worker(
-            &samples,
-            1,
-            RecoveryPolicy::default(),
-            &with_ckpt,
-            &base_fp(4),
-            1,
-            synth,
-        )
-        .expect("worker run");
+        let worker = ShardConfig {
+            shard_index: Some(1),
+            ..with_ckpt
+        };
+        let res = sharded(&samples, 1, &worker, &base_fp(4)).expect("worker run");
         assert_eq!(res.values.len(), 1); // local samples 2,3 — 3 fails
         assert!(shard_checkpoint_path(&prefix, 1, 2).exists());
         cleanup(&prefix, 2);

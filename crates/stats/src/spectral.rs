@@ -18,10 +18,9 @@
 //!
 //! A [`SpectralPlan`] is a *deterministic* object: its node set and
 //! basis are pure functions of `(dims, SpectralConfig)` — no seeds —
-//! so a spectral campaign rides the existing stack unchanged. Nodes
-//! are evaluated through the recovery-policy attempt ladder by
-//! [`run_spectral`] (deterministic parallel driver, index-ordered
-//! merge) or [`run_spectral_campaign`] (durable checkpoints keyed by a
+//! so its nodes are just another indexed sample set for the executor.
+//! [`run_spectral`] evaluates them through [`crate::execute`] under any
+//! [`RunSpec`] (attempt ladder, workers, durable checkpoints keyed by a
 //! [`CampaignFingerprint`] extended with [`SpectralPlan::fingerprint`]),
 //! and the coefficient solve, moments and surrogate quantiles are
 //! computed post-merge in one fixed summation order — bitwise-identical
@@ -30,12 +29,10 @@
 //! determinism contract").
 
 use crate::campaign::{
-    fingerprint_str, fingerprint_words, run_campaign, CampaignConfig, CampaignFingerprint,
-    CampaignVerdict, CheckpointError,
+    fingerprint_str, fingerprint_words, CampaignFingerprint, CampaignVerdict, CheckpointError,
 };
-use crate::montecarlo::{
-    monte_carlo_par_with_policy, HealthSummary, RecoveryPolicy, SampleHealth, SampleStatus,
-};
+use crate::executor::{execute, RunError, RunSpec};
+use crate::montecarlo::{MonteCarloResult, SampleStatus};
 use crate::sampling::lhs_normal_streamed;
 use crate::summary::Summary;
 use linvar_numeric::{LuFactor, Matrix};
@@ -689,8 +686,8 @@ fn stochastic_testing_nodes(
 
 // --------------------------------------------------------------- driver
 
-/// One completed spectral run: the coefficients, the moments they
-/// imply, and deterministic surrogate quantiles.
+/// The spectral estimate of a completed node grid: the coefficients, the
+/// moments they imply, and deterministic surrogate quantiles.
 #[derive(Debug, Clone)]
 pub struct SpectralResult {
     /// gPC coefficients, basis order.
@@ -706,147 +703,83 @@ pub struct SpectralResult {
     /// Statistics of the deterministic surrogate sample (its mean/std
     /// converge on `mean`/`std`; `min`/`max` bound the surrogate).
     pub surrogate_summary: Summary,
-    /// Raw model values at the plan's nodes, node order.
-    pub node_values: Vec<f64>,
-    /// Nodes evaluated (== the plan's node count on success).
+    /// Nodes evaluated (the plan's node count).
     pub nodes_evaluated: usize,
-    /// Per-node status and attempt count, node order.
-    pub sample_health: Vec<SampleHealth>,
-    /// Run-level health tally over the nodes.
-    pub health: HealthSummary,
 }
 
-/// Evaluates a plan's nodes through the deterministic parallel driver
-/// with the recovery-policy attempt ladder, then solves for the
-/// coefficients, moments and quantiles. `f` is the model: a pure
-/// function of `(node, attempt)` exactly as in the Monte-Carlo
-/// drivers. `surrogate_seed` seeds only the quantile sample — the node
-/// set is seed-free.
-///
-/// Bitwise-deterministic at any `threads`.
-///
-/// # Errors
-///
-/// [`SpectralError::NodeFailures`] when any node exhausts its attempt
-/// budget, plus every [`SpectralPlan::coefficients`] error.
-pub fn run_spectral<E: fmt::Display>(
-    plan: &SpectralPlan,
-    threads: usize,
-    policy: RecoveryPolicy,
-    surrogate_seed: u64,
-    f: impl Fn(&[f64], usize) -> Result<(f64, SampleStatus), E> + Sync,
-) -> Result<SpectralResult, SpectralError> {
-    let res = monte_carlo_par_with_policy(&plan.nodes, threads, policy, |node: &Vec<f64>, a| {
-        f(node, a).map_err(|e| e.to_string())
-    });
-    if res.failures > 0 {
-        return Err(SpectralError::NodeFailures {
-            failed: res.failures,
-            first_error: res.first_error,
-        });
-    }
-    finish(
-        plan,
-        res.values,
-        res.sample_health,
-        res.health,
-        surrogate_seed,
-    )
-}
-
-/// A durable spectral campaign's outcome: the spectral result when the
-/// grid completed, plus the campaign bookkeeping either way.
+/// One spectral run: the executor's record of the node evaluations plus,
+/// once every node has completed, the spectral estimate.
 #[derive(Debug, Clone)]
-pub struct SpectralCampaignResult {
-    /// The completed spectral result; `None` when the campaign was
-    /// truncated mid-grid (resume to finish).
+pub struct SpectralRun {
+    /// Node outcomes in node order: raw model values, per-node health,
+    /// verdict and campaign bookkeeping. Its `summary` covers the raw
+    /// node values — diagnostic only, since nodes are quadrature
+    /// samples, not draws.
+    pub nodes: MonteCarloResult,
+    /// The estimate; `None` when the run was truncated mid-grid (deadline,
+    /// budget or cancel — resume to finish).
     pub result: Option<SpectralResult>,
-    /// Statistics over the raw completed node values (partial when
-    /// truncated). Diagnostic only — the spectral estimates live in
-    /// `result` (node values are quadrature samples, not draws).
-    pub node_summary: Summary,
-    /// Complete, or truncated-but-resumable.
-    pub verdict: CampaignVerdict,
-    /// Completed nodes (resumed + evaluated this run).
-    pub completed: usize,
-    /// Nodes restored from the resume snapshot.
-    pub resumed: usize,
-    /// Nodes evaluated in this run.
-    pub evaluated: usize,
-    /// Snapshots written in this run.
-    pub checkpoints_written: usize,
 }
 
-/// The durable-campaign spectral driver: evaluates the plan's nodes
-/// under [`run_campaign`] (atomic checksummed checkpoints, fingerprint-
-/// validated resume, deadline/budget truncation), then finishes exactly
-/// as [`run_spectral`]. The checkpoint fingerprint is the caller's
-/// `(master_seed, model_fingerprint, policy)` **extended with the
-/// plan's own fingerprint** — a snapshot taken under one grid/basis
-/// refuses to resume under another, and `n_samples` is pinned to the
-/// plan's node count.
+/// Evaluates a plan's nodes through the executor under `spec`, then
+/// solves for the coefficients, moments and quantiles. `f` is the model:
+/// a pure function of `(node, attempt)` exactly as for the executor.
 ///
-/// Kill-and-resume is bitwise-exact: nodes are pure functions of the
-/// plan, the merge is index-ordered, and the coefficient solve runs
-/// only on a complete grid.
+/// `fingerprint` is the caller's campaign identity; the run's
+/// checkpoints are keyed by it **extended with the plan's own
+/// fingerprint** and `n_samples` pinned to the node count, so a snapshot
+/// taken under one grid/basis refuses to resume under another. Its
+/// `master_seed` seeds only the surrogate quantile sample — the node set
+/// is seed-free.
+///
+/// Bitwise-deterministic at any thread count, and kill-and-resume is
+/// bitwise-exact: the coefficient solve runs only on a complete grid.
 ///
 /// # Errors
 ///
 /// [`SpectralRunError::Checkpoint`] for checkpoint load/validation/
-/// write failures (including fingerprint-mismatch refusal on resume),
-/// [`SpectralRunError::Spectral`] for node failures and coefficient-
-/// solve failures. A deadline/budget truncation is not an error: it
-/// returns `Ok` with `result: None` and a `Truncated` verdict.
-pub fn run_spectral_campaign<E: fmt::Display>(
+/// write failures (including fingerprint-mismatch refusal on resume);
+/// [`SpectralRunError::Spectral`] with [`SpectralError::NodeFailures`]
+/// when a node exhausts its attempt budget (a spectral rule cannot
+/// quarantine a node), plus every [`SpectralPlan::coefficients`] error.
+/// A deadline/budget/cancel truncation is not an error: it returns `Ok`
+/// with `result: None` and a `Truncated` verdict.
+pub fn run_spectral<E: fmt::Display>(
     plan: &SpectralPlan,
-    threads: usize,
-    policy: RecoveryPolicy,
-    config: &CampaignConfig,
-    master_seed: u64,
-    model_fingerprint: u64,
+    spec: &RunSpec,
+    fingerprint: &CampaignFingerprint,
     f: impl Fn(&[f64], usize) -> Result<(f64, SampleStatus), E> + Sync,
-) -> Result<SpectralCampaignResult, SpectralRunError> {
+) -> Result<SpectralRun, SpectralRunError> {
     let fingerprint = CampaignFingerprint {
-        master_seed,
+        master_seed: fingerprint.master_seed,
         n_samples: plan.nodes.len(),
-        policy,
-        model: fingerprint_words([model_fingerprint, plan.fingerprint()]),
+        policy: fingerprint.policy,
+        model: fingerprint_words([fingerprint.model, plan.fingerprint()]),
     };
-    let res = run_campaign(
-        &plan.nodes,
-        threads,
-        policy,
-        config,
-        fingerprint,
-        |node: &Vec<f64>, a| f(node, a).map_err(|e| e.to_string()),
-    )
-    .map_err(SpectralRunError::Checkpoint)?;
-    let node_summary = res.summary;
-    let bookkeeping = |result| SpectralCampaignResult {
-        result,
-        node_summary,
-        verdict: res.verdict,
-        completed: res.completed,
-        resumed: res.resumed,
-        evaluated: res.evaluated,
-        checkpoints_written: res.checkpoints_written,
-    };
-    if matches!(res.verdict, CampaignVerdict::Truncated { .. }) {
-        return Ok(bookkeeping(None));
-    }
-    if res.failures > 0 {
+    let nodes = execute(&plan.nodes, spec, &fingerprint, |node: &Vec<f64>, a| {
+        f(node, a)
+    })
+    .map_err(|e| match e {
+        RunError::Checkpoint(e) => SpectralRunError::Checkpoint(e),
+        RunError::Plan { reason } => SpectralRunError::Spectral(SpectralError::BadConfig(reason)),
+    })?;
+    let complete = nodes.verdict == CampaignVerdict::Complete;
+    if nodes.failures > 0 && (complete || nodes.truncated_at.is_some()) {
         return Err(SpectralRunError::Spectral(SpectralError::NodeFailures {
-            failed: res.failures,
-            first_error: res.first_error,
+            failed: nodes.failures,
+            first_error: nodes.first_error,
         }));
     }
-    let spectral = finish(plan, res.values, res.sample_health, res.health, master_seed)
-        .map_err(SpectralRunError::Spectral)?;
-    Ok(bookkeeping(Some(spectral)))
+    let result = if complete {
+        Some(finish(plan, &nodes.values, fingerprint.master_seed)?)
+    } else {
+        None
+    };
+    Ok(SpectralRun { nodes, result })
 }
 
-/// Error of a durable spectral campaign: either the checkpoint layer
-/// or the spectral solve.
+/// Error of a spectral run: either the checkpoint layer or the spectral
+/// solve.
 #[derive(Debug)]
 pub enum SpectralRunError {
     /// Checkpoint load/validation/write failure.
@@ -866,20 +799,24 @@ impl fmt::Display for SpectralRunError {
 
 impl std::error::Error for SpectralRunError {}
 
-/// Shared tail of both drivers: counters, coefficient solve, moments,
+impl From<SpectralError> for SpectralRunError {
+    fn from(e: SpectralError) -> Self {
+        SpectralRunError::Spectral(e)
+    }
+}
+
+/// The post-merge tail: counters, coefficient solve, moments,
 /// deterministic surrogate quantiles. One fixed order throughout.
 fn finish(
     plan: &SpectralPlan,
-    values: Vec<f64>,
-    sample_health: Vec<SampleHealth>,
-    health: HealthSummary,
+    values: &[f64],
     surrogate_seed: u64,
 ) -> Result<SpectralResult, SpectralError> {
     linvar_metrics::count(
         linvar_metrics::Counter::SpectralNodesEvaluated,
         values.len() as u64,
     );
-    let coefficients = plan.coefficients(&values)?;
+    let coefficients = plan.coefficients(values)?;
     let mean = plan.mean(&coefficients);
     let std = plan.std(&coefficients);
     let sample = lhs_normal_streamed(
@@ -907,20 +844,35 @@ fn finish(
         .collect();
     Ok(SpectralResult {
         nodes_evaluated: values.len(),
-        node_values: values,
         coefficients,
         mean,
         std,
         quantiles,
         surrogate_summary,
-        sample_health,
-        health,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::montecarlo::RecoveryPolicy;
+
+    fn spec(threads: usize, policy: RecoveryPolicy) -> RunSpec {
+        RunSpec {
+            threads,
+            policy,
+            ..RunSpec::default()
+        }
+    }
+
+    fn fp(seed: u64, policy: RecoveryPolicy) -> CampaignFingerprint {
+        CampaignFingerprint {
+            master_seed: seed,
+            n_samples: 0,
+            policy,
+            model: 0,
+        }
+    }
 
     #[test]
     fn hermite_recurrence_reference_values() {
@@ -1082,9 +1034,16 @@ mod tests {
                 SampleStatus::Clean,
             ))
         };
-        let base = run_spectral(&plan, 1, RecoveryPolicy::default(), 7, f).unwrap();
+        let policy = RecoveryPolicy::default();
+        let run = |threads| {
+            run_spectral(&plan, &spec(threads, policy), &fp(7, policy), f)
+                .unwrap()
+                .result
+                .unwrap()
+        };
+        let base = run(1);
         for threads in [2usize, 8] {
-            let par = run_spectral(&plan, threads, RecoveryPolicy::default(), 7, f).unwrap();
+            let par = run(threads);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(
                 bits(&par.coefficients),
@@ -1103,17 +1062,19 @@ mod tests {
     #[test]
     fn failed_node_is_terminal_not_quarantined() {
         let plan = SpectralPlan::build(2, SpectralConfig::tensor(1)).unwrap();
+        let strict = RecoveryPolicy::strict();
         let res = run_spectral(
             &plan,
-            2,
-            RecoveryPolicy::strict(),
-            1,
+            &spec(2, strict),
+            &fp(1, strict),
             |_x: &[f64], _a| -> Result<(f64, SampleStatus), String> {
                 Err("injected node failure".into())
             },
         );
         match res {
-            Err(SpectralError::NodeFailures { failed, .. }) => assert!(failed > 0),
+            Err(SpectralRunError::Spectral(SpectralError::NodeFailures { failed, .. })) => {
+                assert!(failed > 0)
+            }
             other => panic!("expected NodeFailures, got {other:?}"),
         }
     }

@@ -65,7 +65,8 @@ fn truncated_snapshots_are_rejected() {
     // a torn write can stop anywhere. All must fail typed, none panic.
     for cut in (0..full.len()).step_by(17).chain([full.len() - 1]) {
         std::fs::write(&path, &full[..cut]).expect("written");
-        let err = load_checkpoint(&path).expect_err(&format!("cut at {cut} must be rejected"));
+        let err = load_checkpoint(&path, &fingerprint())
+            .expect_err(&format!("cut at {cut} must be rejected"));
         assert!(
             matches!(
                 err,
@@ -89,7 +90,7 @@ fn bit_flips_are_rejected_by_the_checksum() {
         let mut damaged = full.clone();
         damaged[pos] ^= 0x10;
         std::fs::write(&path, &damaged).expect("written");
-        match load_checkpoint(&path) {
+        match load_checkpoint(&path, &fingerprint()) {
             Err(_) => {}
             Ok(ck) => {
                 // A flip can land in a spot the checksum covers but the
@@ -113,7 +114,7 @@ fn garbage_and_empty_files_fail_typed() {
         &[0xff, 0xfe, 0x00, 0x80, 0x13],
     ] {
         std::fs::write(&path, body).expect("written");
-        let err = load_checkpoint(&path).expect_err("garbage must be rejected");
+        let err = load_checkpoint(&path, &fingerprint()).expect_err("garbage must be rejected");
         assert!(
             matches!(
                 err,
@@ -137,7 +138,7 @@ fn wrong_version_is_its_own_error() {
     let payload = &body[..payload_end];
     let sum = linvar_stats::fnv1a64(payload.as_bytes());
     std::fs::write(&path, format!("{payload}sum={sum:016x}\n")).expect("written");
-    let err = load_checkpoint(&path).expect_err("version must be rejected");
+    let err = load_checkpoint(&path, &fingerprint()).expect_err("version must be rejected");
     assert!(
         matches!(err, CheckpointError::VersionMismatch { ref found } if found == "linvar-campaign-v9"),
         "{err:?}"
@@ -155,7 +156,7 @@ fn duplicate_and_out_of_range_indices_are_malformed() {
         let payload = &body[..payload_end];
         let sum = linvar_stats::fnv1a64(payload.as_bytes());
         std::fs::write(&path, format!("{payload}sum={sum:016x}\n")).expect("written");
-        let err = load_checkpoint(&path).expect_err("must be rejected");
+        let err = load_checkpoint(&path, &fingerprint()).expect_err("must be rejected");
         assert!(
             matches!(err, CheckpointError::Malformed { .. }),
             "{find}→{replace}: {err:?}"
@@ -168,7 +169,7 @@ fn duplicate_and_out_of_range_indices_are_malformed() {
 fn intact_snapshot_still_loads_after_all_that() {
     // Sanity: the suite's baseline snapshot is actually valid.
     let path = write_snapshot("sanity");
-    let ck = load_checkpoint(&path).expect("intact snapshot loads");
+    let ck = load_checkpoint(&path, &fingerprint()).expect("intact snapshot loads");
     assert_eq!(ck.fingerprint, fingerprint());
     assert_eq!(ck.outcomes, records());
     std::fs::remove_file(&path).ok();
@@ -213,8 +214,7 @@ fn mismatched_fingerprints_refuse_to_resume() {
         ),
     ];
     for (field, wrong) in cases {
-        let ck = load_checkpoint(&path).expect("loads");
-        let err = ck.validate(&wrong).expect_err("must refuse");
+        let err = load_checkpoint(&path, &wrong).expect_err("must refuse");
         assert!(
             matches!(err, CheckpointError::FingerprintMismatch { field: f, .. } if f == field),
             "expected {field} mismatch, got {err:?}"

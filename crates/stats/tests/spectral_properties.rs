@@ -7,9 +7,9 @@
 
 use linvar_stats::sampling::sobol_point;
 use linvar_stats::{
-    gauss_hermite, rng_from_seed, run_spectral, run_spectral_campaign, CampaignConfig,
-    CheckpointError, GridKind, RecoveryPolicy, SampleStatus, SpectralConfig, SpectralPlan,
-    SpectralRunError,
+    gauss_hermite, rng_from_seed, run_spectral, CampaignConfig, CampaignFingerprint,
+    CheckpointError, GridKind, RecoveryPolicy, RunSpec, SampleStatus, SpectralConfig, SpectralPlan,
+    SpectralRun, SpectralRunError,
 };
 use proptest::prelude::*;
 use rand::RngExt;
@@ -23,6 +23,32 @@ fn gaussian_moment(k: usize) -> f64 {
     } else {
         (1..=k).step_by(2).map(|j| j as f64).product()
     }
+}
+
+/// A spectral run at `threads` workers under `campaign`, fingerprinted
+/// by `(seed, model)` and the default policy.
+fn spectral_run(
+    plan: &SpectralPlan,
+    threads: usize,
+    campaign: &CampaignConfig,
+    seed: u64,
+    model_fp: u64,
+    model: impl Fn(&[f64], usize) -> Result<(f64, SampleStatus), String> + Sync,
+) -> Result<SpectralRun, SpectralRunError> {
+    let policy = RecoveryPolicy::default();
+    let spec = RunSpec {
+        threads,
+        policy,
+        campaign: campaign.clone(),
+        shards: None,
+    };
+    let fp = CampaignFingerprint {
+        master_seed: seed,
+        n_samples: 0,
+        policy,
+        model: model_fp,
+    };
+    run_spectral(plan, &spec, &fp, model)
 }
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -162,11 +188,16 @@ proptest! {
                 SampleStatus::Clean,
             ))
         };
-        let reference =
-            run_spectral(&plan, 1, RecoveryPolicy::default(), 17, model).expect("1 thread");
+        let plain = CampaignConfig::default();
+        let reference = spectral_run(&plan, 1, &plain, 17, 0, model)
+            .expect("1 thread")
+            .result
+            .expect("complete");
         for threads in [2usize, 8] {
-            let res = run_spectral(&plan, threads, RecoveryPolicy::default(), 17, model)
-                .expect("parallel run");
+            let res = spectral_run(&plan, threads, &plain, 17, 0, model)
+                .expect("parallel run")
+                .result
+                .expect("complete");
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(
                 bits(&res.coefficients),
@@ -199,17 +230,8 @@ fn resumed_spectral_campaign_refuses_changed_plan() {
         checkpoint: Some(snapshot.clone()),
         ..CampaignConfig::default()
     };
-    let done = run_spectral_campaign(
-        &plan2,
-        1,
-        RecoveryPolicy::default(),
-        &write_cfg,
-        21,
-        0xFEED,
-        model,
-    )
-    .expect("campaign completes");
-    assert!(done.completed > 0 && done.result.is_some());
+    let done = spectral_run(&plan2, 1, &write_cfg, 21, 0xFEED, model).expect("campaign completes");
+    assert!(done.nodes.completed > 0 && done.result.is_some());
 
     // Same model fingerprint and seed, different spectral plan: the
     // node grid changed, so the snapshot no longer belongs to this
@@ -219,33 +241,20 @@ fn resumed_spectral_campaign_refuses_changed_plan() {
         resume: Some(snapshot.clone()),
         ..CampaignConfig::default()
     };
-    let err = run_spectral_campaign(
-        &plan1,
-        1,
-        RecoveryPolicy::default(),
-        &resume_cfg,
-        21,
-        0xFEED,
-        model,
-    )
-    .expect_err("changed plan must be refused");
+    let err = spectral_run(&plan1, 1, &resume_cfg, 21, 0xFEED, model)
+        .expect_err("changed plan must be refused");
     match err {
         SpectralRunError::Checkpoint(CheckpointError::FingerprintMismatch { .. }) => {}
         other => panic!("expected a fingerprint mismatch, got {other:?}"),
     }
 
     // Sanity: the unchanged plan resumes cleanly from the same snapshot.
-    let resumed = run_spectral_campaign(
-        &plan2,
-        1,
-        RecoveryPolicy::default(),
-        &resume_cfg,
-        21,
-        0xFEED,
-        model,
-    )
-    .expect("unchanged plan resumes");
-    assert_eq!(resumed.evaluated, 0, "everything restored from snapshot");
+    let resumed =
+        spectral_run(&plan2, 1, &resume_cfg, 21, 0xFEED, model).expect("unchanged plan resumes");
+    assert_eq!(
+        resumed.nodes.evaluated, 0,
+        "everything restored from snapshot"
+    );
     assert!(resumed.result.is_some());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -30,8 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Table-5 configuration: std(DL) = std(VT) = 0.33.
     let sources = VariationSources::example3(0.33, 0.33);
-    let mut rng = rng_from_seed(27);
-    let mc = model.monte_carlo(&sources, 100, &mut rng)?;
+    let mc = model.run(&sources, Sampling::Lhs(100), 27, &RunSpec::plain(0))?;
     let ga = model.gradient_analysis(&sources)?;
 
     println!("\nmethod |  mean (ps) |  std (ps)");

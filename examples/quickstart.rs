@@ -30,10 +30,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let nominal = model.evaluate_sample(&PathSample::default())?;
     println!("nominal delay: {:.2} ps", nominal * 1e12);
 
-    // --- Monte-Carlo under the paper's Example-3 variations.
+    // --- Monte-Carlo under the paper's Example-3 variations: 50 LHS
+    // samples of master seed 2002, one attempt each, on all cores
+    // (`LINVAR_THREADS` pins the worker count; results never depend on it).
     let sources = VariationSources::example3(0.33, 0.33);
-    let mut rng = rng_from_seed(2002);
-    let mc = model.monte_carlo(&sources, 50, &mut rng)?;
+    let mc = model.run(&sources, Sampling::Lhs(50), 2002, &RunSpec::plain(0))?;
     println!(
         "MC  ({} samples): mean = {:.2} ps, std = {:.2} ps",
         mc.summary.n,

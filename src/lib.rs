@@ -20,10 +20,10 @@
 //! };
 //! let model = PathModel::build(&spec, &tech_018(), &WireTech::m018())?;
 //!
-//! // Monte-Carlo path-delay distribution under DL/VT fluctuations.
+//! // Monte-Carlo path-delay distribution under DL/VT fluctuations:
+//! // 100 LHS samples of master seed 2002 on all available cores.
 //! let sources = VariationSources::example3(0.33, 0.33);
-//! let mut rng = rng_from_seed(2002);
-//! let mc = model.monte_carlo(&sources, 100, &mut rng)?;
+//! let mc = model.run(&sources, Sampling::Lhs(100), 2002, &RunSpec::plain(0))?;
 //! println!("delay = {:.1} ± {:.1} ps",
 //!          mc.summary.mean * 1e12, mc.summary.std * 1e12);
 //!
@@ -52,10 +52,9 @@ pub use linvar_teta as teta;
 pub mod prelude {
     pub use linvar_circuit::{Netlist, SourceWaveform, VariationalValue};
     pub use linvar_core::path::{
-        GaPathResult, McPathResult, PathModel, PathSample, PathSpec, PcCampaignResult,
-        PcPathResult, VariationSources,
+        GaPathResult, McPathResult, PathModel, PathSample, PathSpec, Sampling, VariationSources,
     };
-    pub use linvar_core::{CoreError, DegradationReport, EngineRung, McRecoveryResult};
+    pub use linvar_core::{CoreError, DegradationReport, EngineRung};
     pub use linvar_devices::{tech_018, tech_06, CellLibrary, DeviceVariation, Technology};
     pub use linvar_interconnect::{CoupledLineSpec, WireParam, WireTech};
     pub use linvar_mor::{
@@ -64,8 +63,9 @@ pub mod prelude {
     };
     pub use linvar_spice::{DcStrategy, RecoveryLog, Transient, TransientOptions};
     pub use linvar_stats::{
-        rng_from_seed, GridKind, HealthSummary, Histogram, RecoveryPolicy, SampleHealth,
-        SampleSource, SampleStatus, SpectralConfig, SpectralPlan, Summary,
+        rng_from_seed, CampaignConfig, GridKind, HealthSummary, Histogram, RecoveryPolicy, RunSpec,
+        SampleHealth, SampleSource, SampleStatus, ShardConfig, SpectralConfig, SpectralPlan,
+        SpectralResult, Summary,
     };
     pub use linvar_teta::{StageModel, StageRecovery, StageSolver, Waveform};
 }

@@ -1,8 +1,9 @@
 //! Allocation audit for the Monte-Carlo hot path.
 //!
 //! A counting global allocator measures how many heap allocations one
-//! steady-state sample costs inside [`monte_carlo`] once the per-worker
-//! workspace arena is warm. The count is differenced between two run
+//! steady-state sample costs inside the sample executor
+//! ([`monte_carlo_par`] at one worker, which evaluates inline on the
+//! calling thread) once the workspace arena is warm. The count is differenced between two run
 //! lengths, so per-run fixed costs (result vectors, the summary) cancel
 //! and only the true per-sample cost remains.
 //!
@@ -21,7 +22,7 @@ use std::cell::Cell;
 use linvar_devices::{tech_018, DeviceVariation};
 use linvar_interconnect::{CoupledLineSpec, WireTech};
 use linvar_mor::ReductionMethod;
-use linvar_stats::monte_carlo;
+use linvar_stats::monte_carlo_par;
 use linvar_teta::{StageModel, Waveform};
 
 /// Counts every allocation; `realloc` counts once (it may move storage).
@@ -63,7 +64,7 @@ fn allocs() -> u64 {
 }
 
 /// Steady-state per-sample allocation budget for one stage evaluation
-/// driven through `monte_carlo`.
+/// driven through the executor at one worker.
 ///
 /// The measured cost after the workspace-arena work is ~160 allocations
 /// per sample (6th-order ROM, one driver). It is a *small documented
@@ -77,7 +78,7 @@ fn allocs() -> u64 {
 ///   * per-run solver setup: `DriverSpec` (input waveform + MOS model
 ///     clones), `RecursiveConvolution` state, and the recorded output
 ///     waveforms with their compression buffers;
-///   * `monte_carlo` bookkeeping for the outcome of each sample.
+///   * executor bookkeeping for the outcome of each sample.
 ///
 /// What the budget must **never** again include: per-SC-iteration or
 /// per-timestep allocation (the former cost scaled with the ~36k chord
@@ -124,8 +125,10 @@ fn steady_state_monte_carlo_sample_allocates_within_budget() {
 
     // Warm-up: populate the thread-local workspace pools (first samples
     // miss; steady state hits). Uses the same driver as the measurement.
+    // One worker evaluates inline, so every sample's allocations land on
+    // this thread's counter.
     let warm: Vec<[f64; 5]> = (0..4).map(sample_at).collect();
-    let r = monte_carlo(&warm, |w| eval(w));
+    let r = monte_carlo_par(&warm, 1, |w| eval(w));
     assert_eq!(r.failures, 0, "warm-up failed: {:?}", r.first_error);
 
     // Two measured windows over identical per-sample work; differencing
@@ -134,9 +137,9 @@ fn steady_state_monte_carlo_sample_allocates_within_budget() {
     let long: Vec<[f64; 5]> = (0..12).map(sample_at).collect();
 
     let a0 = allocs();
-    let r_short = monte_carlo(&short, |w| eval(w));
+    let r_short = monte_carlo_par(&short, 1, |w| eval(w));
     let a1 = allocs();
-    let r_long = monte_carlo(&long, |w| eval(w));
+    let r_long = monte_carlo_par(&long, 1, |w| eval(w));
     let a2 = allocs();
     assert_eq!(r_short.failures + r_long.failures, 0, "samples failed");
 

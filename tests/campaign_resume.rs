@@ -10,11 +10,14 @@
 //! threads, both on a synthetic workload (dense cut-point coverage) and
 //! through the full `PathModel` framework surface.
 
-use linvar_core::path::{PathModel, PathSpec, VariationSources};
-use linvar_core::{CampaignConfig, CampaignVerdict, McCampaignResult, RecoveryPolicy};
+use linvar_core::path::{PathModel, PathSpec, Sampling, VariationSources};
+use linvar_core::{CampaignConfig, CampaignVerdict, McPathResult, RecoveryPolicy, RunSpec};
 use linvar_devices::tech_018;
 use linvar_interconnect::WireTech;
-use linvar_stats::{run_campaign, CampaignFingerprint, CampaignResult, SampleStatus, Summary};
+use linvar_stats::{
+    fnv1a64, load_checkpoint, run_campaign, CampaignFingerprint, CheckpointError, MonteCarloResult,
+    SampleStatus, Summary,
+};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -75,7 +78,7 @@ fn synth_eval(k: &usize, attempt: usize) -> Result<(f64, SampleStatus), String> 
     Ok(((k as f64).sin() * 1e-10 + 2e-10, SampleStatus::Clean))
 }
 
-fn synth_run(threads: usize, config: &CampaignConfig) -> CampaignResult {
+fn synth_run(threads: usize, config: &CampaignConfig) -> MonteCarloResult {
     let samples: Vec<usize> = (0..SYNTH_N).collect();
     run_campaign(
         &samples,
@@ -168,6 +171,54 @@ fn synthetic_double_interruption_chains() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A snapshot with a valid checksum whose `n=` header names an absurd
+/// sample count must be refused with a typed fingerprint mismatch before
+/// anything is sized by that count — a crafted file must never abort the
+/// loader with an allocation failure or a capacity-overflow panic.
+#[test]
+fn crafted_sample_count_is_refused_before_allocation() {
+    let fp = synth_fingerprint();
+    for n in ["1125899906842624", "18446744073709551615"] {
+        let path = tmp_path("crafted-n");
+        let payload = format!(
+            "linvar-campaign-v1\nscheme=stdrng-lhs-v1\nseed={}\nn={n}\npolicy=2 1 0\n\
+             model={:016x}\ns 0 C 1 v 3ff0000000000000\n",
+            fp.master_seed, fp.model
+        );
+        let sum = fnv1a64(payload.as_bytes());
+        std::fs::write(&path, format!("{payload}sum={sum:016x}\n")).expect("written");
+        let err = load_checkpoint(&path, &fp).expect_err("absurd n must be refused");
+        assert!(
+            matches!(
+                err,
+                CheckpointError::FingerprintMismatch {
+                    field: "sample count",
+                    ..
+                }
+            ),
+            "n={n}: {err:?}"
+        );
+        let samples: Vec<usize> = (0..SYNTH_N).collect();
+        let resumed = run_campaign(
+            &samples,
+            2,
+            RecoveryPolicy::default(),
+            &CampaignConfig {
+                resume: Some(path.clone()),
+                ..CampaignConfig::default()
+            },
+            fp,
+            synth_eval,
+        );
+        assert!(
+            matches!(resumed, Err(CheckpointError::FingerprintMismatch { .. })),
+            "n={n}: resume must refuse, got {:?}",
+            resumed.map(|r| r.verdict)
+        );
+        std::fs::remove_file(&path).ok();
+    }
+}
+
 // ---------------------------------------------------------------------
 // Framework surface: PathModel::monte_carlo_campaign.
 // ---------------------------------------------------------------------
@@ -181,7 +232,7 @@ fn small_path() -> PathModel {
     PathModel::build(&spec, &tech_018(), &WireTech::m018()).expect("path builds")
 }
 
-fn path_run(model: &PathModel, threads: usize, config: &CampaignConfig) -> McCampaignResult {
+fn path_run(model: &PathModel, threads: usize, config: &CampaignConfig) -> McPathResult {
     model
         .monte_carlo_campaign(
             &VariationSources::example3(0.33, 0.33),
@@ -237,10 +288,15 @@ fn path_model_kill_and_resume_is_bitwise_identical() {
         std::fs::remove_file(&path).ok();
     }
 
-    // The campaign driver agrees with the plain parallel driver on a
-    // clean run — the checkpoint machinery adds no numerical drift.
+    // The durable campaign agrees with a plain run when every sample is
+    // clean — the checkpoint machinery adds no numerical drift.
     let plain = model
-        .monte_carlo_par(&VariationSources::example3(0.33, 0.33), 8, 21, 2)
+        .run(
+            &VariationSources::example3(0.33, 0.33),
+            Sampling::Lhs(8),
+            21,
+            &RunSpec::plain(2),
+        )
         .expect("plain mc runs");
     let plain_bits: Vec<u64> = plain.delays.iter().map(|d| d.to_bits()).collect();
     assert_eq!(plain_bits, clean_bits);

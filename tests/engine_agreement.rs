@@ -178,8 +178,9 @@ fn cross_engine_conformance_table() {
     let (n, seed, threads) = (200usize, 11u64, 2usize);
 
     // Monte-Carlo reference: empirical moments and order statistics.
+    let plain = RunSpec::plain(threads);
     let mc = model
-        .monte_carlo_par(&sources, n, seed, threads)
+        .run(&sources, Sampling::Lhs(n), seed, &plain)
         .expect("mc");
     assert_eq!(mc.failures, 0, "{:?}", mc.first_error);
     let mut sorted = mc.delays.clone();
@@ -199,14 +200,18 @@ fn cross_engine_conformance_table() {
 
     // gPC: stochastic-testing order 2 over the two active sources.
     let pc = model
-        .polynomial_chaos(
+        .run(
             &sources,
-            SpectralConfig::stochastic_testing(2),
+            Sampling::Spectral(SpectralConfig::stochastic_testing(2)),
             seed,
-            threads,
-            RecoveryPolicy::default(),
+            &RunSpec {
+                threads,
+                ..RunSpec::default()
+            },
         )
-        .expect("gpc");
+        .expect("gpc")
+        .spectral
+        .expect("complete grid");
     let pc_q = |p: f64| {
         pc.quantiles
             .iter()
@@ -217,7 +222,7 @@ fn cross_engine_conformance_table() {
 
     // Sobol: the same campaign flow over the quasi-MC stream.
     let qmc = model
-        .monte_carlo_par_sobol(&sources, n, seed, threads)
+        .run(&sources, Sampling::Sobol(n), seed, &plain)
         .expect("sobol");
     assert_eq!(qmc.failures, 0, "{:?}", qmc.first_error);
     let mut qs = qmc.delays.clone();
@@ -344,7 +349,11 @@ fn cross_engine_conformance_table() {
 /// distribution.
 #[test]
 fn ir_drop_cross_engine_conformance_table() {
-    use linvar_bench::grid::{run_case, run_case_spectral, sample_set, sample_set_sobol};
+    use linvar_bench::grid::{
+        drop_for_sample, grid_fingerprint, run_case, sample_set, sample_set_sobol, GRID_GPC_CONFIG,
+        GRID_SIGMA,
+    };
+    use linvar_bench::{run_points, Points};
     use linvar_interconnect::{power_grid_case, PowerGridSpec};
     use linvar_numeric::SolverChoice;
 
@@ -366,7 +375,21 @@ fn ir_drop_cross_engine_conformance_table() {
     let q_budget = |p: f64| mean_budget.max(0.02 * mc_q(p).abs() + 4.0 * se_q(p));
     let std_budget = 0.25 * mc.summary.std;
 
-    let pc = run_case_spectral(&case, threads, SolverChoice::Sparse).expect("gpc");
+    let plan = SpectralPlan::build(5, GRID_GPC_CONFIG).expect("plan");
+    let nodes = Points::Nodes {
+        plan: &plan,
+        sigma: GRID_SIGMA,
+    };
+    let pc = run_points(
+        &case.name,
+        nodes,
+        &RunSpec::plain(threads),
+        &grid_fingerprint(&case.name, 0),
+        |w| drop_for_sample(&case, w, SolverChoice::Sparse),
+    )
+    .expect("gpc")
+    .spectral
+    .expect("complete grid");
     let pc_q = |p: f64| {
         pc.quantiles
             .iter()

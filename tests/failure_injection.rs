@@ -143,9 +143,9 @@ fn empty_path_and_unknown_cells_rejected() {
 
 #[test]
 fn mc_reports_partial_failures_instead_of_aborting() {
-    // monte_carlo must count per-sample failures, not abort the run.
+    // The executor must count per-sample failures, not abort the run.
     let samples: Vec<f64> = (0..20).map(|k| k as f64).collect();
-    let res = linvar::stats::monte_carlo(&samples, |&x| {
+    let res = linvar::stats::monte_carlo_par(&samples, 1, |&x| {
         if (x as usize).is_multiple_of(5) {
             Err("corner blew up")
         } else {
@@ -162,8 +162,8 @@ fn mc_reports_partial_failures_instead_of_aborting() {
 
 #[test]
 fn parallel_mc_reports_identical_diagnostics() {
-    // The parallel driver must produce the same failure bookkeeping as the
-    // serial one, independent of worker count and scheduling.
+    // Parallel runs must produce the same failure bookkeeping as the
+    // one-worker (inline) run, independent of worker count and scheduling.
     let samples: Vec<f64> = (0..20).map(|k| k as f64).collect();
     let eval = |&x: &f64| {
         if (x as usize).is_multiple_of(5) {
@@ -172,8 +172,8 @@ fn parallel_mc_reports_identical_diagnostics() {
             Ok(x)
         }
     };
-    let serial = linvar::stats::monte_carlo(&samples, eval);
-    for threads in [1, 2, 8] {
+    let serial = linvar::stats::monte_carlo_par(&samples, 1, eval);
+    for threads in [2, 8] {
         let par = linvar::stats::monte_carlo_par(&samples, threads, eval);
         assert_eq!(par.failures, serial.failures);
         assert_eq!(par.failed_indices, serial.failed_indices);
@@ -227,12 +227,24 @@ fn mutated_variational_model_reports_dimension_mismatch() {
 fn all_failed_policy_run_reports_health_instead_of_panicking() {
     // A run where every sample exhausts its budget is still a result:
     // the health summary is the product, and nothing panics.
-    use linvar::stats::monte_carlo_par_with_policy;
+    use linvar::stats::{execute, CampaignFingerprint};
     let samples: Vec<usize> = (0..16).collect();
     let policy = RecoveryPolicy::default();
-    let res = monte_carlo_par_with_policy(&samples, 4, policy, |&k, attempt| {
+    let spec = RunSpec {
+        threads: 4,
+        policy,
+        ..RunSpec::default()
+    };
+    let fp = CampaignFingerprint {
+        master_seed: 0,
+        n_samples: samples.len(),
+        policy,
+        model: 0,
+    };
+    let res = execute(&samples, &spec, &fp, |&k, attempt| {
         Err::<(f64, SampleStatus), String>(format!("sample {k} attempt {attempt} refused"))
-    });
+    })
+    .expect("no snapshot or shard plan to fail");
     assert_eq!(res.health.n_failed, 16);
     assert_eq!(res.health.total(), 16);
     assert!(res.values.is_empty());

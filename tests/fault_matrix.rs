@@ -415,9 +415,55 @@ fn dc_ladder_escalates_when_direct_newton_is_starved() {
 
 // ------------------------------------------------------------------ stats
 
+/// A run through the executor at `threads` workers under `policy`, with
+/// no persistence and no shards.
+fn policy_run<S: Sync>(
+    samples: &[S],
+    threads: usize,
+    policy: RecoveryPolicy,
+    f: impl Fn(&S, usize) -> Result<(f64, SampleStatus), String> + Sync,
+) -> linvar::stats::MonteCarloResult {
+    let spec = RunSpec {
+        threads,
+        policy,
+        ..RunSpec::default()
+    };
+    let fp = linvar::stats::CampaignFingerprint {
+        master_seed: 0,
+        n_samples: samples.len(),
+        policy,
+        model: 0,
+    };
+    linvar::stats::execute(samples, &spec, &fp, f).expect("no snapshot or shard plan to fail")
+}
+
+/// A spectral run at `threads` workers under `policy` and `campaign`,
+/// fingerprinted by `(seed, model_fp)`.
+fn spectral_run(
+    plan: &SpectralPlan,
+    threads: usize,
+    policy: RecoveryPolicy,
+    campaign: &CampaignConfig,
+    (seed, model_fp): (u64, u64),
+    f: impl Fn(&[f64], usize) -> Result<(f64, SampleStatus), String> + Sync,
+) -> Result<linvar::stats::SpectralRun, linvar::stats::SpectralRunError> {
+    let spec = RunSpec {
+        threads,
+        policy,
+        campaign: campaign.clone(),
+        shards: None,
+    };
+    let fp = linvar::stats::CampaignFingerprint {
+        master_seed: seed,
+        n_samples: 0,
+        policy,
+        model: model_fp,
+    };
+    linvar::stats::run_spectral(plan, &spec, &fp, f)
+}
+
 #[test]
 fn panicking_evaluator_is_quarantined_bitwise_across_threads() {
-    use linvar::stats::{monte_carlo_par_with_policy, monte_carlo_with_policy};
     // Samples whose evaluator panics on every attempt must consume the
     // full attempt budget, land as Failed with a panic diagnostic, and
     // never tear down the run — identically at every thread count.
@@ -429,7 +475,7 @@ fn panicking_evaluator_is_quarantined_bitwise_across_threads() {
         }
         Ok((k as f64 * 1.5, SampleStatus::Clean))
     };
-    let serial = monte_carlo_with_policy(&samples, policy, eval);
+    let serial = policy_run(&samples, 1, policy, eval);
     assert_eq!(serial.health.n_failed, 10);
     assert_eq!(serial.health.n_clean, 80);
     let budget = policy.attempt_budget();
@@ -440,8 +486,8 @@ fn panicking_evaluator_is_quarantined_bitwise_across_threads() {
     }
     let diag = serial.first_error.as_deref().expect("diagnostic kept");
     assert!(diag.contains("panic"), "diagnostic {diag:?}");
-    for threads in [1, 2, 8] {
-        let par = monte_carlo_par_with_policy(&samples, threads, policy, eval);
+    for threads in [2, 8] {
+        let par = policy_run(&samples, threads, policy, eval);
         assert_eq!(par.values, serial.values, "threads={threads}");
         assert_eq!(par.sample_health, serial.sample_health);
         assert_eq!(par.health, serial.health);
@@ -452,7 +498,6 @@ fn panicking_evaluator_is_quarantined_bitwise_across_threads() {
 
 #[test]
 fn fail_fast_truncates_at_the_same_sample_at_any_thread_count() {
-    use linvar::stats::{monte_carlo_par_with_policy, monte_carlo_with_policy};
     // Deterministic injected-failure schedule: sample 41 fails every
     // attempt under a fail-fast strict policy. The run must truncate at
     // index 41 regardless of scheduling.
@@ -465,15 +510,15 @@ fn fail_fast_truncates_at_the_same_sample_at_any_thread_count() {
             Ok((f64::sin(k as f64), SampleStatus::Clean))
         }
     };
-    let serial = monte_carlo_with_policy(&samples, policy, eval);
+    let serial = policy_run(&samples, 1, policy, eval);
     assert_eq!(serial.truncated_at, Some(41));
     assert_eq!(serial.failed_indices, vec![41]);
     assert_eq!(
         serial.first_error.as_deref(),
         Some("injected failure at 41")
     );
-    for threads in [1, 2, 8] {
-        let par = monte_carlo_par_with_policy(&samples, threads, policy, eval);
+    for threads in [2, 8] {
+        let par = policy_run(&samples, threads, policy, eval);
         assert_eq!(par.truncated_at, Some(41), "threads={threads}");
         assert_eq!(par.values, serial.values);
         assert_eq!(par.sample_health, serial.sample_health);
@@ -486,7 +531,7 @@ fn fail_fast_truncates_at_the_same_sample_at_any_thread_count() {
 
 #[test]
 fn singular_quadrature_system_is_a_typed_error() {
-    use linvar::stats::{run_spectral, SpectralError};
+    use linvar::stats::{SpectralError, SpectralRunError};
     // A stochastic-testing plan whose node set collapses (two identical
     // collocation nodes) makes the Vandermonde system exactly singular.
     // The plan builder never produces this; the injection goes through
@@ -495,17 +540,18 @@ fn singular_quadrature_system_is_a_typed_error() {
     let mut plan = SpectralPlan::build(2, SpectralConfig::stochastic_testing(1)).unwrap();
     let dup = plan.nodes[0].clone();
     plan.nodes[1] = dup;
-    let res = run_spectral(
+    let res = spectral_run(
         &plan,
         1,
         RecoveryPolicy::default(),
-        3,
+        &CampaignConfig::default(),
+        (3, 0),
         |x: &[f64], _a: usize| -> Result<(f64, SampleStatus), String> {
             Ok((x[0] + x[1], SampleStatus::Clean))
         },
     );
     match res {
-        Err(SpectralError::SingularSystem(msg)) => {
+        Err(SpectralRunError::Spectral(SpectralError::SingularSystem(msg))) => {
             assert!(!msg.is_empty(), "singular error carries a diagnostic");
         }
         other => panic!("expected a singular-system error, got {other:?}"),
@@ -514,18 +560,20 @@ fn singular_quadrature_system_is_a_typed_error() {
 
 #[test]
 fn nan_at_collocation_node_is_typed_and_ladder_matches_mc() {
-    use linvar::stats::{monte_carlo_par_with_policy, run_spectral, SpectralError};
+    use linvar::stats::{SpectralError, SpectralRunError};
     let plan = SpectralPlan::build(2, SpectralConfig::tensor(2)).unwrap();
     let policy = RecoveryPolicy::default();
+    let plain = CampaignConfig::default();
 
     // A NaN surfacing at one collocation node: every quadrature weight
     // is load-bearing, so the solve must refuse with the node's index
     // rather than launder the NaN into the coefficients.
-    let res = run_spectral(
+    let res = spectral_run(
         &plan,
         2,
         policy,
-        3,
+        &plain,
+        (3, 0),
         |x: &[f64], _a: usize| -> Result<(f64, SampleStatus), String> {
             if x[0] > 1.5 {
                 Ok((f64::NAN, SampleStatus::Clean))
@@ -535,7 +583,7 @@ fn nan_at_collocation_node_is_typed_and_ladder_matches_mc() {
         },
     );
     match res {
-        Err(SpectralError::NonFiniteNode { index }) => {
+        Err(SpectralRunError::Spectral(SpectralError::NonFiniteNode { index })) => {
             assert!(plan.nodes[index][0] > 1.5, "error names the NaN node");
         }
         other => panic!("expected a non-finite-node error, got {other:?}"),
@@ -543,11 +591,12 @@ fn nan_at_collocation_node_is_typed_and_ladder_matches_mc() {
 
     // A permanently failing node is *terminal* for the spectral engine
     // (MC quarantines and carries on — a collocation grid cannot).
-    let res = run_spectral(
+    let res = spectral_run(
         &plan,
         2,
         policy,
-        3,
+        &plain,
+        (3, 0),
         |x: &[f64], a: usize| -> Result<(f64, SampleStatus), String> {
             if x[0] > 1.5 {
                 Err(format!("injected permanent failure (attempt {a})"))
@@ -557,10 +606,10 @@ fn nan_at_collocation_node_is_typed_and_ladder_matches_mc() {
         },
     );
     match res {
-        Err(SpectralError::NodeFailures {
+        Err(SpectralRunError::Spectral(SpectralError::NodeFailures {
             failed,
             first_error,
-        }) => {
+        })) => {
             assert!(failed >= 1);
             let diag = first_error.expect("diagnostic kept");
             assert!(diag.contains("injected permanent failure"), "{diag}");
@@ -581,15 +630,22 @@ fn nan_at_collocation_node_is_typed_and_ladder_matches_mc() {
     let clean = |x: &[f64], _a: usize| -> Result<(f64, SampleStatus), String> {
         Ok((x[0] * x[1] + 1.0, SampleStatus::Clean))
     };
-    let recovered = run_spectral(&plan, 2, policy, 3, flaky).expect("retry rescues the node");
-    let reference = run_spectral(&plan, 2, policy, 3, clean).expect("clean run");
+    let recovered =
+        spectral_run(&plan, 2, policy, &plain, (3, 0), flaky).expect("retry rescues the node");
+    let reference = spectral_run(&plan, 2, policy, &plain, (3, 0), clean)
+        .expect("clean run")
+        .result
+        .expect("complete grid");
     assert!(
-        recovered.health.n_recovered >= 1,
+        recovered.nodes.health.n_recovered >= 1,
         "ladder must report the retry: {:?}",
-        recovered.health
+        recovered.nodes.health
     );
     assert_eq!(
         recovered
+            .result
+            .as_ref()
+            .expect("complete grid")
             .coefficients
             .iter()
             .map(|c| c.to_bits())
@@ -601,17 +657,16 @@ fn nan_at_collocation_node_is_typed_and_ladder_matches_mc() {
             .collect::<Vec<_>>(),
         "a recovered node must not shift a coefficient bit"
     );
-    let mc =
-        monte_carlo_par_with_policy(&plan.nodes, 2, policy, |node: &Vec<f64>, a| flaky(node, a));
+    let mc = policy_run(&plan.nodes, 2, policy, |node: &Vec<f64>, a| flaky(node, a));
     assert_eq!(
-        recovered.sample_health, mc.sample_health,
+        recovered.nodes.sample_health, mc.sample_health,
         "spectral nodes and MC samples must ride the same attempt ladder"
     );
 }
 
 #[test]
 fn spectral_campaign_kill_and_resume_mid_grid_is_bitwise() {
-    use linvar::stats::{run_spectral_campaign, CampaignConfig, CampaignVerdict};
+    use linvar::stats::CampaignVerdict;
     let plan = SpectralPlan::build(3, SpectralConfig::smolyak(2, 1)).unwrap();
     let n_nodes = plan.nodes.len();
     let model = |x: &[f64], _a: usize| -> Result<(f64, SampleStatus), String> {
@@ -621,13 +676,12 @@ fn spectral_campaign_kill_and_resume_mid_grid_is_bitwise() {
         ))
     };
     let policy = RecoveryPolicy::default();
-    let clean = run_spectral_campaign(
+    let clean = spectral_run(
         &plan,
         1,
         policy,
         &CampaignConfig::default(),
-        5,
-        0xABCD,
+        (5, 0xABCD),
         model,
     )
     .expect("clean campaign");
@@ -642,7 +696,7 @@ fn spectral_campaign_kill_and_resume_mid_grid_is_bitwise() {
         let snapshot = dir.join("grid.ckpt");
         // Kill mid-grid: the deterministic sample-budget preemption
         // stops the campaign halfway with a snapshot on disk.
-        let first = run_spectral_campaign(
+        let first = spectral_run(
             &plan,
             threads,
             policy,
@@ -652,20 +706,19 @@ fn spectral_campaign_kill_and_resume_mid_grid_is_bitwise() {
                 checkpoint_every: 1,
                 ..CampaignConfig::default()
             },
-            5,
-            0xABCD,
+            (5, 0xABCD),
             model,
         )
         .expect("truncated campaign");
         assert!(
-            matches!(first.verdict, CampaignVerdict::Truncated { .. }),
+            matches!(first.nodes.verdict, CampaignVerdict::Truncated { .. }),
             "threads={threads}: must truncate mid-grid"
         );
         assert!(
             first.result.is_none(),
             "a half-evaluated grid must not produce spectral estimates"
         );
-        let second = run_spectral_campaign(
+        let second = spectral_run(
             &plan,
             threads,
             policy,
@@ -673,13 +726,15 @@ fn spectral_campaign_kill_and_resume_mid_grid_is_bitwise() {
                 resume: Some(snapshot.clone()),
                 ..CampaignConfig::default()
             },
-            5,
-            0xABCD,
+            (5, 0xABCD),
             model,
         )
         .expect("resumed campaign");
-        assert_eq!(second.verdict, CampaignVerdict::Complete);
-        assert_eq!(second.resumed, first.completed, "threads={threads}");
+        assert_eq!(second.nodes.verdict, CampaignVerdict::Complete);
+        assert_eq!(
+            second.nodes.resumed, first.nodes.completed,
+            "threads={threads}"
+        );
         let res = second.result.expect("resume completes the grid");
         let bits: Vec<u64> = res.coefficients.iter().map(|c| c.to_bits()).collect();
         assert_eq!(
@@ -710,15 +765,18 @@ fn path_recovering_driver_is_deterministic_and_reports_health() {
     let model = PathModel::build(&spec, &tech_018(), &WireTech::m018()).unwrap();
     let sources = VariationSources::example3(0.33, 0.33);
     let policy = RecoveryPolicy::default();
-    let base = model
-        .monte_carlo_par_recovering(&sources, 4, 7, 1, policy)
-        .unwrap();
+    let spec = |threads| RunSpec {
+        threads,
+        policy,
+        ..RunSpec::default()
+    };
+    let base = model.run(&sources, Sampling::Lhs(4), 7, &spec(1)).unwrap();
     assert_eq!(base.health.total(), 4);
     assert_eq!(base.sample_health.len(), 4);
     assert_eq!(base.failures, base.health.n_failed);
     for threads in [2, 4] {
         let par = model
-            .monte_carlo_par_recovering(&sources, 4, 7, threads, policy)
+            .run(&sources, Sampling::Lhs(4), 7, &spec(threads))
             .unwrap();
         assert_eq!(par.delays, base.delays, "threads={threads}");
         assert_eq!(par.sample_health, base.sample_health);
@@ -770,8 +828,8 @@ fn degradation_report_display_names_the_serving_rung() {
 /// supervisor with one injected [`ShardFault`].
 mod shard_rows {
     use linvar::stats::{
-        run_campaign, run_sharded_campaign, CampaignConfig, CampaignFingerprint, CampaignResult,
-        SampleStatus, ShardConfig, ShardFault, ShardOutcome, ShardedCampaignResult,
+        execute, run_campaign, CampaignConfig, CampaignFingerprint, MonteCarloResult, RunSpec,
+        SampleStatus, ShardConfig, ShardFault, ShardOutcome,
     };
     use linvar_core::RecoveryPolicy;
     use std::path::PathBuf;
@@ -800,7 +858,7 @@ mod shard_rows {
         }
     }
 
-    pub fn reference() -> CampaignResult {
+    pub fn reference() -> MonteCarloResult {
         let samples: Vec<usize> = (0..N).collect();
         run_campaign(
             &samples,
@@ -827,7 +885,7 @@ mod shard_rows {
     /// Runs the workload under the supervisor with `fault` injected into
     /// shard 1, asserts recovery parity with the unsharded reference,
     /// and returns the result for fault-specific verdict assertions.
-    pub fn run_with_fault(tag: &str, fault: ShardFault) -> ShardedCampaignResult {
+    pub fn run_with_fault(tag: &str, fault: ShardFault) -> MonteCarloResult {
         let samples: Vec<usize> = (0..N).collect();
         let reference = reference();
         let dir = tmp_dir(tag);
@@ -839,15 +897,12 @@ mod shard_rows {
             poll_interval: Duration::from_millis(5),
             ..ShardConfig::default()
         };
-        let sharded = run_sharded_campaign(
-            &samples,
-            2,
-            RecoveryPolicy::default(),
-            &cfg,
-            &fingerprint(),
-            eval,
-        )
-        .expect("supervised campaign");
+        let spec = RunSpec {
+            threads: 2,
+            shards: Some(cfg),
+            ..RunSpec::default()
+        };
+        let sharded = execute(&samples, &spec, &fingerprint(), eval).expect("supervised campaign");
         assert_eq!(sharded.values, reference.values, "{tag}: values");
         assert_eq!(
             sharded.sample_health, reference.sample_health,

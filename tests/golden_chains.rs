@@ -9,7 +9,9 @@
 //! * the dense and sparse solver backends print the same `mc` row (their
 //!   ~1e-10 relative difference vanishes at `%.6e`), pinned per-run via
 //!   `TransientOptions::solver` rather than the process-global
-//!   `LINVAR_SOLVER` so parallel test binaries cannot race on the env.
+//!   `LINVAR_SOLVER` so parallel test binaries cannot race on the env;
+//! * the bench runner prints the same row under 3 shards, and as a
+//!   checkpointed campaign cut after two samples and then resumed.
 //!
 //! Regenerate after an intended numeric change with:
 //!
@@ -17,9 +19,11 @@
 //! LINVAR_BLESS=1 cargo test --test golden_chains
 //! ```
 
-use linvar_bench::chains::{mc_line, run_case, sample_set};
-use linvar_interconnect::{htree_case, rc_chain_case};
+use linvar_bench::chains::{chains_fingerprint, delay_for_sample, mc_line, run_case, sample_set};
+use linvar_bench::{run_points, Points};
+use linvar_interconnect::{htree_case, rc_chain_case, ChainCase};
 use linvar_numeric::SolverChoice;
+use linvar_stats::{CampaignConfig, CampaignVerdict, RunSpec, ShardConfig};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -67,6 +71,71 @@ fn check_or_bless(rows: &[(String, String)]) {
     }
 }
 
+/// The case's `mc` row through the bench runner under `spec`.
+fn runner_line(
+    case: &ChainCase,
+    samples: &[Vec<f64>],
+    spec: &RunSpec,
+) -> (String, CampaignVerdict) {
+    let fp = chains_fingerprint(&case.name, samples.len());
+    let run = run_points(&case.name, Points::Draws(samples), spec, &fp, |w| {
+        delay_for_sample(case, w, SolverChoice::Sparse)
+    })
+    .unwrap();
+    let line = mc_line(&case.name, &run.mc.summary, run.mc.failures);
+    (line, run.mc.verdict)
+}
+
+/// The bench runner must print `base_line` under 3 shards, and as a
+/// checkpointed campaign cut after two samples and then resumed.
+fn assert_runner_rows(case: &ChainCase, samples: &[Vec<f64>], base_line: &str) {
+    let sharded = RunSpec {
+        shards: Some(ShardConfig {
+            n_shards: 3,
+            ..ShardConfig::default()
+        }),
+        ..RunSpec::plain(2)
+    };
+    let (line, _) = runner_line(case, samples, &sharded);
+    assert_eq!(line, base_line, "{}: 3-shard row", case.name);
+
+    let ckpt = std::env::temp_dir().join(format!(
+        "linvar-golden-chains-{}-{}.ckpt",
+        std::process::id(),
+        case.name
+    ));
+    let durable = |campaign: CampaignConfig| RunSpec {
+        campaign,
+        ..RunSpec::plain(2)
+    };
+    let (_, cut) = runner_line(
+        case,
+        samples,
+        &durable(CampaignConfig {
+            checkpoint: Some(ckpt.clone()),
+            sample_budget: Some(2),
+            ..CampaignConfig::default()
+        }),
+    );
+    assert!(
+        matches!(cut, CampaignVerdict::Truncated { .. }),
+        "{}: the cut must truncate",
+        case.name
+    );
+    let (line, verdict) = runner_line(
+        case,
+        samples,
+        &durable(CampaignConfig {
+            checkpoint: Some(ckpt.clone()),
+            resume: Some(ckpt.clone()),
+            ..CampaignConfig::default()
+        }),
+    );
+    assert_eq!(verdict, CampaignVerdict::Complete);
+    assert_eq!(line, base_line, "{}: cut-and-resumed row", case.name);
+    std::fs::remove_file(&ckpt).ok();
+}
+
 /// One test covers every backend × thread-count combination so nothing
 /// in the binary mutates shared process state concurrently.
 #[test]
@@ -96,6 +165,7 @@ fn golden_chains_rows_across_backends_and_threads() {
             "{}: dense and sparse mc rows diverged",
             case.name
         );
+        assert_runner_rows(case, &samples, &base_line);
         rows.push((format!("{}.line", case.name), base_line));
         rows.push((format!("{}.mean", case.name), hex(base.summary.mean)));
         rows.push((format!("{}.std", case.name), hex(base.summary.std)));

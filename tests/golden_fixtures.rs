@@ -91,9 +91,14 @@ fn golden_table4_rows() {
     let mut rows = Vec::new();
     for circuit in ["s27", "s208"] {
         let model = iscas_path_model(circuit, 10);
-        let mc1 = model.monte_carlo_par(&sources, 5, 4, 1).unwrap();
+        let run = |threads| {
+            model
+                .run(&sources, Sampling::Lhs(5), 4, &RunSpec::plain(threads))
+                .unwrap()
+        };
+        let mc1 = run(1);
         for threads in [2, 8] {
-            let mct = model.monte_carlo_par(&sources, 5, 4, threads).unwrap();
+            let mct = run(threads);
             assert_eq!(
                 mc1.delays, mct.delays,
                 "{circuit}: delays differ between 1 and {threads} threads"
@@ -115,7 +120,9 @@ fn golden_table4_rows() {
 fn golden_fig7_rows() {
     let sources = VariationSources::example3(0.33, 0.33);
     let model = iscas_path_model("s27", 10);
-    let mc = model.monte_carlo_par(&sources, 7, 7, 1).unwrap();
+    let mc = model
+        .run(&sources, Sampling::Lhs(7), 7, &RunSpec::plain(1))
+        .unwrap();
     let ga = model.gradient_analysis(&sources).unwrap();
     let mut rows = vec![
         ("s27.mc.n".to_string(), mc.summary.n.to_string()),
@@ -142,13 +149,19 @@ fn golden_spectral_rows() {
     let sources = VariationSources::example3(0.33, 0.33);
     let model = iscas_path_model("s27", 10);
     let config = SpectralConfig::stochastic_testing(2);
-    let pc1 = model
-        .polynomial_chaos(&sources, config, 7, 1, RecoveryPolicy::default())
-        .unwrap();
+    let run = |threads| {
+        let spec = RunSpec {
+            threads,
+            ..RunSpec::default()
+        };
+        model
+            .run(&sources, Sampling::Spectral(config), 7, &spec)
+            .unwrap()
+    };
+    let run1 = run(1);
+    let pc1 = run1.spectral.as_ref().expect("complete grid");
     for threads in [2, 8] {
-        let pct = model
-            .polynomial_chaos(&sources, config, 7, threads, RecoveryPolicy::default())
-            .unwrap();
+        let pct = run(threads).spectral.expect("complete grid");
         assert_eq!(
             pc1.coefficients
                 .iter()
@@ -177,7 +190,7 @@ fn golden_spectral_rows() {
     for (i, c) in pc1.coefficients.iter().enumerate() {
         rows.push((format!("s27.gpc.coeff.{i}"), hex(*c)));
     }
-    for (i, d) in pc1.node_delays.iter().enumerate() {
+    for (i, d) in run1.delays.iter().enumerate() {
         rows.push((format!("s27.gpc.node_delay.{i}"), hex(*d)));
     }
     check_or_bless("spectral_rows.txt", &rows);
@@ -193,15 +206,61 @@ fn golden_spectral_rows() {
 #[test]
 fn golden_acgrid_rows() {
     use linvar_bench::chains::mc_line;
-    use linvar_bench::grid::{run_case, sample_set};
+    use linvar_bench::grid::{drop_for_sample, grid_fingerprint, run_case, sample_set};
+    use linvar_bench::{run_points, Points};
     use linvar_interconnect::standard_grid_cases;
     use linvar_numeric::SolverChoice;
+    use linvar_stats::CampaignVerdict;
     let samples = sample_set(8); // matches the bin's --quick campaign
     let cases = standard_grid_cases(true).unwrap();
     let mut rows = Vec::new();
     for case in &cases {
         let base = run_case(case, &samples, 1, SolverChoice::Sparse).unwrap();
         let base_line = mc_line(&case.name, &base.summary, base.failures);
+        // The bench runner prints the same row under 3 shards, and as a
+        // checkpointed campaign cut after two samples and then resumed.
+        let runner = |spec: &RunSpec| {
+            let fp = grid_fingerprint(&case.name, samples.len());
+            let run = run_points(&case.name, Points::Draws(&samples), spec, &fp, |w| {
+                drop_for_sample(case, w, SolverChoice::Sparse)
+            })
+            .unwrap();
+            (
+                mc_line(&case.name, &run.mc.summary, run.mc.failures),
+                run.mc.verdict,
+            )
+        };
+        let sharded = RunSpec {
+            shards: Some(ShardConfig {
+                n_shards: 3,
+                ..ShardConfig::default()
+            }),
+            ..RunSpec::plain(2)
+        };
+        assert_eq!(runner(&sharded).0, base_line, "{}: 3-shard row", case.name);
+        let ckpt = std::env::temp_dir().join(format!(
+            "linvar-golden-acgrid-{}-{}.ckpt",
+            std::process::id(),
+            case.name
+        ));
+        let durable = |campaign: CampaignConfig| RunSpec {
+            campaign,
+            ..RunSpec::plain(2)
+        };
+        let (_, cut) = runner(&durable(CampaignConfig {
+            checkpoint: Some(ckpt.clone()),
+            sample_budget: Some(2),
+            ..CampaignConfig::default()
+        }));
+        assert!(matches!(cut, CampaignVerdict::Truncated { .. }));
+        let (line, verdict) = runner(&durable(CampaignConfig {
+            checkpoint: Some(ckpt.clone()),
+            resume: Some(ckpt.clone()),
+            ..CampaignConfig::default()
+        }));
+        assert_eq!(verdict, CampaignVerdict::Complete);
+        assert_eq!(line, base_line, "{}: cut-and-resumed row", case.name);
+        std::fs::remove_file(&ckpt).ok();
         for threads in [2, 8] {
             let mc = run_case(case, &samples, threads, SolverChoice::Sparse).unwrap();
             assert_eq!(

@@ -31,19 +31,26 @@ fn s27_model() -> PathModel {
     PathModel::build(&spec, &tech_018(), &WireTech::m018()).expect("builds")
 }
 
-fn instrumented_run(model: &PathModel, threads: usize) -> (McRecoveryResult, String) {
+/// A recovering LHS run at `threads` workers under the default policy.
+fn recovering_run(model: &PathModel, threads: usize) -> McPathResult {
+    let spec = RunSpec {
+        threads,
+        ..RunSpec::default()
+    };
+    model
+        .run(
+            &VariationSources::example3(0.33, 0.33),
+            Sampling::Lhs(N_SAMPLES),
+            MASTER_SEED,
+            &spec,
+        )
+        .expect("recovering run")
+}
+
+fn instrumented_run(model: &PathModel, threads: usize) -> (McPathResult, String) {
     metrics::reset();
     metrics::enable();
-    let sources = VariationSources::example3(0.33, 0.33);
-    let res = model
-        .monte_carlo_par_recovering(
-            &sources,
-            N_SAMPLES,
-            MASTER_SEED,
-            threads,
-            RecoveryPolicy::default(),
-        )
-        .expect("recovering run");
+    let res = recovering_run(model, threads);
     metrics::flush_local();
     let counters = metrics::snapshot().counters_json();
     metrics::disable();
@@ -51,7 +58,7 @@ fn instrumented_run(model: &PathModel, threads: usize) -> (McRecoveryResult, Str
     (res, counters)
 }
 
-fn delay_bits(res: &McRecoveryResult) -> Vec<u64> {
+fn delay_bits(res: &McPathResult) -> Vec<u64> {
     res.delays.iter().map(|d| d.to_bits()).collect()
 }
 
@@ -93,20 +100,11 @@ fn counters_are_identical_across_thread_counts() {
 fn disabled_sink_leaves_results_and_sink_untouched() {
     let _guard = metrics::test_lock();
     let model = s27_model();
-    let sources = VariationSources::example3(0.33, 0.33);
 
     // Disabled run: the no-op sink must stay empty.
     metrics::reset();
     metrics::disable();
-    let plain = model
-        .monte_carlo_par_recovering(
-            &sources,
-            N_SAMPLES,
-            MASTER_SEED,
-            2,
-            RecoveryPolicy::default(),
-        )
-        .expect("plain run");
+    let plain = recovering_run(&model, 2);
     metrics::flush_local();
     let report = metrics::snapshot();
     assert!(
@@ -149,15 +147,15 @@ fn spectral_counters_are_identical_across_thread_counts() {
     let run = |threads: usize| {
         metrics::reset();
         metrics::enable();
+        let spec = RunSpec {
+            threads,
+            ..RunSpec::default()
+        };
         let res = model
-            .polynomial_chaos(
-                &sources,
-                config,
-                MASTER_SEED,
-                threads,
-                RecoveryPolicy::default(),
-            )
-            .expect("spectral run");
+            .run(&sources, Sampling::Spectral(config), MASTER_SEED, &spec)
+            .expect("spectral run")
+            .spectral
+            .expect("complete grid");
         metrics::flush_local();
         let counters = metrics::snapshot().counters_json();
         metrics::disable();
@@ -222,15 +220,13 @@ fn shard_counters_are_identical_across_thread_counts() {
     let run = |threads: usize| {
         metrics::reset();
         metrics::enable();
+        let spec = RunSpec {
+            threads,
+            shards: Some(cfg.clone()),
+            ..RunSpec::default()
+        };
         let res = model
-            .monte_carlo_sharded(
-                &sources,
-                N_SAMPLES,
-                MASTER_SEED,
-                threads,
-                RecoveryPolicy::default(),
-                &cfg,
-            )
+            .run(&sources, Sampling::Lhs(N_SAMPLES), MASTER_SEED, &spec)
             .expect("sharded run");
         metrics::flush_local();
         let counters = metrics::snapshot().counters_json();

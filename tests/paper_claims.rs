@@ -45,8 +45,9 @@ fn s27_ga_tracks_mc() {
     let model = PathModel::build(&spec, &tech_018(), &WireTech::m018()).expect("builds");
     let sources = VariationSources::example3(0.33, 0.33);
     let ga = model.gradient_analysis(&sources).expect("ga");
-    let mut rng = rng_from_seed(55);
-    let mc = model.monte_carlo(&sources, 30, &mut rng).expect("mc");
+    let mc = model
+        .run(&sources, Sampling::Lhs(30), 55, &RunSpec::plain(0))
+        .expect("mc");
     assert_eq!(mc.failures, 0);
     let mean_err = (ga.nominal_delay - mc.summary.mean).abs() / mc.summary.mean;
     assert!(mean_err < 0.05, "mean error {mean_err}");

@@ -250,6 +250,14 @@ fn malformed_wire_input_gets_4xx_never_a_crash() {
             "{\"model\": \"demo-fast\", \"n\": 8, \"seed\": -4}",
             "negative seed",
         ),
+        (
+            "{\"model\": \"demo-fast\", \"n\": 1125899906842624}",
+            "sample count beyond the job limit (2^50)",
+        ),
+        (
+            "{\"model\": \"demo-fast\", \"n\": 4, \"max_retries\": 18446744073709551615}",
+            "retry budget beyond the job limit (2^64-1)",
+        ),
     ];
     for (body, why) in cases {
         let resp = raw_roundtrip(

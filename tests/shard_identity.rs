@@ -7,16 +7,16 @@
 //! [`ShardFault`]. These tests pin that identity on a synthetic workload
 //! (values, health, failure bookkeeping, `first_error`), through the
 //! full `PathModel` framework surface, and across the process-per-shard
-//! worker flow (`run_shard_worker` snapshots merged by a resumed
+//! worker flow (`ShardConfig::shard_index` snapshots merged by a resumed
 //! supervisor without re-evaluating a single sample).
 
-use linvar_core::path::{PathModel, PathSpec, VariationSources};
-use linvar_core::RecoveryPolicy;
+use linvar_core::path::{PathModel, PathSpec, Sampling, VariationSources};
+use linvar_core::{RecoveryPolicy, RunSpec};
 use linvar_devices::tech_018;
 use linvar_interconnect::WireTech;
 use linvar_stats::{
-    run_campaign, run_shard_worker, run_sharded_campaign, CampaignConfig, CampaignFingerprint,
-    CampaignResult, SampleStatus, ShardConfig, ShardFault, ShardOutcome, Summary,
+    execute, run_campaign, CampaignConfig, CampaignFingerprint, MonteCarloResult, SampleStatus,
+    ShardConfig, ShardFault, ShardOutcome, Summary,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -82,7 +82,22 @@ fn synth_eval(s: &usize, attempt: usize) -> Result<(f64, SampleStatus), String> 
     Ok(((k as f64).sin() * (attempt as f64 + 1.0), status))
 }
 
-fn synth_baseline() -> CampaignResult {
+/// A sharded run of the synthetic workload at `threads` workers.
+fn synth_sharded(
+    threads: usize,
+    cfg: &ShardConfig,
+    f: impl Fn(&usize, usize) -> Result<(f64, SampleStatus), String> + Sync,
+) -> MonteCarloResult {
+    let samples: Vec<usize> = (0..SYNTH_N).collect();
+    let spec = RunSpec {
+        threads,
+        shards: Some(cfg.clone()),
+        ..RunSpec::default()
+    };
+    execute(&samples, &spec, &synth_fingerprint(), f).expect("sharded campaign")
+}
+
+fn synth_baseline() -> MonteCarloResult {
     let samples: Vec<usize> = (0..SYNTH_N).collect();
     run_campaign(
         &samples,
@@ -95,11 +110,7 @@ fn synth_baseline() -> CampaignResult {
     .expect("baseline campaign")
 }
 
-fn assert_matches_baseline(
-    sharded: &linvar_stats::ShardedCampaignResult,
-    base: &CampaignResult,
-    what: &str,
-) {
+fn assert_matches_baseline(sharded: &MonteCarloResult, base: &MonteCarloResult, what: &str) {
     assert_eq!(sharded.values, base.values, "{what}: values");
     assert_summaries_bitwise(&sharded.summary, &base.summary, what);
     assert_eq!(sharded.sample_health, base.sample_health, "{what}: health");
@@ -115,7 +126,6 @@ fn assert_matches_baseline(
 
 #[test]
 fn synthetic_identity_across_shard_and_thread_counts() {
-    let samples: Vec<usize> = (0..SYNTH_N).collect();
     let base = synth_baseline();
     for n_shards in [1usize, 2, 4] {
         for threads in [1usize, 2, 8] {
@@ -123,15 +133,7 @@ fn synthetic_identity_across_shard_and_thread_counts() {
                 n_shards,
                 ..ShardConfig::default()
             };
-            let sharded = run_sharded_campaign(
-                &samples,
-                threads,
-                RecoveryPolicy::default(),
-                &cfg,
-                &synth_fingerprint(),
-                synth_eval,
-            )
-            .expect("sharded campaign");
+            let sharded = synth_sharded(threads, &cfg, synth_eval);
             assert_matches_baseline(&sharded, &base, &format!("{n_shards}x{threads}"));
             assert_eq!(sharded.shards.len(), n_shards);
             assert!(sharded
@@ -144,7 +146,6 @@ fn synthetic_identity_across_shard_and_thread_counts() {
 
 #[test]
 fn identity_holds_under_every_injected_fault() {
-    let samples: Vec<usize> = (0..SYNTH_N).collect();
     let base = synth_baseline();
     let faults = [
         ("kill", ShardFault::KillBeforeCheckpoint),
@@ -166,15 +167,7 @@ fn identity_holds_under_every_injected_fault() {
             poll_interval: Duration::from_millis(5),
             ..ShardConfig::default()
         };
-        let sharded = run_sharded_campaign(
-            &samples,
-            2,
-            RecoveryPolicy::default(),
-            &cfg,
-            &synth_fingerprint(),
-            synth_eval,
-        )
-        .expect("faulted campaign");
+        let sharded = synth_sharded(2, &cfg, synth_eval);
         assert_matches_baseline(&sharded, &base, tag);
         assert!(
             sharded
@@ -197,7 +190,6 @@ fn identity_holds_under_every_injected_fault() {
 
 #[test]
 fn worker_snapshots_merge_without_reevaluation() {
-    let samples: Vec<usize> = (0..SYNTH_N).collect();
     let base = synth_baseline();
     let dir = tmp_dir("workers");
     let cfg = ShardConfig {
@@ -209,16 +201,11 @@ fn worker_snapshots_merge_without_reevaluation() {
     // process-per-shard flow the bench bins expose via --shard-index).
     let mut worker_total = 0;
     for k in 0..3 {
-        let worker = run_shard_worker(
-            &samples,
-            2,
-            RecoveryPolicy::default(),
-            &cfg,
-            &synth_fingerprint(),
-            k,
-            synth_eval,
-        )
-        .expect("shard worker");
+        let worker_cfg = ShardConfig {
+            shard_index: Some(k),
+            ..cfg.clone()
+        };
+        let worker = synth_sharded(2, &worker_cfg, synth_eval);
         assert!(worker.evaluated > 0, "worker {k} evaluated nothing");
         worker_total += worker.evaluated;
     }
@@ -229,17 +216,9 @@ fn worker_snapshots_merge_without_reevaluation() {
         resume: true,
         ..cfg
     };
-    let merged = run_sharded_campaign(
-        &samples,
-        2,
-        RecoveryPolicy::default(),
-        &merge_cfg,
-        &synth_fingerprint(),
-        |_: &usize, _| -> Result<(f64, SampleStatus), String> {
-            panic!("merge-only run must not evaluate samples")
-        },
-    )
-    .expect("merge run");
+    let merged = synth_sharded(2, &merge_cfg, |_: &usize, _| {
+        panic!("merge-only run must not evaluate samples")
+    });
     assert_eq!(
         merged.evaluated, 0,
         "merge must come entirely from snapshots"
@@ -271,9 +250,13 @@ fn path_model_sharded_matches_single_process() {
                 n_shards,
                 ..ShardConfig::default()
             };
-            let sharded = model
-                .monte_carlo_sharded(&sources, 6, 7, threads, policy, &cfg)
-                .unwrap();
+            let spec = RunSpec {
+                threads,
+                policy,
+                shards: Some(cfg),
+                ..RunSpec::default()
+            };
+            let sharded = model.run(&sources, Sampling::Lhs(6), 7, &spec).unwrap();
             let what = format!("path {n_shards}x{threads}");
             assert_eq!(sharded.delays, base.delays, "{what}: delays");
             assert_summaries_bitwise(&sharded.summary, &base.summary, &what);
