@@ -47,9 +47,9 @@ LINVAR_WS_DISABLE=1 cargo test -q --test golden_fixtures
 
 echo "==> benchmark self-tests and seed-1 result rows (paths, chains, irdrop, serve)"
 # run.py exits non-zero when a workload's rows differ from perfbench/expected,
-# so a hot-path or grid-route change that moves a result bit fails here.
+# so a hot-path or grid-route change that moves a result bit fails here
+# (the paths rows are checked by the perf gate's seed-1 run below).
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
-python3 perfbench/run.py --workload paths --seed 1 --seconds 1 >/dev/null
 python3 perfbench/run.py --workload chains --seed 1 --seconds 1 >/dev/null
 python3 perfbench/run.py --workload irdrop --seed 1 --seconds 1 >/dev/null
 python3 perfbench/run.py --workload serve --seed 1 --seconds 1 >/dev/null
@@ -57,7 +57,18 @@ python3 perfbench/run.py --workload serve --seed 1 --seconds 1 >/dev/null
 echo "==> no-panic smoke pass (examples must not panic)"
 smoke_log=$(mktemp)
 ckdir=$(mktemp -d)
-trap 'rm -f "$smoke_log"; rm -rf "$ckdir"' EXIT
+base_tree="$ckdir/base-tree"
+cleanup() {
+    if [ -d "$base_tree" ]; then
+        git worktree remove --force "$base_tree" || true
+    fi
+    rm -f "$smoke_log"
+    rm -rf "$ckdir"
+}
+trap cleanup EXIT
+# dash skips the EXIT trap on an untrapped signal; route them through it.
+trap 'exit 130' INT
+trap 'exit 143' TERM
 for ex in quickstart variational_rc reduce_deck; do
     echo "    example $ex"
     if ! RUST_BACKTRACE=1 LINVAR_THREADS=2 \
@@ -113,7 +124,7 @@ if [ "$status" -ne 3 ]; then
     exit 1
 fi
 
-echo "==> metrics trajectory smoke (instrumented table4 --quick, same-seed counter diff)"
+echo "==> metrics report smoke (instrumented table4 --quick, same-seed counter diff)"
 LINVAR_THREADS=2 cargo run --release -q -p linvar-bench --bin table4 -- --quick \
     --metrics "$ckdir/m1.json" >"$ckdir/m1.out" 2>&1
 if ! [ -s BENCH_table4.json ] || ! [ -s "$ckdir/m1.json" ]; then
@@ -121,12 +132,10 @@ if ! [ -s BENCH_table4.json ] || ! [ -s "$ckdir/m1.json" ]; then
     cat "$ckdir/m1.out" >&2
     exit 1
 fi
-if command -v python3 >/dev/null 2>&1; then
-    python3 -m json.tool BENCH_table4.json >/dev/null || {
-        echo "BENCH_table4.json is not valid JSON" >&2
-        exit 1
-    }
-fi
+python3 -m json.tool BENCH_table4.json >/dev/null || {
+    echo "BENCH_table4.json is not valid JSON" >&2
+    exit 1
+}
 for key in '"bench"' '"counters"' '"gauges"' '"timers"' \
     '"phase.sample_eval.calls"' '"mc.samples_completed"' '"rung.' '"wall_seconds"'; do
     if ! grep -q "$key" BENCH_table4.json; then
@@ -166,10 +175,8 @@ done
 echo "==> sparse solver smoke (chains --quick per backend, mc rows diffed)"
 LINVAR_THREADS=2 LINVAR_SOLVER=dense cargo run --release -q -p linvar-bench \
     --bin chains -- --quick >"$ckdir/chains_dense.out" 2>&1
-LINVAR_THREADS=2 LINVAR_SOLVER=sparse \
-    LINVAR_TRAJECTORY=BENCH_trajectory.json LINVAR_TRAJECTORY_LABEL=ci-sparse-smoke \
-    cargo run --release -q -p linvar-bench --bin chains -- --quick \
-    >"$ckdir/chains_sparse.out" 2>&1
+LINVAR_THREADS=2 LINVAR_SOLVER=sparse cargo run --release -q -p linvar-bench \
+    --bin chains -- --quick >"$ckdir/chains_sparse.out" 2>&1
 grep '^mc ' "$ckdir/chains_dense.out" >"$ckdir/chains_dense.mc"
 grep '^mc ' "$ckdir/chains_sparse.out" >"$ckdir/chains_sparse.mc"
 if ! [ -s "$ckdir/chains_dense.mc" ]; then
@@ -216,8 +223,7 @@ for key in '"ac.points_solved"' '"phase.ac_factor.calls"' '"phase.ac_solve.calls
 done
 
 echo "==> IR-drop smoke (acgrid --quick, both backends byte-diffed by the bin itself)"
-LINVAR_THREADS=2 LINVAR_TRAJECTORY=BENCH_trajectory.json LINVAR_TRAJECTORY_LABEL=ci-ac-smoke \
-    cargo run --release -q -p linvar-bench --bin acgrid -- --quick \
+LINVAR_THREADS=2 cargo run --release -q -p linvar-bench --bin acgrid -- --quick \
     >"$ckdir/acgrid.out" 2>&1 || {
     echo "acgrid --quick failed (backend mismatch or error):" >&2
     cat "$ckdir/acgrid.out" >&2
@@ -240,9 +246,8 @@ echo "==> spectral engine smoke (table4 --quick --engine gpc vs mc, moment budge
 # The gpc run itself fails (non-zero exit) on a budget violation; the
 # python pass below re-checks the recorded metrics independently and
 # prints the solves-to-tolerance ratios for the log.
-if ! LINVAR_THREADS=2 LINVAR_TRAJECTORY=BENCH_trajectory.json LINVAR_TRAJECTORY_LABEL=ci-gpc-smoke \
-    cargo run --release -q -p linvar-bench --bin table4 -- --quick --engine gpc \
-    >"$ckdir/gpc.out" 2>&1; then
+if ! LINVAR_THREADS=2 cargo run --release -q -p linvar-bench --bin table4 -- --quick \
+    --engine gpc >"$ckdir/gpc.out" 2>&1; then
     echo "table4 --engine gpc failed (budget violation or error):" >&2
     cat "$ckdir/gpc.out" >&2
     exit 1
@@ -253,8 +258,7 @@ if ! [ -s "$ckdir/gpc.rows" ]; then
     cat "$ckdir/gpc.out" >&2
     exit 1
 fi
-if command -v python3 >/dev/null 2>&1; then
-    python3 - <<'EOF'
+python3 - <<'EOF'
 import json, struct, sys
 
 bench = json.load(open("BENCH_table4.json"))["bench"]
@@ -274,7 +278,6 @@ for tag, cfg in sorted(bench["configs"].items()):
     if cfg["solves_ratio"] > 0.1:
         sys.exit(f"{tag}: solves-to-tolerance ratio {cfg['solves_ratio']} > 0.1")
 EOF
-fi
 
 echo "==> shard identity (sharded merge bitwise-equal to single-process, incl. faults)"
 cargo test -q --test shard_identity
@@ -305,35 +308,69 @@ if ! diff -u "$ckdir/clean.mc" "$ckdir/shard4.mc"; then
     exit 1
 fi
 
-echo "==> perf smoke (table4 --quick at 1 thread, appended to the bench trajectory)"
-LINVAR_THREADS=1 LINVAR_TRAJECTORY=BENCH_trajectory.json LINVAR_TRAJECTORY_LABEL=ci-perf-smoke \
-    cargo run --release -q -p linvar-bench --bin table4 -- --quick >"$ckdir/perf.out" 2>&1
-if command -v python3 >/dev/null 2>&1; then
-    # Compare the fresh entry against the previous comparable one (same bin,
-    # quick flag, and worker count); >10% samples/sec regression fails CI.
-    python3 - <<'EOF'
-import json, sys
+echo "==> paired perf gate (perfbench paths, base vs change, alternating pairs)"
+# The base is the last commit when tracked files have uncommitted changes,
+# else its parent. Each side runs its own tree's perfbench; pair k runs
+# seed k, and the side that goes first alternates. One run drifts 10-15%
+# with machine load, so the gate fails only when the change loses most
+# pairs *and* the median per-pair samples_per_s ratio (change / base) is
+# below the threshold.
+perf_pairs=5
+perf_seconds=5
+perf_workload=paths
+perf_min_ratio=0.9
+if git diff --quiet HEAD --; then base_rev=HEAD^; else base_rev=HEAD; fi
+git rev-parse -q --verify "$base_rev^{commit}" >/dev/null || {
+    echo "perf gate: no base commit $base_rev to compare against" >&2
+    exit 1
+}
+# Drop registrations a killed earlier run (kill -9 skips every trap) left.
+git worktree prune
+git worktree add -q --detach "$base_tree" "$base_rev"
+echo "    base $(git rev-parse --short "$base_rev") ($base_rev)"
+# perf_run <side> <tree> <target dir> <seed>: one perfbench run; its
+# result line is kept as $ckdir/perf_<side>_<seed>.json.
+perf_run() {
+    (cd "$2" && CARGO_TARGET_DIR="$3" python3 perfbench/run.py --workload "$perf_workload" \
+        --seed "$4" --seconds "$perf_seconds" >"$ckdir/perf_$1_$4.json" \
+        2>"$ckdir/perf_$1_$4.err") || {
+        echo "perfbench $perf_workload ($1 side, seed $4) failed:" >&2
+        cat "$ckdir/perf_$1_$4.err" >&2
+        exit 1
+    }
+}
+seed=1
+while [ "$seed" -le "$perf_pairs" ]; do
+    if [ $((seed % 2)) -eq 1 ]; then
+        perf_run change . "$PWD/.bench_build" "$seed"
+        perf_run base "$base_tree" "$ckdir/base_build" "$seed"
+    else
+        perf_run base "$base_tree" "$ckdir/base_build" "$seed"
+        perf_run change . "$PWD/.bench_build" "$seed"
+    fi
+    seed=$((seed + 1))
+done
+python3 - "$ckdir" "$perf_pairs" "$perf_min_ratio" <<'EOF'
+import json, statistics, sys
 
-entries = json.load(open("BENCH_trajectory.json"))
-comparable = [
-    e for e in entries
-    if e.get("bin") == "table4" and e.get("quick")
-    and "mc.samples_per_sec" in e and e.get("threads", 1) == 1
-]
-if len(comparable) < 2:
-    sys.exit(0)
-prev, cur = comparable[-2], comparable[-1]
-ratio = cur["mc.samples_per_sec"] / prev["mc.samples_per_sec"]
-print(f"perf smoke: {cur['mc.samples_per_sec']:.2f} samples/sec vs "
-      f"{prev['mc.samples_per_sec']:.2f} previously ({ratio:.2f}x, "
-      f"{prev.get('label', '?')} -> {cur.get('label', '?')})")
-if ratio < 0.9:
-    sys.exit("samples/sec regressed by more than 10% against the previous "
-             "comparable trajectory entry")
+ckdir, pairs, min_ratio = sys.argv[1], int(sys.argv[2]), float(sys.argv[3])
+def samples_per_s(side, seed):
+    line = open(f"{ckdir}/perf_{side}_{seed}.json").read().splitlines()[-1]
+    return json.loads(line)["metrics"]["samples_per_s"]["value"]
+ratios = []
+for seed in range(1, pairs + 1):
+    base, change = samples_per_s("base", seed), samples_per_s("change", seed)
+    ratios.append(change / base)
+    first = "change" if seed % 2 else "base"
+    print(f"    pair {seed} ({first} first): base {base:.2f}, change {change:.2f} "
+          f"samples/s, ratio {ratios[-1]:.3f}")
+wins = sum(r > 1.0 for r in ratios)
+median = statistics.median(ratios)
+print(f"    change wins {wins}/{pairs} pairs, median ratio {median:.3f}")
+if 2 * wins <= pairs and median < min_ratio:
+    sys.exit(f"perf gate: change loses {pairs - wins}/{pairs} pairs and its median "
+             f"samples_per_s ratio {median:.3f} is below {min_ratio}")
 EOF
-else
-    echo "    (python3 unavailable; trajectory appended, regression check skipped)"
-fi
 
 echo "==> campaign-service smoke (kill -9 mid-campaign + restart, byte-identical result)"
 SB=target/release/serve
@@ -410,21 +447,5 @@ fi
 "$SB" health --addr 127.0.0.1:17443 >/dev/null
 "$SB" shutdown --addr 127.0.0.1:17443 >/dev/null
 wait "$serve_shed_pid" || true
-
-echo "==> campaign-service load generator (latency percentiles + shed counts)"
-LINVAR_TRAJECTORY=BENCH_trajectory.json LINVAR_TRAJECTORY_LABEL=serve-loadgen \
-    cargo run --release -q -p linvar-bench --bin loadgen -- --quick \
-    >"$ckdir/loadgen.out" 2>&1 || {
-    echo "loadgen failed:" >&2
-    cat "$ckdir/loadgen.out" >&2
-    exit 1
-}
-for key in '"loadgen.p50_ms"' '"loadgen.p95_ms"' '"loadgen.p99_ms"' \
-    '"loadgen.throughput_jobs_per_sec"' '"overload.shed_429"' '"serve.requests"'; do
-    if ! grep -q "$key" BENCH_serve.json; then
-        echo "BENCH_serve.json is missing required key $key" >&2
-        exit 1
-    fi
-done
 
 echo "==> ci green"

@@ -17,9 +17,8 @@
 //! grid of [`linvar_bench::grid::GRID_GPC_CONFIG`] — 11 DC solves per
 //! case. Neither spectral engine supports `--shards`.
 //!
-//! Per-case throughput lands in `BENCH_acgrid.json`; `--metrics`
-//! additionally prints the report, and `LINVAR_TRAJECTORY` appends a
-//! trajectory row.
+//! Per-case throughput lands in `BENCH_acgrid.json`; `--metrics <path>`
+//! writes a copy of the report.
 //!
 //! Run with `cargo run --release -p linvar-bench --bin acgrid [-- --quick]`
 //! (set `LINVAR_THREADS` to pin the Monte-Carlo worker count).

@@ -32,8 +32,8 @@
 //! engines (`mc`, `sobol`); `--engine gpc` keeps its transient driver.
 //!
 //! Phase timings (`symbolic`, `numeric_factor`, `solve`) and per-case
-//! throughput land in `BENCH_chains.json`; `--metrics` additionally
-//! prints the report, and `LINVAR_TRAJECTORY` appends a trajectory row.
+//! throughput land in `BENCH_chains.json`; `--metrics <path>` writes a
+//! copy of the report.
 //!
 //! Run with `cargo run --release -p linvar-bench --bin chains [-- --quick]`
 //! (set `LINVAR_THREADS` to pin the Monte-Carlo worker count).

@@ -9,7 +9,7 @@
 //! the [`RunSpec`] it builds, the one campaign runner [`run_points`]
 //! behind the `chains` and `acgrid` bins, and the [`BenchMeter`]
 //! observability harness that emits the machine-readable
-//! `BENCH_<bin>.json` trajectory.
+//! `BENCH_<bin>.json` report.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
@@ -17,6 +17,7 @@ pub mod chains;
 pub mod grid;
 mod meter;
 
+pub use linvar_serve::bits_hex;
 pub use meter::BenchMeter;
 
 use linvar_circuit::CircuitError;
@@ -600,13 +601,6 @@ pub fn run_points(
         )));
     }
     Ok(run)
-}
-
-/// `f64` as its 16-hex-digit bit pattern — the bins print Monte-Carlo
-/// statistics this way on their deterministic `mc` lines, so a resumed
-/// run can be string-compared against a clean one (see `ci.sh`).
-pub fn bits_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
 }
 
 /// Looks up a named probability in a spectral result's `(p, value)`

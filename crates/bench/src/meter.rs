@@ -1,4 +1,4 @@
-//! The machine-readable bench trajectory: every benchmark binary wraps
+//! The machine-readable bench report: every benchmark binary wraps
 //! its run in a [`BenchMeter`], which enables the [`linvar_metrics`]
 //! sink, lets the bin attach run-level facts (accuracy deltas, speedup
 //! ratios, sample counts), and on completion writes a canonical-JSON
@@ -54,7 +54,7 @@ impl BenchMeter {
         self
     }
 
-    /// Finalizes the trajectory: folds this thread's local buffers into
+    /// Finalizes the report: folds this thread's local buffers into
     /// the sink, snapshots it, derives run-level gauges, and writes the
     /// report to `BENCH_<bin>.json` (and to `--metrics <path>` if set).
     ///
@@ -74,7 +74,6 @@ impl BenchMeter {
         if completed > 0 && wall > 0.0 {
             report.set_gauge("mc.samples_per_sec", completed as f64 / wall);
         }
-        self.append_trajectory(args, wall, &report)?;
         let mut bench = self.extra;
         bench.set("bin", self.bin);
         bench.set("quick", args.quick);
@@ -88,76 +87,6 @@ impl BenchMeter {
             write_report(path, &text)?;
         }
         Ok(())
-    }
-
-    /// Appends a compact perf entry to the trajectory file named by
-    /// `LINVAR_TRAJECTORY` (no-op when unset). The file is a JSON array;
-    /// a missing or empty file starts as `[]`. `LINVAR_TRAJECTORY_LABEL`
-    /// tags the entry (e.g. `before-workspace` / `after-workspace`) so
-    /// consecutive comparable entries can be diffed by CI.
-    fn append_trajectory(
-        &self,
-        args: &BenchArgs,
-        wall: f64,
-        report: &linvar_metrics::MetricsReport,
-    ) -> Result<(), BenchError> {
-        let Ok(path) = std::env::var("LINVAR_TRAJECTORY") else {
-            return Ok(());
-        };
-        if path.is_empty() {
-            return Ok(());
-        }
-        let label = std::env::var("LINVAR_TRAJECTORY_LABEL").unwrap_or_default();
-        let mut entry = Json::obj();
-        entry.set("bin", self.bin);
-        entry.set("label", label);
-        entry.set("quick", args.quick);
-        entry.set("wall_seconds", wall);
-        for key in [
-            "mc.samples_per_sec",
-            "ws.hits",
-            "ws.misses",
-            "ws.bytes_held",
-        ] {
-            if let Some(&v) = report.gauges.get(key) {
-                entry.set(key, v);
-            }
-        }
-        if let Some(&n) = report.counters.get("mc.samples_completed") {
-            entry.set("mc.samples_completed", n);
-        }
-        // Record the worker count when pinned, so trajectory consumers
-        // (e.g. the ci.sh regression gate) only compare like-for-like runs.
-        if let Some(t) = std::env::var("LINVAR_THREADS")
-            .ok()
-            .and_then(|t| t.parse::<u64>().ok())
-        {
-            entry.set("threads", t);
-        }
-        // Indent the rendered entry one array level deep.
-        let rendered = entry.render();
-        let indented: String = rendered
-            .trim_end()
-            .lines()
-            .map(|l| format!("  {l}\n"))
-            .collect();
-        let indented = indented.trim_end();
-        let path = std::path::Path::new(&path);
-        let existing = std::fs::read_to_string(path).unwrap_or_else(|_| "[]".to_string());
-        let body = existing.trim_end();
-        let body = body.strip_suffix(']').ok_or_else(|| {
-            BenchError::Msg(format!(
-                "trajectory file {path:?} is not a JSON array (missing trailing ']')"
-            ))
-        })?;
-        let body = body.trim_end();
-        let updated = if body == "[" {
-            format!("[\n{indented}\n]\n")
-        } else {
-            format!("{body},\n{indented}\n]\n")
-        };
-        std::fs::write(path, updated)
-            .map_err(|e| BenchError::Msg(format!("cannot append trajectory {path:?}: {e}")))
     }
 }
 
@@ -207,38 +136,6 @@ mod tests {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }
         assert!(text.ends_with('\n'));
-        linvar_metrics::disable();
-        linvar_metrics::reset();
-    }
-
-    #[test]
-    fn trajectory_appends_labeled_entries_in_order() {
-        let _guard = linvar_metrics::test_lock();
-        let dir = std::env::temp_dir().join("linvar_trajectory_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let traj = dir.join("BENCH_trajectory.json");
-        let _ = std::fs::remove_file(&traj);
-        std::env::set_var("LINVAR_TRAJECTORY", &traj);
-        let args = BenchArgs::default();
-        let cwd = std::env::current_dir().unwrap();
-        std::env::set_current_dir(&dir).unwrap();
-        let run = |label: &str| {
-            std::env::set_var("LINVAR_TRAJECTORY_LABEL", label);
-            let meter = BenchMeter::start("trajtest");
-            linvar_metrics::incr(linvar_metrics::Counter::McSamplesCompleted);
-            meter.finish(&args).unwrap();
-        };
-        run("before");
-        run("after");
-        std::env::set_current_dir(cwd).unwrap();
-        std::env::remove_var("LINVAR_TRAJECTORY");
-        std::env::remove_var("LINVAR_TRAJECTORY_LABEL");
-        let text = std::fs::read_to_string(&traj).unwrap();
-        let before = text.find("\"label\": \"before\"").expect("first entry");
-        let after = text.find("\"label\": \"after\"").expect("second entry");
-        assert!(before < after, "entries must append in run order:\n{text}");
-        assert!(text.trim_end().ends_with(']'), "file stays a JSON array");
-        assert_eq!(text.matches("\"bin\": \"trajtest\"").count(), 2);
         linvar_metrics::disable();
         linvar_metrics::reset();
     }

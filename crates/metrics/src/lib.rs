@@ -8,8 +8,8 @@
 //! iterations, timestep halvings, DC-ladder rungs, MOR order drops,
 //! engine-rung selections, sample retries). A benchmark binary enables the
 //! sink, runs its campaign, and serializes a [`MetricsReport`] snapshot to
-//! canonical sorted-key JSON — the machine-readable perf trajectory diffed
-//! across PRs by `ci.sh`.
+//! canonical sorted-key JSON — the machine-readable report whose counters
+//! `ci.sh` diffs across worker counts.
 //!
 //! # Design contract
 //!

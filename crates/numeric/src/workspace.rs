@@ -38,8 +38,9 @@
 //! shared arena would need locks on the hottest path in the codebase.
 //!
 //! Set `LINVAR_WS_DISABLE=1` to turn every pool into a pass-through
-//! (every take allocates, every recycle drops) — the A/B switch the
-//! perf smoke in `ci.sh` uses to measure the arena's effect.
+//! (every take allocates, every recycle drops) — the A/B switch `ci.sh`
+//! uses to check that the pooled and allocating paths give the same
+//! counters and golden bits.
 
 use crate::complex::Complex;
 use crate::matrix::Matrix;

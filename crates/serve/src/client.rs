@@ -1,6 +1,6 @@
 //! A tiny blocking HTTP client — the mirror image of [`crate::http`],
-//! used by the bench bins (`serve` client mode, `loadgen`) and the
-//! recovery tests so nothing in the workspace needs `curl`.
+//! used by the `serve` bin's client mode, the benchmark and the service
+//! tests so nothing in the workspace needs `curl`.
 //!
 //! One request per connection, matching the server's
 //! `Connection: close` contract.

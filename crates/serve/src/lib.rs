@@ -59,9 +59,10 @@ pub use json::{parse_json, JsonGet, JsonParseError};
 pub use server::{install_signal_handlers, Server, ServerHandle};
 pub use store::{JobRecord, JobState, JobStore, MAX_JOB_RETRIES, MAX_JOB_SAMPLES};
 
-/// Raw bit pattern of an `f64` as 16 lowercase hex digits — the exact
-/// form the bench bins print in their deterministic `mc` lines (this
-/// crate cannot depend on `linvar-bench`, which sits above it).
+/// Raw bit pattern of an `f64` as 16 lowercase hex digits — the form of
+/// every deterministic `mc` line, here and in the bench bins (which
+/// re-export it), so a resumed run can be string-compared against a
+/// clean one.
 pub fn bits_hex(v: f64) -> String {
     format!("{:016x}", v.to_bits())
 }

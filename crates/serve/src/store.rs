@@ -6,10 +6,11 @@
 //! * `job-<id>.rec` — the **journal record**: identity (tenant, model,
 //!   seed, n, policy, budget), current lifecycle state, and — once
 //!   terminal — the result or error. Rewritten atomically (temp
-//!   sibling + fsync + rename + directory fsync, the `campaign.rs`
-//!   discipline) on *every* state transition, with an FNV-1a checksum
-//!   trailer, so a crash at any instant leaves either the previous
-//!   record or the complete new one.
+//!   sibling + fsync + rename + directory fsync) on *every* state
+//!   transition, with an FNV-1a checksum trailer — the checkpoint's
+//!   own routines, `linvar_stats::campaign::{write_atomic, seal,
+//!   read_sealed}` — so a crash at any instant leaves either the
+//!   previous record or the complete new one.
 //! * `job-<id>.ckpt` — the campaign checkpoint, written by the durable
 //!   campaign driver itself while the job runs.
 //!
@@ -28,9 +29,12 @@
 //! interrupted jobs back to [`JobState::Queued`] for re-dispatch.
 
 use linvar_metrics::Counter;
+use linvar_stats::campaign::{
+    escape, parse_policy, policy_line, read_sealed, seal, unescape, write_atomic,
+};
 use linvar_stats::{
-    fingerprint_str, fingerprint_words, fnv1a64, load_checkpoint, reap_tmp_in_dir,
-    CampaignFingerprint, CheckpointError, RecoveryPolicy,
+    fingerprint_str, fingerprint_words, load_checkpoint, reap_tmp_in_dir, CampaignFingerprint,
+    CheckpointError, RecoveryPolicy,
 };
 use std::path::{Path, PathBuf};
 
@@ -218,42 +222,6 @@ pub fn job_id(
     format!("{:016x}", fingerprint_words(words))
 }
 
-fn escape(msg: &str) -> String {
-    msg.replace('\\', "\\\\")
-        .replace('\n', "\\n")
-        .replace('\r', "\\r")
-}
-
-fn unescape(msg: &str) -> String {
-    let mut out = String::with_capacity(msg.len());
-    let mut chars = msg.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('\\') => out.push('\\'),
-                Some(other) => {
-                    out.push('\\');
-                    out.push(other);
-                }
-                None => out.push('\\'),
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-fn io_err(op: &'static str, path: &Path, e: std::io::Error) -> CheckpointError {
-    CheckpointError::Io {
-        op,
-        path: path.display().to_string(),
-        detail: e.to_string(),
-    }
-}
-
 fn serialize_record(rec: &JobRecord) -> String {
     let mut body = String::with_capacity(256);
     body.push_str(JOB_FORMAT_VERSION);
@@ -263,12 +231,7 @@ fn serialize_record(rec: &JobRecord) -> String {
     body.push_str(&format!("model={}\n", escape(&rec.model)));
     body.push_str(&format!("seed={}\n", rec.seed));
     body.push_str(&format!("n={}\n", rec.n));
-    body.push_str(&format!(
-        "policy={} {} {}\n",
-        rec.policy.max_retries,
-        u8::from(rec.policy.allow_fallback),
-        u8::from(rec.policy.fail_fast)
-    ));
+    body.push_str(&policy_line(&rec.policy));
     if let Some(b) = rec.budget {
         body.push_str(&format!("budget={b}\n"));
     }
@@ -279,30 +242,14 @@ fn serialize_record(rec: &JobRecord) -> String {
     if let Some(e) = &rec.error {
         body.push_str(&format!("error={}\n", escape(e)));
     }
-    let sum = fnv1a64(body.as_bytes());
-    body.push_str(&format!("sum={sum:016x}\n"));
+    seal(&mut body);
     body
 }
 
-fn parse_record(text: &str) -> Result<JobRecord, CheckpointError> {
+/// Reads, checksum-verifies and parses one record file.
+fn load_record(path: &Path) -> Result<JobRecord, CheckpointError> {
+    let payload = read_sealed(path)?;
     let malformed = |reason: String| CheckpointError::Malformed { reason };
-    let sum_at = text
-        .rfind("sum=")
-        .ok_or_else(|| malformed("missing checksum line (file truncated?)".into()))?;
-    if sum_at > 0 && text.as_bytes()[sum_at - 1] != b'\n' {
-        return Err(malformed("checksum line does not start a line".into()));
-    }
-    let sum_line = text[sum_at..].trim_end();
-    let recorded = u64::from_str_radix(sum_line.trim_start_matches("sum="), 16)
-        .map_err(|_| malformed(format!("unparseable checksum line {sum_line:?}")))?;
-    let payload = &text[..sum_at];
-    let found = fnv1a64(payload.as_bytes());
-    if found != recorded {
-        return Err(CheckpointError::ChecksumMismatch {
-            expected: recorded,
-            found,
-        });
-    }
     let mut lines = payload.lines();
     let version = lines
         .next()
@@ -340,24 +287,7 @@ fn parse_record(text: &str) -> Result<JobRecord, CheckpointError> {
                     .map_err(|_| malformed(format!("bad n {v:?}")))?,
             );
         } else if let Some(v) = line.strip_prefix("policy=") {
-            let mut it = v.split(' ');
-            let bad = || malformed(format!("bad policy line {v:?}"));
-            let max_retries: usize = it.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
-            let allow_fallback = match it.next() {
-                Some("0") => false,
-                Some("1") => true,
-                _ => return Err(bad()),
-            };
-            let fail_fast = match it.next() {
-                Some("0") => false,
-                Some("1") => true,
-                _ => return Err(bad()),
-            };
-            policy = Some(RecoveryPolicy {
-                max_retries,
-                allow_fallback,
-                fail_fast,
-            });
+            policy = Some(parse_policy(v)?);
         } else if let Some(v) = line.strip_prefix("budget=") {
             budget = Some(
                 v.parse::<usize>()
@@ -427,7 +357,7 @@ pub struct JobStore {
 impl JobStore {
     /// Opens (creating if needed) the store directory.
     pub fn open(dir: &Path) -> Result<JobStore, CheckpointError> {
-        std::fs::create_dir_all(dir).map_err(|e| io_err("create", dir, e))?;
+        std::fs::create_dir_all(dir).map_err(|e| CheckpointError::io("create", dir, e))?;
         Ok(JobStore {
             dir: dir.to_path_buf(),
         })
@@ -448,38 +378,16 @@ impl JobStore {
         self.dir.join(format!("job-{id}.ckpt"))
     }
 
-    /// Journals `rec` atomically: temp sibling + fsync + rename +
-    /// parent-directory fsync. After this returns `Ok`, a crash at any
-    /// later instant leaves the complete new record visible.
+    /// Journals `rec` atomically ([`write_atomic`]). After this returns
+    /// `Ok`, a crash at any later instant leaves the complete new record
+    /// visible.
     pub fn save(&self, rec: &JobRecord) -> Result<(), CheckpointError> {
-        use std::io::Write as _;
-        let path = self.record_path(&rec.id);
-        let body = serialize_record(rec);
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        {
-            let mut f = std::fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
-            f.write_all(body.as_bytes())
-                .map_err(|e| io_err("write", &tmp, e))?;
-            f.sync_all().map_err(|e| io_err("fsync", &tmp, e))?;
-        }
-        std::fs::rename(&tmp, &path).map_err(|e| io_err("rename", &path, e))?;
-        #[cfg(unix)]
-        if let Ok(d) = std::fs::File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
-        Ok(())
+        write_atomic(&self.record_path(&rec.id), serialize_record(rec).as_bytes())
     }
 
     /// Loads and checksum-verifies one record file.
     pub fn load(&self, id: &str) -> Result<JobRecord, CheckpointError> {
-        let path = self.record_path(id);
-        let bytes = std::fs::read(&path).map_err(|e| io_err("read", &path, e))?;
-        let text = String::from_utf8(bytes).map_err(|_| CheckpointError::Malformed {
-            reason: "record is not valid UTF-8".into(),
-        })?;
-        parse_record(&text)
+        load_record(&self.record_path(id))
     }
 
     /// Loads every readable record, sorted by id. Unreadable records
@@ -503,15 +411,7 @@ impl JobStore {
             .collect();
         rec_files.sort();
         for path in rec_files {
-            let parsed = std::fs::read(&path)
-                .map_err(|e| io_err("read", &path, e))
-                .and_then(|bytes| {
-                    String::from_utf8(bytes).map_err(|_| CheckpointError::Malformed {
-                        reason: "record is not valid UTF-8".into(),
-                    })
-                })
-                .and_then(|text| parse_record(&text));
-            match parsed {
+            match load_record(&path) {
                 Ok(rec) => out.push(rec),
                 Err(e) => {
                     eprintln!(
@@ -674,9 +574,16 @@ mod tests {
         let store = JobStore::open(&tmp_dir("corrupt")).unwrap();
         let r = rec(JobState::Queued);
         store.save(&r).unwrap();
-        // Flip one byte of the payload: checksum must catch it.
         let path = store.record_path(&r.id);
-        let mut bytes = std::fs::read(&path).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        // Bytes after the checksum line are refused, even a blank line.
+        std::fs::write(&path, [&clean[..], b"\n"].concat()).unwrap();
+        assert!(matches!(
+            store.load(&r.id),
+            Err(CheckpointError::Malformed { .. })
+        ));
+        // Flip one byte of the payload: checksum must catch it.
+        let mut bytes = clean;
         bytes[20] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(

@@ -207,9 +207,11 @@ const INDUCTOR_DC_SHORT: f64 = 1e6;
 
 /// A prepared transient analysis.
 #[derive(Debug)]
-pub struct Transient<'a> {
-    nl: &'a Netlist,
+pub struct Transient {
     opts: TransientOptions,
+    /// `opts.probes` resolved to MNA rows in `build` (ground and unknown
+    /// names are rejected there).
+    probes: Vec<(String, usize)>,
     n_nodes: usize,
     n_vsrc: usize,
     /// Total unknowns including pole/residue extras.
@@ -232,15 +234,15 @@ pub struct Transient<'a> {
     source_scale: f64,
 }
 
-impl<'a> Transient<'a> {
+impl Transient {
     /// Prepares an analysis of a linear (device-free) netlist.
     ///
     /// # Errors
     ///
     /// Returns [`SpiceError::BadCircuit`] if the netlist contains MOSFETs
     /// (use [`Transient::with_devices`]) or has no nodes, or if a probe
-    /// name is unknown.
-    pub fn new(nl: &'a Netlist, opts: &TransientOptions) -> Result<Self, SpiceError> {
+    /// name is unknown or names ground.
+    pub fn new(nl: &Netlist, opts: &TransientOptions) -> Result<Self, SpiceError> {
         if !nl.mosfets().is_empty() {
             return Err(SpiceError::BadCircuit(
                 "netlist has mosfets; use Transient::with_devices".into(),
@@ -255,9 +257,9 @@ impl<'a> Transient<'a> {
     /// # Errors
     ///
     /// Returns [`SpiceError::BadCircuit`] for unknown model names, empty
-    /// netlists or unknown probe names.
+    /// netlists, or probe names that are unknown or name ground.
     pub fn with_devices(
-        nl: &'a Netlist,
+        nl: &Netlist,
         lib: &ModelLibrary,
         variation: DeviceVariation,
         opts: &TransientOptions,
@@ -283,7 +285,7 @@ impl<'a> Transient<'a> {
     }
 
     fn build(
-        nl: &'a Netlist,
+        nl: &Netlist,
         lib: Option<&ModelLibrary>,
         variation: DeviceVariation,
         opts: &TransientOptions,
@@ -292,11 +294,15 @@ impl<'a> Transient<'a> {
         if n_nodes == 0 {
             return Err(SpiceError::BadCircuit("netlist has no nodes".into()));
         }
-        for p in &opts.probes {
-            if nl.find_node(p).is_none() {
-                return Err(SpiceError::BadCircuit(format!("unknown probe node {p}")));
-            }
-        }
+        let probes = opts
+            .probes
+            .iter()
+            .map(|p| match nl.find_node(p).map(NodeId::mna_index) {
+                None => Err(SpiceError::BadCircuit(format!("unknown probe node {p}"))),
+                Some(None) => Err(SpiceError::BadCircuit(format!("cannot probe ground ({p})"))),
+                Some(Some(i)) => Ok((p.clone(), i)),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let n_vsrc = nl.vsource_count();
         let dim = n_nodes + n_vsrc;
         let mut static_stamps: Vec<(usize, usize, f64)> = Vec::new();
@@ -378,8 +384,8 @@ impl<'a> Transient<'a> {
             });
         }
         Ok(Transient {
-            nl,
             opts: opts.clone(),
+            probes,
             n_nodes,
             n_vsrc,
             dim,
@@ -496,17 +502,7 @@ impl<'a> Transient<'a> {
         let _tran_span = linvar_metrics::timer(linvar_metrics::Phase::SpiceTran);
         let mut times = vec![0.0];
         let mut waves: HashMap<String, Vec<f64>> = HashMap::new();
-        let probe_idx: Vec<(String, usize)> = opts
-            .probes
-            .iter()
-            .map(|p| {
-                let id = self.nl.find_node(p).expect("validated in build");
-                (
-                    p.clone(),
-                    id.mna_index().expect("probing ground is useless"),
-                )
-            })
-            .collect();
+        let probe_idx = std::mem::take(&mut self.probes);
         for (name, i) in &probe_idx {
             waves.insert(name.clone(), vec![x[*i]]);
         }

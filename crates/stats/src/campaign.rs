@@ -47,27 +47,26 @@ pub const FORMAT_VERSION: &str = "linvar-campaign-v1";
 /// scheme would silently change the sample set, so mismatches refuse.
 pub const SEED_SCHEME: &str = "stdrng-lhs-v1";
 
-/// FNV-1a 64-bit hash of a byte slice (the checkpoint checksum).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a 64-bit state `h`.
+fn fnv_step(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
-/// FNV-1a 64-bit hash of a word sequence — the helper model/config
-/// fingerprints are built from.
+/// FNV-1a 64-bit hash of a byte slice (the checkpoint checksum).
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv_step(FNV_OFFSET, bytes)
+}
+
+/// FNV-1a 64-bit hash of a word sequence (each word's little-endian
+/// bytes) — the helper model/config fingerprints are built from.
 pub fn fingerprint_words<I: IntoIterator<Item = u64>>(words: I) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    words
+        .into_iter()
+        .fold(FNV_OFFSET, |h, w| fnv_step(h, &w.to_le_bytes()))
 }
 
 /// FNV-1a 64-bit hash of a string's bytes, for folding names into a
@@ -220,12 +219,101 @@ impl Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-fn io_err(op: &'static str, path: &Path, e: std::io::Error) -> CheckpointError {
-    CheckpointError::Io {
-        op,
-        path: path.display().to_string(),
-        detail: e.to_string(),
+impl CheckpointError {
+    /// [`CheckpointError::Io`] for a failed `op` on `path`.
+    pub fn io(op: &'static str, path: &Path, e: std::io::Error) -> CheckpointError {
+        CheckpointError::Io {
+            op,
+            path: path.display().to_string(),
+            detail: e.to_string(),
+        }
     }
+}
+
+/// Appends the checksum trailer: a last line `sum=<16 hex digits>`
+/// holding the FNV-1a hash of every byte before it. Snapshots and the
+/// service's job records both end this way; [`read_sealed`] checks it.
+pub fn seal(body: &mut String) {
+    let sum = fnv1a64(body.as_bytes());
+    body.push_str(&format!("sum={sum:016x}\n"));
+}
+
+/// Reads a file that ends in a [`seal`] trailer and returns the payload
+/// before it. A file that is not UTF-8, has no well-formed trailer as its
+/// last line (truncated, or bytes after it) or fails the checksum is
+/// rejected with a typed error.
+pub fn read_sealed(path: &Path) -> Result<String, CheckpointError> {
+    let bytes = std::fs::read(path).map_err(|e| CheckpointError::io("read", path, e))?;
+    let mut text = String::from_utf8(bytes).map_err(|_| CheckpointError::Malformed {
+        reason: "not valid UTF-8".into(),
+    })?;
+    let sum_at = text.rfind("sum=").ok_or(CheckpointError::Malformed {
+        reason: "missing checksum line (file truncated?)".into(),
+    })?;
+    if sum_at > 0 && text.as_bytes()[sum_at - 1] != b'\n' {
+        return Err(CheckpointError::Malformed {
+            reason: "checksum line does not start a line".into(),
+        });
+    }
+    let sum_line = text[sum_at..].trim_end();
+    let recorded = u64::from_str_radix(sum_line.trim_start_matches("sum="), 16).map_err(|_| {
+        CheckpointError::Malformed {
+            reason: format!("unparseable checksum line {sum_line:?}"),
+        }
+    })?;
+    if sum_line.len() != "sum=".len() + 16 || &text[sum_at + sum_line.len()..] != "\n" {
+        return Err(CheckpointError::Malformed {
+            reason: "trailing bytes after the checksum line".into(),
+        });
+    }
+    text.truncate(sum_at);
+    let found = fnv1a64(text.as_bytes());
+    if found != recorded {
+        return Err(CheckpointError::ChecksumMismatch {
+            expected: recorded,
+            found,
+        });
+    }
+    Ok(text)
+}
+
+/// Writes `body` to `path` atomically: temp sibling + fsync + rename +
+/// parent-directory fsync. After this returns `Ok`, a crash at any later
+/// point leaves the complete new file visible under `path`; a crash
+/// before leaves the previous one.
+pub fn write_atomic(path: &Path, body: &[u8]) -> Result<(), CheckpointError> {
+    use std::io::Write as _;
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    {
+        let mut f =
+            std::fs::File::create(&tmp).map_err(|e| CheckpointError::io("create", &tmp, e))?;
+        f.write_all(body)
+            .map_err(|e| CheckpointError::io("write", &tmp, e))?;
+        f.sync_all()
+            .map_err(|e| CheckpointError::io("fsync", &tmp, e))?;
+    }
+    std::fs::rename(&tmp, path).map_err(|e| CheckpointError::io("rename", path, e))?;
+    // Make the rename itself durable: until the parent directory's entry
+    // table reaches disk, a crash can forget the just-renamed file even
+    // though its data blocks were fsynced. Directory fsync is a unix-ism;
+    // elsewhere (and on filesystems that refuse it) the rename already
+    // happened, so a failure here is not worth losing the write over. A
+    // bare relative filename has an empty `parent()`, which means the
+    // current directory — fsync "." rather than silently skipping the
+    // directory sync for that spelling.
+    #[cfg(unix)]
+    {
+        let dir = match path.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => Path::new("."),
+        };
+        if let Ok(d) = std::fs::File::open(dir) {
+            let _ = d.sync_all();
+        }
+    }
+    Ok(())
 }
 
 /// One completed sample as stored in (and restored from) a snapshot.
@@ -314,13 +402,17 @@ fn status_from_tag(tag: &str) -> Option<SampleStatus> {
     }
 }
 
-fn escape(msg: &str) -> String {
+/// Escapes backslashes, newlines and carriage returns so a free-text
+/// value fits on one line of a snapshot or job record; [`unescape`]
+/// inverts it.
+pub fn escape(msg: &str) -> String {
     msg.replace('\\', "\\\\")
         .replace('\n', "\\n")
         .replace('\r', "\\r")
 }
 
-fn unescape(msg: &str) -> String {
+/// Inverts [`escape`].
+pub fn unescape(msg: &str) -> String {
     let mut out = String::with_capacity(msg.len());
     let mut chars = msg.chars();
     while let Some(c) = chars.next() {
@@ -342,6 +434,36 @@ fn unescape(msg: &str) -> String {
     out
 }
 
+/// The `policy=` line of a snapshot or job record:
+/// `policy=<max_retries> <allow_fallback 0|1> <fail_fast 0|1>`.
+pub fn policy_line(policy: &RecoveryPolicy) -> String {
+    format!(
+        "policy={} {} {}\n",
+        policy.max_retries,
+        u8::from(policy.allow_fallback),
+        u8::from(policy.fail_fast)
+    )
+}
+
+/// Parses the value after `policy=` of a [`policy_line`].
+pub fn parse_policy(v: &str) -> Result<RecoveryPolicy, CheckpointError> {
+    let bad = || CheckpointError::Malformed {
+        reason: format!("bad policy line {v:?}"),
+    };
+    let flag = |s: Option<&str>| match s {
+        Some("0") => Ok(false),
+        Some("1") => Ok(true),
+        _ => Err(bad()),
+    };
+    let mut it = v.split(' ');
+    let max_retries: usize = it.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
+    Ok(RecoveryPolicy {
+        max_retries,
+        allow_fallback: flag(it.next())?,
+        fail_fast: flag(it.next())?,
+    })
+}
+
 fn serialize(fp: &CampaignFingerprint, outcomes: &[Option<SampleRecord>]) -> String {
     let mut body = String::with_capacity(64 + outcomes.len() * 32);
     body.push_str(FORMAT_VERSION);
@@ -349,12 +471,7 @@ fn serialize(fp: &CampaignFingerprint, outcomes: &[Option<SampleRecord>]) -> Str
     body.push_str(&format!("scheme={SEED_SCHEME}\n"));
     body.push_str(&format!("seed={}\n", fp.master_seed));
     body.push_str(&format!("n={}\n", fp.n_samples));
-    body.push_str(&format!(
-        "policy={} {} {}\n",
-        fp.policy.max_retries,
-        u8::from(fp.policy.allow_fallback),
-        u8::from(fp.policy.fail_fast)
-    ));
+    body.push_str(&policy_line(&fp.policy));
     body.push_str(&format!("model={:016x}\n", fp.model));
     for (idx, rec) in outcomes.iter().enumerate() {
         let Some(rec) = rec else { continue };
@@ -373,54 +490,22 @@ fn serialize(fp: &CampaignFingerprint, outcomes: &[Option<SampleRecord>]) -> Str
             )),
         }
     }
-    let sum = fnv1a64(body.as_bytes());
-    body.push_str(&format!("sum={sum:016x}\n"));
+    seal(&mut body);
     body
 }
 
-/// Writes a snapshot atomically: temp sibling + fsync + rename + parent
-/// directory fsync. A crash at any point leaves either the previous
-/// snapshot or the complete new one.
+/// Writes a snapshot with [`write_atomic`]: a crash at any point leaves
+/// either the previous snapshot or the complete new one.
 pub fn save_checkpoint(
     path: &Path,
     fingerprint: &CampaignFingerprint,
     outcomes: &[Option<SampleRecord>],
 ) -> Result<(), CheckpointError> {
-    use std::io::Write as _;
     let _span = linvar_metrics::timer(linvar_metrics::Phase::CheckpointWrite);
     let body = serialize(fingerprint, outcomes);
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    {
-        let mut f = std::fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
-        f.write_all(body.as_bytes())
-            .map_err(|e| io_err("write", &tmp, e))?;
-        f.sync_all().map_err(|e| io_err("fsync", &tmp, e))?;
-    }
-    std::fs::rename(&tmp, path).map_err(|e| io_err("rename", path, e))?;
+    write_atomic(path, body.as_bytes())?;
     linvar_metrics::incr(linvar_metrics::Counter::CheckpointsWritten);
     linvar_metrics::count(linvar_metrics::Counter::CheckpointBytes, body.len() as u64);
-    // Make the rename itself durable: until the parent directory's entry
-    // table reaches disk, a crash can forget the just-renamed snapshot
-    // even though its data blocks were fsynced. Invariant: after
-    // `save_checkpoint` returns Ok, a crash at any later point leaves the
-    // complete new snapshot visible under `path`. Directory fsync is a
-    // unix-ism; elsewhere (and on filesystems that refuse it) the rename
-    // already happened, so a failure here is not worth losing the run
-    // over. A bare relative filename has an empty `parent()`, which
-    // means the current directory — fsync "." rather than silently
-    // skipping the directory sync for that spelling.
-    #[cfg(unix)]
-    {
-        let dir = match path.parent() {
-            Some(d) if !d.as_os_str().is_empty() => d,
-            _ => Path::new("."),
-        };
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
     Ok(())
 }
 
@@ -475,40 +560,7 @@ pub fn load_checkpoint(
     path: &Path,
     expected: &CampaignFingerprint,
 ) -> Result<Checkpoint, CheckpointError> {
-    let bytes = std::fs::read(path).map_err(|e| io_err("read", path, e))?;
-    let text = String::from_utf8(bytes).map_err(|_| CheckpointError::Malformed {
-        reason: "not valid UTF-8".into(),
-    })?;
-    // The checksum line is the last line of the file; everything before
-    // it is the hashed payload.
-    let sum_at = text.rfind("sum=").ok_or(CheckpointError::Malformed {
-        reason: "missing checksum line (file truncated?)".into(),
-    })?;
-    if sum_at > 0 && text.as_bytes()[sum_at - 1] != b'\n' {
-        return Err(CheckpointError::Malformed {
-            reason: "checksum line does not start a line".into(),
-        });
-    }
-    let sum_line = text[sum_at..].trim_end();
-    let recorded = u64::from_str_radix(sum_line.trim_start_matches("sum="), 16).map_err(|_| {
-        CheckpointError::Malformed {
-            reason: format!("unparseable checksum line {sum_line:?}"),
-        }
-    })?;
-    if text[sum_at..].trim_end().len() != "sum=".len() + 16 || !text[sum_at..].ends_with('\n') {
-        return Err(CheckpointError::Malformed {
-            reason: "trailing bytes after the checksum line".into(),
-        });
-    }
-    let payload = &text[..sum_at];
-    let found = fnv1a64(payload.as_bytes());
-    if found != recorded {
-        return Err(CheckpointError::ChecksumMismatch {
-            expected: recorded,
-            found,
-        });
-    }
-    parse_payload(payload, expected)
+    parse_payload(&read_sealed(path)?, expected)
 }
 
 fn parse_payload(
@@ -550,24 +602,7 @@ fn parse_payload(
                     .map_err(|_| malformed(format!("bad n {v:?}")))?,
             );
         } else if let Some(v) = line.strip_prefix("policy=") {
-            let mut it = v.split(' ');
-            let bad = || malformed(format!("bad policy line {v:?}"));
-            let max_retries: usize = it.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
-            let allow_fallback = match it.next() {
-                Some("0") => false,
-                Some("1") => true,
-                _ => return Err(bad()),
-            };
-            let fail_fast = match it.next() {
-                Some("0") => false,
-                Some("1") => true,
-                _ => return Err(bad()),
-            };
-            policy = Some(RecoveryPolicy {
-                max_retries,
-                allow_fallback,
-                fail_fast,
-            });
+            policy = Some(parse_policy(v)?);
         } else if let Some(v) = line.strip_prefix("model=") {
             model = Some(
                 u64::from_str_radix(v, 16).map_err(|_| malformed(format!("bad model {v:?}")))?,

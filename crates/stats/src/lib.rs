@@ -17,7 +17,8 @@
 //!   [`RecoveryPolicy`], the merged [`MonteCarloResult`]) and the plain
 //!   parallel front door [`monte_carlo_par`];
 //! * [`campaign`] — durable-campaign knobs and the checkpoint format:
-//!   atomic checksummed snapshots, fingerprint-validated resume, deadline
+//!   atomic checksummed snapshots (whose write and verify routines the
+//!   service's job store shares), fingerprint-validated resume, deadline
 //!   budgets and a cooperative per-sample watchdog (see DESIGN.md,
 //!   "Durable campaigns: checkpoint format & resume invariants");
 //! * [`shard`] — the sharded campaign supervisor: fingerprinted per-shard

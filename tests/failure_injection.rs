@@ -89,6 +89,23 @@ fn transient_on_shorted_vsources_fails_cleanly() {
 }
 
 #[test]
+fn transient_probing_a_missing_or_ground_node_is_a_typed_error() {
+    let mut nl = Netlist::new();
+    let a = nl.node("a");
+    nl.add_vsource("V1", a, Netlist::GROUND, SourceWaveform::Dc(1.0))
+        .unwrap();
+    nl.add_resistor("R", a, Netlist::GROUND, 100.0).unwrap();
+    for bad in ["nosuch", "0", "gnd"] {
+        let mut opts = TransientOptions::new(1e-9, 1e-12);
+        opts.probes = vec!["a".into(), bad.into()];
+        match Transient::new(&nl, &opts).and_then(Transient::run) {
+            Err(SpiceError::BadCircuit(msg)) => assert!(msg.contains(bad), "{msg}"),
+            other => panic!("probing {bad:?}: expected a typed error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn divergent_stage_is_an_error_not_a_hang() {
     use linvar::mor::PoleResidueModel;
     use linvar::numeric::{CMatrix, Complex, Matrix};

@@ -117,6 +117,14 @@ fn bounded_queue_sheds_with_429_and_retry_after() {
     assert_eq!(shed.status, 429, "full queue must shed");
     assert_eq!(shed.retry_after, Some(1), "shed must carry Retry-After");
 
+    // The saturated service stays healthy and its queue within bound.
+    let health = request(&addr, "GET", "/healthz", None, CLIENT_TIMEOUT).expect("healthz");
+    assert_eq!(health.status, 200);
+    assert_eq!(health.body.get_bool("ok"), Some(true), "{:?}", health.body);
+    let depth = health.body.get_u64("queued").expect("queued");
+    let cap = health.body.get_u64("queue_cap").expect("queue_cap");
+    assert!(depth <= cap, "queue grew past its bound: {depth} > {cap}");
+
     // Shedding is not sticky: cancel the queued job and the next
     // submission is admitted.
     let queued_id = queued.body.get_str("job").expect("id").to_string();
