@@ -242,10 +242,9 @@ for key in '"grid8x8.sparse.samples_per_sec"' '"grid8x8.dense.samples_per_sec"' 
     fi
 done
 
-echo "==> spectral engine smoke (table4 --quick --engine gpc vs mc, moment budget + solves ratio)"
-# The gpc run itself fails (non-zero exit) on a budget violation; the
-# python pass below re-checks the recorded metrics independently and
-# prints the solves-to-tolerance ratios for the log.
+echo "==> spectral engine smoke (table4 --quick --engine gpc vs mc)"
+# The gpc run fails (non-zero exit) on a budget violation; the budgets
+# themselves are held by tests/gpc_budget.rs in the workspace tests above.
 if ! LINVAR_THREADS=2 cargo run --release -q -p linvar-bench --bin table4 -- --quick \
     --engine gpc >"$ckdir/gpc.out" 2>&1; then
     echo "table4 --engine gpc failed (budget violation or error):" >&2
@@ -258,26 +257,6 @@ if ! [ -s "$ckdir/gpc.rows" ]; then
     cat "$ckdir/gpc.out" >&2
     exit 1
 fi
-python3 - <<'EOF'
-import json, struct, sys
-
-bench = json.load(open("BENCH_table4.json"))["bench"]
-if bench.get("engine") != "gpc":
-    sys.exit("BENCH_table4.json is not from the gpc engine run")
-if not bench.get("all_within_budget"):
-    sys.exit("gpc engine left the documented agreement budget")
-bits = lambda s: struct.unpack(">d", bytes.fromhex(s))[0]
-for tag, cfg in sorted(bench["configs"].items()):
-    mc_mean, gpc_mean = bits(cfg["mc_mean_bits"]), bits(cfg["gpc_mean_bits"])
-    rel = abs(gpc_mean - mc_mean) / abs(mc_mean)
-    print(f"    gpc smoke {tag}: mean diff {rel:.2e}, solves ratio "
-          f"{cfg['solves_ratio']:.2e} ({cfg['gpc_solves']} gpc vs "
-          f"{cfg['mc_solves_to_tol']:.0f} MC solves to tolerance)")
-    if not cfg["within_budget"]:
-        sys.exit(f"{tag}: gpc vs mc moments out of budget")
-    if cfg["solves_ratio"] > 0.1:
-        sys.exit(f"{tag}: solves-to-tolerance ratio {cfg['solves_ratio']} > 0.1")
-EOF
 
 echo "==> shard identity (sharded merge bitwise-equal to single-process, incl. faults)"
 cargo test -q --test shard_identity

@@ -37,6 +37,7 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
+use linvar_bench::budget::{Agreement, SolvesToTolerance, ENGINE_MC_REF_N, ENGINE_SEED};
 use linvar_bench::{
     bits_hex, quantile_at, render_table, BenchArgs, BenchError, BenchMeter, Engine,
 };
@@ -49,16 +50,6 @@ use linvar_metrics::Json;
 use linvar_stats::{resolve_threads, SpectralConfig};
 use std::time::Instant;
 
-/// MC reference sample count for the engine-comparison modes.
-const ENGINE_MC_REF_N: usize = 60;
-
-/// Documented gPC/Sobol-vs-MC budgets (see DESIGN.md, "Stochastic
-/// spectral engines"): the mean must agree to 2 % plus four MC standard
-/// errors; the std to 25 % plus four of the MC std's own standard
-/// errors (an n-sample MC std carries ~`1/√(2(n−1))` relative noise).
-const MEAN_BUDGET_REL: f64 = 0.02;
-const STD_BUDGET_REL: f64 = 0.25;
-
 /// `--engine gpc|sobol`: per circuit at 10 linear elements, run an MC
 /// reference plus the requested engine, print the engine's deterministic
 /// statistics rows, and record the agreement + solves-to-tolerance
@@ -67,9 +58,8 @@ const STD_BUDGET_REL: f64 = 0.25;
 /// The gPC mode runs the stochastic-testing grid twice — order 1 (the
 /// cheap estimate) and order 2 (the refined one, as a durable campaign
 /// honoring `--checkpoint`/`--resume`/`--deadline`). The spread between
-/// the two is the achieved tolerance; the number of MC samples needed to
-/// pin the mean to that same tolerance (`(σ/(tol·μ))²`) is the
-/// solves-to-tolerance denominator the acceptance ratio divides by.
+/// the two is the achieved tolerance ([`SolvesToTolerance`]); the budgets
+/// are [`Agreement`]'s.
 fn run_engine_mode(args: &BenchArgs) -> Result<(), BenchError> {
     let mut meter = BenchMeter::start("table4");
     let mut configs = Json::obj();
@@ -86,7 +76,7 @@ fn run_engine_mode(args: &BenchArgs) -> Result<(), BenchError> {
     } else {
         &["s27", "s208", "s444", "s1423", "s9234"]
     };
-    let master_seed = 4;
+    let master_seed = ENGINE_SEED;
     let n_elem = 10usize;
     let base = RunSpec {
         threads,
@@ -113,11 +103,6 @@ fn run_engine_mode(args: &BenchArgs) -> Result<(), BenchError> {
             master_seed,
             &RunSpec::plain(threads),
         )?;
-        let mc_n = mc.summary.n as f64;
-        let mean_budget =
-            MEAN_BUDGET_REL * mc.summary.mean.abs() + 4.0 * mc.summary.std / mc_n.sqrt();
-        let std_budget =
-            STD_BUDGET_REL * mc.summary.std + 4.0 * mc.summary.std / (2.0 * (mc_n - 1.0)).sqrt();
         let mut cfg = Json::obj();
         cfg.set("engine", engine);
         cfg.set("mc_ref_n", mc.summary.n as u64);
@@ -194,47 +179,40 @@ fn run_engine_mode(args: &BenchArgs) -> Result<(), BenchError> {
                     bits_hex(quantile_at(&hi.quantiles, 0.5)),
                     bits_hex(quantile_at(&hi.quantiles, 0.95)),
                 );
-                let gpc_solves = lo.nodes_evaluated + hi.nodes_evaluated;
-                // Achieved tolerance: the relative mean spread between
-                // the two orders (floored to keep the MC-equivalence
-                // finite when they coincide).
-                let tol_achieved = ((lo.mean - hi.mean).abs() / hi.mean.abs()).max(1e-6);
-                let mc_solves_to_tol = (hi.std / (tol_achieved * hi.mean.abs()))
-                    .powi(2)
-                    .ceil()
-                    .max(1.0);
-                let solves_ratio = gpc_solves as f64 / mc_solves_to_tol;
+                let solves = SolvesToTolerance::new(&lo, &hi);
                 cfg.set("gpc_solves_lo", lo.nodes_evaluated as u64);
                 cfg.set("gpc_solves_hi", hi.nodes_evaluated as u64);
-                cfg.set("gpc_solves", gpc_solves as u64);
+                cfg.set("gpc_solves", solves.gpc_solves as u64);
                 cfg.set("gpc_mean_bits", bits_hex(hi.mean));
                 cfg.set("gpc_std_bits", bits_hex(hi.std));
-                cfg.set("tol_achieved", tol_achieved);
-                cfg.set("mc_solves_to_tol", mc_solves_to_tol);
-                cfg.set("solves_ratio", solves_ratio);
-                cfg.set("solves_ratio_ok", solves_ratio <= 0.1);
-                if solves_ratio > 0.1 {
+                cfg.set("tol_achieved", solves.tol_achieved);
+                cfg.set("mc_solves_to_tol", solves.mc_solves_to_tol);
+                cfg.set("solves_ratio", solves.ratio);
+                cfg.set("solves_ratio_ok", solves.within());
+                if !solves.within() {
                     all_within = false;
                 }
-                (hi.mean, hi.std, gpc_solves)
+                (hi.mean, hi.std, solves.gpc_solves)
             }
         };
-        let mean_err = (mean - mc.summary.mean).abs();
-        let std_err = (std - mc.summary.std).abs();
-        let within = mean_err <= mean_budget && std_err <= std_budget;
+        let agreement = Agreement::new(&mc.summary, mean, std);
+        let within = agreement.within();
         all_within = all_within && within;
-        cfg.set("mean_abs_err", mean_err);
-        cfg.set("mean_budget", mean_budget);
-        cfg.set("std_abs_err", std_err);
-        cfg.set("std_budget", std_budget);
+        cfg.set("mean_abs_err", agreement.mean_abs_err);
+        cfg.set("mean_budget", agreement.mean_budget);
+        cfg.set("std_abs_err", agreement.std_abs_err);
+        cfg.set("std_budget", agreement.std_budget);
         cfg.set("within_budget", within);
         configs.set(&format!("{circuit}@{n_elem}"), cfg);
         rows.push(vec![
             circuit.to_string(),
             format!("{solves}"),
             format!("{}", mc.summary.n),
-            format!("{:.2}%", 1e2 * mean_err / mc.summary.mean.abs()),
-            format!("{:.1}%", 1e2 * std_err / mc.summary.std.abs()),
+            format!(
+                "{:.2}%",
+                1e2 * agreement.mean_abs_err / mc.summary.mean.abs()
+            ),
+            format!("{:.1}%", 1e2 * agreement.std_abs_err / mc.summary.std.abs()),
             if within { "yes" } else { "NO" }.to_string(),
         ]);
         eprintln!("done: {circuit} @ {n_elem} elements ({engine})");

@@ -13,6 +13,7 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod budget;
 pub mod chains;
 pub mod grid;
 mod meter;

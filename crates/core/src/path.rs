@@ -33,8 +33,12 @@ use linvar_stats::{
     MonteCarloResult, RecoveryPolicy, RunSpec, SampleHealth, SampleRng, SampleStatus, ShardVerdict,
     SpectralConfig, SpectralPlan, SpectralResult, Summary,
 };
-use linvar_teta::{StageModel, Waveform};
+use linvar_teta::{StageModel, StopRule, Waveform};
 use std::sync::{Arc, Mutex};
+
+/// Tail multiple of the cut `m + k·s` past which a path drops each stage
+/// output before it drives the next stage.
+const PATH_TAIL: f64 = 4.0;
 
 /// Specification of a critical path.
 #[derive(Debug, Clone)]
@@ -226,7 +230,7 @@ pub struct GaPathResult {
 /// One stage of a path. Stages with the same (driver, receiver) pair share
 /// one characterized model and load: a 500-element stage model holds
 /// megabytes of variational matrices.
-struct StageEntry {
+pub(crate) struct StageEntry {
     model: Arc<StageModel>,
     /// Far-end port position in the stage's port list.
     out_port: usize,
@@ -267,8 +271,10 @@ impl PathModel {
         if spec.cells.is_empty() {
             return Err(CoreError::BadSpec("path has no stages".into()));
         }
-        if spec.input_slew <= 0.0 || spec.input_slew.is_nan() {
-            return Err(CoreError::BadSpec("input slew must be positive".into()));
+        if !(spec.input_slew > 0.0 && spec.input_slew.is_finite()) {
+            return Err(CoreError::BadSpec(
+                "input slew must be positive and finite".into(),
+            ));
         }
         let cells = CellLibrary::standard(tech.clone());
         let mut stages = Vec::with_capacity(spec.cells.len());
@@ -342,6 +348,12 @@ impl PathModel {
         self.stages.iter().map(|s| s.cell.as_str()).collect()
     }
 
+    /// The characterized model of stage `k` and the load port its output
+    /// is read at (for diagnostics and differential tests).
+    pub fn stage(&self, k: usize) -> (&StageModel, usize) {
+        (&self.stages[k].model, self.stages[k].out_port)
+    }
+
     /// The raw load of stage `k` (for the SPICE reference flow).
     pub(crate) fn stage_load(&self, k: usize) -> &StageLoad {
         &self.stages[k].load
@@ -368,14 +380,15 @@ impl PathModel {
     pub fn evaluate_sample(&self, sample: &PathSample) -> Result<f64, CoreError> {
         let _span = linvar_metrics::timer(linvar_metrics::Phase::SampleEval);
         let h = self.stage_h();
-        self.propagate(|k, stage, input, rising_out| {
-            let settled = self.settle(stage, input, rising_out, |t_end| {
-                let res = stage.model.evaluate(
+        self.propagate(self.input_slew, |k, stage, input, rule| {
+            let settled = self.settle(input, rule, |t_end| {
+                let res = stage.model.evaluate_until(
                     &sample.wire,
                     sample.device,
                     std::slice::from_ref(input),
                     h,
                     t_end,
+                    Some(*rule),
                 )?;
                 Ok::<_, CoreError>((res.waveforms, ()))
             })?;
@@ -388,11 +401,19 @@ impl PathModel {
     /// Walks the stages in order, feeding each one's settled output into
     /// the next — trimmed past its settled tail and rebased so its
     /// transition sits near the origin, keeping simulation windows short.
-    /// `stage_out(k, stage, input, rising_out)` produces stage `k`'s
-    /// output, which must cross mid-rail. Returns the path delay.
-    fn propagate(
+    /// `stage_out(k, stage, input, rule)` produces stage `k`'s output,
+    /// which must cross mid-rail; `rule` names what this walk reads of it,
+    /// so the stage may stop there. `fallback_s` stands in for the slew of
+    /// an output without a 10 % or 90 % crossing. Returns the path delay.
+    pub(crate) fn propagate(
         &self,
-        mut stage_out: impl FnMut(usize, &StageEntry, &Waveform, bool) -> Result<Waveform, CoreError>,
+        fallback_s: f64,
+        mut stage_out: impl FnMut(
+            usize,
+            &StageEntry,
+            &Waveform,
+            &StopRule,
+        ) -> Result<Waveform, CoreError>,
     ) -> Result<f64, CoreError> {
         let mut input = self.input_waveform();
         let m_path_in = input
@@ -401,45 +422,42 @@ impl PathModel {
         let mut offset = 0.0; // accumulated rebasing shifts
         let mut m_out_abs = m_path_in;
         for (k, stage) in self.stages.iter().enumerate() {
-            let rising_out = !input.is_rising();
-            let out = stage_out(k, stage, &input, rising_out)?;
-            let m_out = out
-                .crossing(self.vdd / 2.0, rising_out)
+            let rule = StopRule {
+                port: stage.out_port,
+                rising: !input.is_rising(),
+                tail: PATH_TAIL,
+            };
+            let out = stage_out(k, stage, &input, &rule)?;
+            let read = rule
+                .reading(&out, self.vdd, fallback_s)
                 .expect("stage outputs cross mid-rail");
-            m_out_abs = m_out + offset;
-            let s_est = out
-                .to_saturated_ramp(0.0, self.vdd)
-                .map(|sr| sr.s)
-                .unwrap_or(self.input_slew);
-            let shift = (m_out - 2.0 * s_est).max(0.0);
-            input = out.truncated(m_out + 4.0 * s_est).shifted(-shift);
+            m_out_abs = read.m + offset;
+            let shift = (read.m - 2.0 * read.s).max(0.0);
+            input = out.truncated(read.cut).shifted(-shift);
             offset += shift;
         }
         Ok(m_out_abs - m_path_in)
     }
 
     /// Runs `eval(t_end)` on one stage with a growing window — the
-    /// input's end plus 1 ns, doubled up to twice — until the output port
+    /// input's end plus 1 ns, doubled up to twice — until the rule's port
     /// settles within 5 % of its final rail and crosses mid-rail. `eval`
     /// returns the port waveforms plus a by-product handed back with the
     /// winning output; `Ok(None)` when the output never settles.
     fn settle<R, E>(
         &self,
-        stage: &StageEntry,
         input: &Waveform,
-        rising_out: bool,
+        rule: &StopRule,
         mut eval: impl FnMut(f64) -> Result<(Vec<Waveform>, R), E>,
     ) -> Result<Option<(Waveform, R)>, E> {
         let mut t_end = input.end_time() + 1.0e-9;
         for _attempt in 0..3 {
             let (mut waveforms, extra) = eval(t_end)?;
-            let w = &waveforms[stage.out_port];
-            let settled =
-                (w.final_value() - if rising_out { self.vdd } else { 0.0 }).abs() < 0.05 * self.vdd;
-            if settled && w.crossing(self.vdd / 2.0, rising_out).is_some() {
+            let w = &waveforms[rule.port];
+            if rule.settled(w, self.vdd) && w.crossing(self.vdd / 2.0, rule.rising).is_some() {
                 // Take the winning waveform out instead of cloning its
                 // point vector; the other ports are dropped.
-                return Ok(Some((waveforms.swap_remove(stage.out_port), extra)));
+                return Ok(Some((waveforms.swap_remove(rule.port), extra)));
             }
             t_end *= 2.0;
         }
@@ -496,8 +514,8 @@ impl PathModel {
         let _span = linvar_metrics::timer(linvar_metrics::Phase::SampleEval);
         let h = self.stage_h();
         let mut report = DegradationReport::clean();
-        let delay = self.propagate(|k, stage, input, rising_out| {
-            let settled = self.settle(stage, input, rising_out, |t_end| {
+        let delay = self.propagate(self.input_slew, |k, stage, input, rule| {
+            let settled = self.settle(input, rule, |t_end| {
                 stage
                     .model
                     .evaluate_recovering(
@@ -506,13 +524,14 @@ impl PathModel {
                         std::slice::from_ref(input),
                         h,
                         t_end,
+                        Some(*rule),
                     )
                     .map(|(res, rec)| (res.waveforms, rec))
             });
             let (out, rec) = match settled {
                 Ok(Some(served)) => served,
                 Ok(None) | Err(_) if spice_fallback => {
-                    let out = self.spice_stage_output(k, input, sample, rising_out)?;
+                    let out = self.spice_stage_output(k, input, sample, rule)?;
                     linvar_metrics::incr(linvar_metrics::Counter::StageSpiceRescues);
                     report.rung = report.rung.worst(EngineRung::SpiceBaseline);
                     report.notes.push(format!(
@@ -743,10 +762,17 @@ impl PathModel {
     }
 
     /// One GA stage evaluation: ramp input with slew `s_in` (direction by
-    /// stage parity), returning `(stage delay, output slew)`.
+    /// stage parity), returning `(stage delay, output slew)`. GA reads only
+    /// the output's 10/50/90 % crossings, so the stage stops at a zero
+    /// tail past them.
     fn ga_stage(&self, k: usize, s_in: f64, sample: &PathSample) -> Result<(f64, f64), CoreError> {
         let stage = &self.stages[k];
         let rising_in = k.is_multiple_of(2);
+        let rule = StopRule {
+            port: stage.out_port,
+            rising: !rising_in,
+            tail: 0.0,
+        };
         let (v0, v1) = if rising_in {
             (0.0, self.vdd)
         } else {
@@ -757,12 +783,13 @@ impl PathModel {
         let h = self.stage_h();
         let mut t_end = 3.0 * s_in + 1.0e-9;
         for _attempt in 0..3 {
-            let res = stage.model.evaluate(
+            let res = stage.model.evaluate_until(
                 &sample.wire,
                 sample.device,
                 std::slice::from_ref(&input),
                 h,
                 t_end,
+                Some(rule),
             )?;
             let out = &res.waveforms[stage.out_port];
             if let Ok(sr) = out.to_saturated_ramp(0.0, self.vdd) {

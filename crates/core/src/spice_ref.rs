@@ -13,7 +13,7 @@ use crate::error::CoreError;
 use crate::path::{PathModel, PathSample};
 use linvar_circuit::{MosType, Netlist, SourceWaveform};
 use linvar_spice::{Transient, TransientOptions};
-use linvar_teta::Waveform;
+use linvar_teta::{StopRule, Waveform};
 
 impl PathModel {
     /// Evaluates the path delay at one sample using the SPICE baseline,
@@ -25,42 +25,23 @@ impl PathModel {
     /// Propagates transient failures ([`linvar_spice::SpiceError`]) and
     /// returns [`CoreError::StageStuck`] when an output never transitions.
     pub fn evaluate_sample_spice(&self, sample: &PathSample) -> Result<f64, CoreError> {
-        let vdd = self.vdd();
-        let mut input = self.input_waveform();
-        let m_path_in = input
-            .crossing(vdd / 2.0, true)
-            .expect("ramp crosses midpoint");
-        let mut offset = 0.0;
-        let mut m_out_abs = m_path_in;
-        for k in 0..self.stage_count() {
-            let rising_out = !input.is_rising();
-            let out = self.spice_stage_output(k, &input, sample, rising_out)?;
-            let m_out = out.crossing(vdd / 2.0, rising_out).expect("checked above");
-            m_out_abs = m_out + offset;
-            let s_est = out
-                .to_saturated_ramp(0.0, vdd)
-                .map(|sr| sr.s)
-                .unwrap_or(50e-12);
-            let shift = (m_out - 2.0 * s_est).max(0.0);
-            // Trim the settled tail so downstream windows stay short, then
-            // rebase the transition near the origin.
-            input = out.truncated(m_out + 4.0 * s_est).shifted(-shift);
-            offset += shift;
-        }
-        Ok(m_out_abs - m_path_in)
+        self.propagate(50e-12, |k, _, input, rule| {
+            self.spice_stage_output(k, input, sample, rule)
+        })
     }
 
     /// Simulates one path stage through the SPICE baseline: unit driver
     /// inverter + the complete interconnect netlist frozen at the sample,
     /// driven by `input`. Grows the window up to three times if the output
-    /// has not settled. This is both a building block of the reference
-    /// flow above and the final rung of the per-stage recovery ladder.
+    /// has not settled in the direction of `rule`. This is both a building
+    /// block of the reference flow above and the final rung of the
+    /// per-stage recovery ladder.
     pub(crate) fn spice_stage_output(
         &self,
         k: usize,
         input: &Waveform,
         sample: &PathSample,
-        rising_out: bool,
+        rule: &StopRule,
     ) -> Result<Waveform, CoreError> {
         let vdd = self.vdd();
         let tech = &self.tech;
@@ -118,8 +99,7 @@ impl PathModel {
             let vals = res.probe(&far_name).expect("probed").to_vec();
             let w = Waveform::from_points(times.into_iter().zip(vals).collect::<Vec<_>>())
                 .compress(1e-4 * vdd);
-            let settled = (w.final_value() - if rising_out { vdd } else { 0.0 }).abs() < 0.05 * vdd;
-            if settled && w.crossing(vdd / 2.0, rising_out).is_some() {
+            if rule.settled(&w, vdd) && w.crossing(vdd / 2.0, rule.rising).is_some() {
                 return Ok(w);
             }
             t_end *= 2.0;

@@ -102,10 +102,13 @@ pub enum Phase {
     AcFactor,
     /// AC small-signal solve against an existing complex factorization.
     AcSolve,
+    /// The successive-chords fixed points of one TETA stage run: the DC
+    /// point and the time loop, stop-rule checks included.
+    ScLoop,
 }
 
 /// Number of [`Phase`] variants.
-pub const N_PHASES: usize = 20;
+pub const N_PHASES: usize = 21;
 
 impl Phase {
     /// Every phase, in declaration order (= index order).
@@ -130,6 +133,7 @@ impl Phase {
         Phase::SpectralSolve,
         Phase::AcFactor,
         Phase::AcSolve,
+        Phase::ScLoop,
     ];
 
     /// Stable snake_case name used as the JSON key.
@@ -142,6 +146,7 @@ impl Phase {
             Phase::PactProject => "pact_project",
             Phase::Stabilize => "stabilize",
             Phase::StageEval => "stage_eval",
+            Phase::ScLoop => "sc_loop",
             Phase::SampleEval => "sample_eval",
             Phase::SpiceDc => "spice_dc",
             Phase::SpiceTran => "spice_tran",
@@ -269,10 +274,12 @@ pub enum Counter {
     AcRefactors,
     /// AC factorizations that needed the diagonal-perturbation retry.
     AcFactorRecoveries,
+    /// Stop-rule checks that failed, so the time loop stepped on.
+    ScStopResumes,
 }
 
 /// Number of [`Counter`] variants.
-pub const N_COUNTERS: usize = 48;
+pub const N_COUNTERS: usize = 49;
 
 impl Counter {
     /// Every counter, in declaration order (= index order).
@@ -325,6 +332,7 @@ impl Counter {
         Counter::AcPointsSolved,
         Counter::AcRefactors,
         Counter::AcFactorRecoveries,
+        Counter::ScStopResumes,
     ];
 
     /// Stable dotted name used as the JSON key.
@@ -336,6 +344,7 @@ impl Counter {
             Counter::MorUnstablePolesRemoved => "mor.unstable_poles_removed",
             Counter::ScChordIterations => "sc.chord_iterations",
             Counter::ScStageRetries => "sc.stage_retries",
+            Counter::ScStopResumes => "sc.stop_resumes",
             Counter::NewtonIterations => "spice.newton_iterations",
             Counter::TimestepHalvings => "spice.timestep_halvings",
             Counter::DcDirectNewton => "dc.direct_newton",

@@ -17,7 +17,7 @@
 
 use crate::conv::RecursiveConvolution;
 use crate::error::TetaError;
-use crate::waveform::Waveform;
+use crate::waveform::{compress_points, Waveform};
 use linvar_devices::{DeviceVariation, MosParams};
 use linvar_mor::PoleResidueModel;
 
@@ -68,6 +68,9 @@ pub struct StageSolverOptions {
     /// recovery ladder's "chord re-selection" analog when the plain
     /// iteration diverges.
     pub sc_damping: f64,
+    /// Stops the time loop before `t_end` once the caller has all it reads
+    /// of one port; `None` runs the full window.
+    pub stop: Option<StopRule>,
 }
 
 impl StageSolverOptions {
@@ -82,7 +85,168 @@ impl StageSolverOptions {
             variation: DeviceVariation::nominal(),
             compress_tol: 0.0,
             sc_damping: 1.0,
+            stop: None,
         }
+    }
+}
+
+/// Largest number of time steps one stage run takes. The solver records
+/// one sample per step and port, sized up front, so the cap bounds its
+/// memory: 2²² steps are 4.2 µs at a 1 ps step and 64 MiB per port.
+pub const MAX_STEPS: usize = 1 << 22;
+
+/// What a caller reads of one output port: the first mid-rail crossing `m`
+/// in the given direction, the saturated-ramp transition time `s`, and the
+/// waveform up to the cut `m + tail·s`. With this rule in
+/// [`StageSolverOptions::stop`], the time loop stops once a longer run
+/// could not change any of that.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StopRule {
+    /// Load port the caller reads.
+    pub port: usize,
+    /// Direction of the transition the caller expects at the port.
+    pub rising: bool,
+    /// Tail multiple `k` of the cut `m + k·s`.
+    pub tail: f64,
+}
+
+/// The part of a port waveform a [`StopRule`] reader takes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Reading {
+    /// First crossing of `vdd/2` in the rule's direction (s).
+    pub m: f64,
+    /// Saturated-ramp transition time (s).
+    pub s: f64,
+    /// `m + tail·s`: the reader keeps the waveform up to here (s).
+    pub cut: f64,
+}
+
+impl StopRule {
+    /// `true` when `w` ends within 5 % of the rail the rule's transition
+    /// heads for.
+    pub fn settled(&self, w: &Waveform, vdd: f64) -> bool {
+        (w.final_value() - if self.rising { vdd } else { 0.0 }).abs() < 0.05 * vdd
+    }
+
+    /// What the reader takes of `w`, or `None` when `w` never crosses
+    /// `vdd/2` in the rule's direction. `s` is `fallback_s` when `w` lacks
+    /// the 10 % or 90 % crossing.
+    pub fn reading(&self, w: &Waveform, vdd: f64, fallback_s: f64) -> Option<Reading> {
+        let m = w.crossing(vdd / 2.0, self.rising)?;
+        let s = w.to_saturated_ramp(0.0, vdd).map_or(fallback_s, |sr| sr.s);
+        Some(Reading {
+            m,
+            s,
+            cut: m + self.tail * s,
+        })
+    }
+
+    /// `true` when `w`, the compressed output of a run cut short at its
+    /// last sample, already reads exactly as the longer run's would:
+    ///
+    /// * it ends settled in the rule's direction. A settled stage output
+    ///   stays in its band, so the longer run ends settled too, with the
+    ///   same direction (`is_rising`); `tests/stage_stop.rs` checks this
+    ///   on every Table-4 stage;
+    /// * its 10/50/90 % crossings lie in segments that end before its last
+    ///   point;
+    /// * the cut lies before its last point.
+    ///
+    /// Compression keeps or drops a sample reading at most one sample
+    /// ahead, so every point of `w` but the last is a point of the longer
+    /// run's output, and the longer run keeps no other point before it.
+    /// Each crossing, the reading and the output truncated at the cut are
+    /// therefore bit-identical to the longer run's.
+    fn fixed_by(&self, w: &Waveform, vdd: f64) -> bool {
+        let last = w.points().len().saturating_sub(1);
+        let before_last = |f: f64| {
+            w.crossing_segment(f * vdd, self.rising)
+                .is_some_and(|(j, _)| j + 1 < last)
+        };
+        w.is_rising() == self.rising
+            && self.settled(w, vdd)
+            && [0.1, 0.5, 0.9].into_iter().all(before_last)
+            && self
+                .reading(w, vdd, f64::NAN)
+                .is_some_and(|r| r.cut < w.end_time())
+    }
+}
+
+/// Watches a [`StopRule`] over the raw samples of its port, and runs the
+/// exact check on the compressed prefix once the raw samples say it may
+/// pass.
+struct StopWatch {
+    rule: StopRule,
+    /// 10/50/90 % of the swing, in the order the rule's transition meets
+    /// them, and the time of the first raw sample at or past each.
+    levels: [f64; 3],
+    crossed: [Option<f64>; 3],
+    /// How far past the raw estimate of the cut the exact check waits.
+    /// The raw crossing times run late by less than one step, so the
+    /// exact cut lies less than `1.25·tail` steps past the raw one; one
+    /// more step covers compression.
+    margin: f64,
+    /// Sample count before which a failed exact check is not repeated.
+    next_check: usize,
+    /// Failed exact checks.
+    resumes: usize,
+}
+
+impl StopWatch {
+    fn new(rule: StopRule, vdd: f64, h: f64) -> Self {
+        let [l10, l50, l90] = [0.1, 0.5, 0.9].map(|f| f * vdd);
+        StopWatch {
+            rule,
+            levels: if rule.rising {
+                [l10, l50, l90]
+            } else {
+                [l90, l50, l10]
+            },
+            crossed: [None; 3],
+            margin: (1.0 + 1.25 * rule.tail) * h,
+            next_check: 0,
+            resumes: 0,
+        }
+    }
+
+    /// Looks at the newest raw sample of the port and returns the
+    /// compressed output when the run may stop there.
+    fn check(&mut self, raw: &[(f64, f64)], vdd: f64, tol: f64) -> Option<Waveform> {
+        let (t, v) = raw[raw.len() - 1];
+        let v_prev = raw[raw.len() - 2].1;
+        let rising = self.rule.rising;
+        for (&level, crossed) in self.levels.iter().zip(&mut self.crossed) {
+            let past = if rising {
+                v_prev < level && v >= level
+            } else {
+                v_prev > level && v <= level
+            };
+            if crossed.is_none() && past {
+                *crossed = Some(t);
+            }
+        }
+        let [Some(t_first), Some(m), Some(t_second)] = self.crossed else {
+            return None;
+        };
+        let rail = if rising { vdd } else { 0.0 };
+        let cut = m + self.rule.tail * (t_second - t_first) / 0.8;
+        if (v - rail).abs() >= 0.05 * vdd || t <= cut + self.margin || raw.len() < self.next_check {
+            return None;
+        }
+        let out = Waveform::from_points(if tol > 0.0 {
+            compress_points(raw, tol)
+        } else {
+            raw.to_vec()
+        });
+        if self.rule.fixed_by(&out, vdd) {
+            return Some(out);
+        }
+        // Resume stepping; retry once the run is an eighth longer, so the
+        // checks cost O(steps) in all.
+        linvar_metrics::incr(linvar_metrics::Counter::ScStopResumes);
+        self.resumes += 1;
+        self.next_check = raw.len() + raw.len() / 8;
+        None
     }
 }
 
@@ -93,6 +257,8 @@ pub struct StageStats {
     pub steps: usize,
     /// Total SC iterations.
     pub sc_iterations: usize,
+    /// Stop-rule checks that failed before the loop stopped or ran out.
+    pub stop_resumes: usize,
 }
 
 /// The stage solver: load + drivers, ready to run.
@@ -138,8 +304,22 @@ impl StageSolver {
                 "load model has unstable poles; apply the stability filter first".into(),
             ));
         }
-        if !(opts.h > 0.0 && opts.t_end > opts.h) {
-            return Err(TetaError::BadStage("bad time axis".into()));
+        if !(opts.h > 0.0 && opts.t_end > opts.h && opts.h.is_finite() && opts.t_end.is_finite()) {
+            return Err(TetaError::BadStage(format!(
+                "bad time axis: h = {:e}, t_end = {:e}",
+                opts.h, opts.t_end
+            )));
+        }
+        if (opts.t_end / opts.h).ceil() > MAX_STEPS as f64 {
+            return Err(TetaError::BadStage(format!(
+                "t_end / h = {:e} time steps exceed the cap of {MAX_STEPS}",
+                opts.t_end / opts.h
+            )));
+        }
+        if let Some(rule) = &opts.stop {
+            if rule.port >= np || !(rule.tail >= 0.0 && rule.tail.is_finite()) {
+                return Err(TetaError::BadStage(format!("bad stop rule {rule:?}")));
+            }
         }
         if !(opts.sc_damping > 0.0 && opts.sc_damping <= 1.0) {
             return Err(TetaError::BadStage(format!(
@@ -183,14 +363,15 @@ impl StageSolver {
         }
     }
 
-    /// Runs the stage, returning one waveform per load port and the SC
-    /// statistics.
+    /// Runs the stage up to `t_end`, or until the stop rule fires,
+    /// returning one waveform per load port and the SC statistics.
     ///
     /// # Errors
     ///
     /// Returns [`TetaError::ScDivergence`] if the fixed point fails at any
     /// time point.
     pub fn run(mut self) -> Result<(Vec<Waveform>, StageStats), TetaError> {
+        let loop_span = linvar_metrics::timer(linvar_metrics::Phase::ScLoop);
         let np = self.conv.port_count();
         let h = self.opts.h;
         let steps = (self.opts.t_end / h).ceil() as usize;
@@ -273,6 +454,10 @@ impl StageSolver {
             .collect();
         let mut hist: Vec<f64> = Vec::with_capacity(np);
         let mut i_new: Vec<f64> = Vec::with_capacity(np);
+        let (vdd, tol) = (self.opts.vdd, self.opts.compress_tol);
+        let mut watch = self.opts.stop.map(|rule| StopWatch::new(rule, vdd, h));
+        // The stop rule's port, compressed, when the loop stopped early.
+        let mut stopped: Option<(usize, Waveform)> = None;
         let mut t = 0.0;
         for _ in 0..steps {
             t += h;
@@ -328,15 +513,28 @@ impl StageSolver {
             for (p, rec) in recorded.iter_mut().enumerate() {
                 rec.push((t, v[p]));
             }
+            if let Some(watch) = &mut watch {
+                let port = watch.rule.port;
+                if let Some(out) = watch.check(&recorded[port], vdd, tol) {
+                    stopped = Some((port, out));
+                    break;
+                }
+            }
         }
+        drop(loop_span);
+        stats.stop_resumes = watch.map_or(0, |w| w.resumes);
         let waveforms = recorded
             .into_iter()
-            .map(|pts| {
-                let w = Waveform::from_points(pts);
-                if self.opts.compress_tol > 0.0 {
-                    w.compress(self.opts.compress_tol)
-                } else {
-                    w
+            .enumerate()
+            .map(|(p, pts)| match &mut stopped {
+                Some((port, out)) if *port == p => std::mem::take(out),
+                _ => {
+                    let w = Waveform::from_points(pts);
+                    if tol > 0.0 {
+                        w.compress(tol)
+                    } else {
+                        w
+                    }
                 }
             })
             .collect();
@@ -482,6 +680,18 @@ mod tests {
         let d1 = unit_driver(input.clone(), g_out);
         let d2 = unit_driver(input.clone(), g_out);
         assert!(StageSolver::new(&load, vec![d1, d2], opts.clone()).is_err());
+
+        // Stop rule on a missing port, or with a negative tail.
+        for (port, tail) in [(1, 4.0), (0, -1.0)] {
+            let mut bad = opts.clone();
+            bad.stop = Some(StopRule {
+                port,
+                rising: false,
+                tail,
+            });
+            let d = unit_driver(input.clone(), g_out);
+            assert!(StageSolver::new(&load, vec![d], bad).is_err());
+        }
 
         // Unstable load.
         let mut unstable = chord_rc_load(g_out, 1e-15);

@@ -35,7 +35,7 @@ pub mod stage;
 pub mod waveform;
 
 pub use conv::RecursiveConvolution;
-pub use engine::{StageSolver, StageSolverOptions, StageStats};
+pub use engine::{Reading, StageSolver, StageSolverOptions, StageStats, StopRule, MAX_STEPS};
 pub use error::TetaError;
 pub use stage::{StageModel, StageRecovery, StageResult};
 pub use waveform::{SaturatedRamp, Waveform};

@@ -12,7 +12,7 @@
 //! "evaluation" steps: first-order ROM evaluation, pole/residue
 //! transformation, stability filtering and the successive-chords transient.
 
-use crate::engine::{DriverSpec, StageSolver, StageSolverOptions, StageStats};
+use crate::engine::{DriverSpec, StageSolver, StageSolverOptions, StageStats, StopRule};
 use crate::error::TetaError;
 use crate::waveform::Waveform;
 use linvar_circuit::{Netlist, NodeId};
@@ -188,7 +188,7 @@ impl StageModel {
 
     /// Evaluates the stage at an interconnect parameter sample `w` and a
     /// device variation sample, driving each driver port with the
-    /// corresponding input waveform.
+    /// corresponding input waveform, over the full window `[0, t_end]`.
     ///
     /// # Errors
     ///
@@ -203,6 +203,27 @@ impl StageModel {
         h: f64,
         t_end: f64,
     ) -> Result<StageResult, TetaError> {
+        self.evaluate_until(w, variation, inputs, h, t_end, None)
+    }
+
+    /// [`StageModel::evaluate`] with an optional [`StopRule`]: the time
+    /// loop stops before `t_end` once the rule's reader has all it reads
+    /// of its port. What the rule reads is bit-identical to the full
+    /// window's.
+    ///
+    /// # Errors
+    ///
+    /// As [`StageModel::evaluate`], plus [`TetaError::BadStage`] for a rule
+    /// naming a missing port or a negative or non-finite tail.
+    pub fn evaluate_until(
+        &self,
+        w: &[f64],
+        variation: DeviceVariation,
+        inputs: &[Waveform],
+        h: f64,
+        t_end: f64,
+        stop: Option<StopRule>,
+    ) -> Result<StageResult, TetaError> {
         let _span = linvar_metrics::timer(linvar_metrics::Phase::StageEval);
         // Serve the per-sample reduced matrices from the worker's workspace
         // pool: `evaluate_into` writes the same values `evaluate` would
@@ -213,7 +234,7 @@ impl StageModel {
             let mut rom = ReducedModel::take_from(ws, self.vrom.order(), self.vrom.port_count());
             self.vrom.evaluate_into(w, &mut rom).map(|()| rom)
         })?;
-        let result = self.evaluate_with_rom(&rom, variation, inputs, h, t_end);
+        let result = self.evaluate_with_rom(&rom, inputs, self.options(variation, h, t_end, stop));
         with_workspace(|ws| rom.recycle(ws));
         result
     }
@@ -231,7 +252,8 @@ impl StageModel {
     ///
     /// Configuration errors ([`TetaError::BadStage`]) abort immediately:
     /// every rung would repeat them. On success the [`StageRecovery`]
-    /// records which rung and retry served the sample.
+    /// records which rung and retry served the sample. Every SC attempt
+    /// runs under `stop` (see [`StageModel::evaluate_until`]).
     ///
     /// # Errors
     ///
@@ -245,8 +267,10 @@ impl StageModel {
         inputs: &[Waveform],
         h: f64,
         t_end: f64,
+        stop: Option<StopRule>,
     ) -> Result<(StageResult, StageRecovery), TetaError> {
         let _span = linvar_metrics::timer(linvar_metrics::Phase::StageEval);
+        let opts = self.options(variation, h, t_end, stop);
         let mut recovery = StageRecovery::default();
         let mut sc_retries = 0usize;
         let mut last_err: Option<TetaError> = None;
@@ -265,15 +289,7 @@ impl StageModel {
                 recovery.served_order = deg.served_order;
                 recovery.removed_poles = deg.removed_poles;
                 recovery.max_beta_deviation = deg.max_beta_deviation;
-                match self.sc_attempts(
-                    &stable,
-                    &stability,
-                    variation,
-                    inputs,
-                    h,
-                    t_end,
-                    &mut sc_retries,
-                )? {
+                match self.sc_attempts(&stable, &stability, inputs, &opts, &mut sc_retries)? {
                     Ok(res) => {
                         recovery.sc_retries = sc_retries;
                         return Ok((res, recovery));
@@ -295,15 +311,7 @@ impl StageModel {
             });
         match rung2 {
             Ok((stable, stability, deg)) => {
-                match self.sc_attempts(
-                    &stable,
-                    &stability,
-                    variation,
-                    inputs,
-                    h,
-                    t_end,
-                    &mut sc_retries,
-                )? {
+                match self.sc_attempts(&stable, &stability, inputs, &opts, &mut sc_retries)? {
                     Ok(res) => {
                         recovery.exact_reduction = true;
                         recovery.served_order = deg.served_order;
@@ -337,15 +345,7 @@ impl StageModel {
             });
         match rung3 {
             Ok((order, (stable, stability))) => {
-                match self.sc_attempts(
-                    &stable,
-                    &stability,
-                    variation,
-                    inputs,
-                    h,
-                    t_end,
-                    &mut sc_retries,
-                )? {
+                match self.sc_attempts(&stable, &stability, inputs, &opts, &mut sc_retries)? {
                     Ok(res) => {
                         recovery.unreduced_fallback = true;
                         recovery.served_order = order;
@@ -369,28 +369,20 @@ impl StageModel {
     /// Runs the SC retry schedule against one stabilized model. The outer
     /// `Result` carries unrecoverable configuration errors (abort the
     /// ladder); the inner one reports whether any attempt converged.
-    #[allow(clippy::too_many_arguments)]
     fn sc_attempts(
         &self,
         stable: &PoleResidueModel,
         stability: &StabilityReport,
-        variation: DeviceVariation,
         inputs: &[Waveform],
-        h: f64,
-        t_end: f64,
+        opts: &StageSolverOptions,
         sc_retries: &mut usize,
     ) -> Result<Result<StageResult, TetaError>, TetaError> {
         let mut last: Option<TetaError> = None;
         for &(refine, damping) in &SC_SCHEDULE {
-            match self.run_sc(
-                stable,
-                stability,
-                variation,
-                inputs,
-                h / refine,
-                t_end,
-                damping,
-            ) {
+            let mut attempt = opts.clone();
+            attempt.h = opts.h / refine;
+            attempt.sc_damping = damping;
+            match self.run_sc(stable, stability, inputs, attempt) {
                 Ok(res) => return Ok(Ok(res)),
                 Err(e) if recoverable(&e) => {
                     *sc_retries += 1;
@@ -422,36 +414,45 @@ impl StageModel {
         t_end: f64,
     ) -> Result<StageResult, TetaError> {
         let rom = self.vrom.evaluate_exact(&self.var, w)?;
-        self.evaluate_with_rom(&rom, variation, inputs, h, t_end)
+        self.evaluate_with_rom(&rom, inputs, self.options(variation, h, t_end, None))
+    }
+
+    /// Solver options of one plain SC run of this stage.
+    fn options(
+        &self,
+        variation: DeviceVariation,
+        h: f64,
+        t_end: f64,
+        stop: Option<StopRule>,
+    ) -> StageSolverOptions {
+        let mut opts = StageSolverOptions::new(self.vdd, t_end, h);
+        opts.variation = variation;
+        opts.compress_tol = 1e-4 * self.vdd;
+        opts.stop = stop;
+        opts
     }
 
     fn evaluate_with_rom(
         &self,
         rom: &linvar_mor::ReducedModel,
-        variation: DeviceVariation,
         inputs: &[Waveform],
-        h: f64,
-        t_end: f64,
+        opts: StageSolverOptions,
     ) -> Result<StageResult, TetaError> {
         let pr = extract_pole_residue(rom)?;
         let (stable, stability) = stabilize(&pr);
-        self.run_sc(&stable, &stability, variation, inputs, h, t_end, 1.0)
+        self.run_sc(&stable, &stability, inputs, opts)
     }
 
     /// One successive-chords run against a stabilized load model. The
     /// stability report is borrowed so the SC retry schedule does not clone
     /// it per attempt; only the successful run materializes a copy into the
     /// returned [`StageResult`].
-    #[allow(clippy::too_many_arguments)]
     fn run_sc(
         &self,
         stable: &PoleResidueModel,
         stability: &StabilityReport,
-        variation: DeviceVariation,
         inputs: &[Waveform],
-        h: f64,
-        t_end: f64,
-        sc_damping: f64,
+        opts: StageSolverOptions,
     ) -> Result<StageResult, TetaError> {
         if inputs.len() != self.driver_ports.len() {
             return Err(TetaError::BadStage(format!(
@@ -475,10 +476,6 @@ impl StageModel {
                 g_out,
             })
             .collect();
-        let mut opts = StageSolverOptions::new(self.vdd, t_end, h);
-        opts.variation = variation;
-        opts.compress_tol = 1e-4 * self.vdd;
-        opts.sc_damping = sc_damping;
         let (waveforms, stats) = StageSolver::new(stable, drivers, opts)?.run()?;
         Ok(StageResult {
             waveforms,
@@ -589,6 +586,7 @@ mod tests {
                 &[input],
                 1e-12,
                 1.5e-9,
+                None,
             )
             .unwrap();
         assert!(recovery.was_clean(), "recovery: {recovery:?}");

@@ -125,54 +125,9 @@ impl Waveform {
     ///   outside `[0, ∞)`; those cost O(n²) in the worst case. The keep/drop
     ///   decisions are the exact test's in every case.
     pub fn compress(&self, tol: f64) -> Waveform {
-        let p = &self.points;
-        if p.len() <= 2 {
-            return self.clone();
+        Waveform {
+            points: compress_points(&self.points, tol),
         }
-        // The exact test of the contract: no sample strictly between
-        // `p[a]` and `p[q]` is off their chord.
-        let chord_fits = |a: usize, q: usize| {
-            let (t0, v0) = p[a];
-            let (t1, v1) = p[q];
-            !p[a + 1..q].iter().any(|&(t, v)| {
-                let interp = v0 + (v1 - v0) * (t - t0) / (t1 - t0);
-                (interp - v).abs() > tol
-            })
-        };
-        // Slopes from the anchor that keep every sample since it within
-        // `tol - δ` (inner sleeve) and `tol + δ` (outer sleeve).
-        let sleeve_tols = sleeve_margin(p, tol).map(|d| (tol - d, tol + d));
-        let open = (f64::NEG_INFINITY, f64::INFINITY);
-        let (mut inner, mut outer) = (open, open);
-        let mut kept = vec![p[0]];
-        let mut anchor = 0;
-        for k in 1..p.len() - 1 {
-            let (t0, v0) = p[anchor];
-            let fits = if let Some((tol_in, tol_out)) = sleeve_tols {
-                let (dt, dv) = (p[k].0 - t0, p[k].1 - v0);
-                inner.0 = inner.0.max((dv - tol_in) / dt);
-                inner.1 = inner.1.min((dv + tol_in) / dt);
-                outer.0 = outer.0.max((dv - tol_out) / dt);
-                outer.1 = outer.1.min((dv + tol_out) / dt);
-                let s = (p[k + 1].1 - v0) / (p[k + 1].0 - t0);
-                if s.is_finite() && inner.0 <= s && s <= inner.1 {
-                    true
-                } else if s.is_finite() && (s < outer.0 || s > outer.1) {
-                    false
-                } else {
-                    chord_fits(anchor, k + 1)
-                }
-            } else {
-                chord_fits(anchor, k + 1)
-            };
-            if !fits {
-                kept.push(p[k]);
-                anchor = k;
-                (inner, outer) = (open, open);
-            }
-        }
-        kept.push(p[p.len() - 1]);
-        Waveform { points: kept }
     }
 
     /// Returns the waveform translated in time by `dt` (positive shifts
@@ -206,7 +161,13 @@ impl Waveform {
     /// Time of the first crossing of `level` in the given direction, or
     /// `None`.
     pub fn crossing(&self, level: f64, rising: bool) -> Option<f64> {
-        for w in self.points.windows(2) {
+        self.crossing_segment(level, rising).map(|(_, t)| t)
+    }
+
+    /// The first crossing of `level` in the given direction: the index `j`
+    /// of the segment `points[j]..points[j + 1]` it lies in, and its time.
+    pub(crate) fn crossing_segment(&self, level: f64, rising: bool) -> Option<(usize, f64)> {
+        for (j, w) in self.points.windows(2).enumerate() {
             let ((t0, v0), (t1, v1)) = (w[0], w[1]);
             let crossed = if rising {
                 v0 < level && v1 >= level
@@ -215,9 +176,9 @@ impl Waveform {
             };
             if crossed {
                 if (v1 - v0).abs() < 1e-300 {
-                    return Some(t1);
+                    return Some((j, t1));
                 }
-                return Some(t0 + (t1 - t0) * (level - v0) / (v1 - v0));
+                return Some((j, t0 + (t1 - t0) * (level - v0) / (v1 - v0)));
             }
         }
         None
@@ -248,6 +209,62 @@ impl Waveform {
         let s = (t_second - t_first) / 0.8;
         Ok(SaturatedRamp { m, s, rising })
     }
+}
+
+/// [`Waveform::compress`] over a slice of samples.
+///
+/// The decision on sample `k` reads samples `k + 1` and earlier only, and
+/// the last sample is always kept. So compressing a prefix `p[..=K]` keeps,
+/// below index `K`, exactly the samples that compressing all of `p` keeps
+/// there: the stage solver's stop rule relies on this.
+pub(crate) fn compress_points(p: &[(f64, f64)], tol: f64) -> Vec<(f64, f64)> {
+    if p.len() <= 2 {
+        return p.to_vec();
+    }
+    // The exact test of the contract: no sample strictly between
+    // `p[a]` and `p[q]` is off their chord.
+    let chord_fits = |a: usize, q: usize| {
+        let (t0, v0) = p[a];
+        let (t1, v1) = p[q];
+        !p[a + 1..q].iter().any(|&(t, v)| {
+            let interp = v0 + (v1 - v0) * (t - t0) / (t1 - t0);
+            (interp - v).abs() > tol
+        })
+    };
+    // Slopes from the anchor that keep every sample since it within
+    // `tol - δ` (inner sleeve) and `tol + δ` (outer sleeve).
+    let sleeve_tols = sleeve_margin(p, tol).map(|d| (tol - d, tol + d));
+    let open = (f64::NEG_INFINITY, f64::INFINITY);
+    let (mut inner, mut outer) = (open, open);
+    let mut kept = vec![p[0]];
+    let mut anchor = 0;
+    for k in 1..p.len() - 1 {
+        let (t0, v0) = p[anchor];
+        let fits = if let Some((tol_in, tol_out)) = sleeve_tols {
+            let (dt, dv) = (p[k].0 - t0, p[k].1 - v0);
+            inner.0 = inner.0.max((dv - tol_in) / dt);
+            inner.1 = inner.1.min((dv + tol_in) / dt);
+            outer.0 = outer.0.max((dv - tol_out) / dt);
+            outer.1 = outer.1.min((dv + tol_out) / dt);
+            let s = (p[k + 1].1 - v0) / (p[k + 1].0 - t0);
+            if s.is_finite() && inner.0 <= s && s <= inner.1 {
+                true
+            } else if s.is_finite() && (s < outer.0 || s > outer.1) {
+                false
+            } else {
+                chord_fits(anchor, k + 1)
+            }
+        } else {
+            chord_fits(anchor, k + 1)
+        };
+        if !fits {
+            kept.push(p[k]);
+            anchor = k;
+            (inner, outer) = (open, open);
+        }
+    }
+    kept.push(p[p.len() - 1]);
+    kept
 }
 
 /// Rounding margin δ of the sleeve test in [`Waveform::compress`], or `None`

@@ -23,7 +23,7 @@ use linvar_devices::{tech_018, DeviceVariation};
 use linvar_interconnect::{CoupledLineSpec, WireTech};
 use linvar_mor::ReductionMethod;
 use linvar_stats::monte_carlo_par;
-use linvar_teta::{StageModel, Waveform};
+use linvar_teta::{StageModel, StopRule, Waveform};
 
 /// Counts every allocation; `realloc` counts once (it may move storage).
 struct CountingAlloc;
@@ -77,7 +77,8 @@ fn allocs() -> u64 {
 ///   * `stabilize`'s filtered copy of that model (β-rescaled residues);
 ///   * per-run solver setup: `DriverSpec` (input waveform + MOS model
 ///     clones), `RecursiveConvolution` state, and the recorded output
-///     waveforms with their compression buffers;
+///     waveforms with their compression buffers (under a stop rule, each
+///     stop check compresses the read port's prefix once);
 ///   * executor bookkeeping for the outcome of each sample.
 ///
 /// What the budget must **never** again include: per-SC-iteration or
@@ -108,58 +109,73 @@ fn steady_state_monte_carlo_sample_allocates_within_budget() {
         let x = (i as f64) / 64.0 - 0.25;
         [x, -x, 0.5 * x, 0.0, x]
     };
-    let eval = |w: &[f64; 5]| -> Result<f64, String> {
-        let res = model
-            .evaluate(
-                w,
-                DeviceVariation::nominal(),
-                std::slice::from_ref(&input),
-                1e-12,
-                1.5e-9,
-            )
-            .map_err(|e| e.to_string())?;
-        res.waveforms[1]
-            .crossing(0.9, false)
-            .ok_or_else(|| "no crossing".to_string())
+    // Both window rules: the full window of a direct `evaluate`, and the
+    // stop rule a path puts on the far end (its output falls).
+    let rule = StopRule {
+        port: 1,
+        rising: false,
+        tail: 4.0,
     };
+    for stop in [None, Some(rule)] {
+        let eval = |w: &[f64; 5]| -> Result<f64, String> {
+            let res = model
+                .evaluate_until(
+                    w,
+                    DeviceVariation::nominal(),
+                    std::slice::from_ref(&input),
+                    1e-12,
+                    1.5e-9,
+                    stop,
+                )
+                .map_err(|e| e.to_string())?;
+            if stop.is_some() && res.stats.steps >= 1500 {
+                return Err("the stop rule never fired".into());
+            }
+            res.waveforms[1]
+                .crossing(0.9, false)
+                .ok_or_else(|| "no crossing".to_string())
+        };
 
-    // Warm-up: populate the thread-local workspace pools (first samples
-    // miss; steady state hits). Uses the same driver as the measurement.
-    // One worker evaluates inline, so every sample's allocations land on
-    // this thread's counter.
-    let warm: Vec<[f64; 5]> = (0..4).map(sample_at).collect();
-    let r = monte_carlo_par(&warm, 1, |w| eval(w));
-    assert_eq!(r.failures, 0, "warm-up failed: {:?}", r.first_error);
+        // Warm-up: populate the thread-local workspace pools (first samples
+        // miss; steady state hits). Uses the same driver as the measurement.
+        // One worker evaluates inline, so every sample's allocations land on
+        // this thread's counter.
+        let warm: Vec<[f64; 5]> = (0..4).map(sample_at).collect();
+        let r = monte_carlo_par(&warm, 1, |w| eval(w));
+        assert_eq!(r.failures, 0, "warm-up failed: {:?}", r.first_error);
 
-    // Two measured windows over identical per-sample work; differencing
-    // cancels per-run fixed allocations.
-    let short: Vec<[f64; 5]> = (0..4).map(sample_at).collect();
-    let long: Vec<[f64; 5]> = (0..12).map(sample_at).collect();
+        // Two measured windows over identical per-sample work; differencing
+        // cancels per-run fixed allocations.
+        let short: Vec<[f64; 5]> = (0..4).map(sample_at).collect();
+        let long: Vec<[f64; 5]> = (0..12).map(sample_at).collect();
 
-    let a0 = allocs();
-    let r_short = monte_carlo_par(&short, 1, |w| eval(w));
-    let a1 = allocs();
-    let r_long = monte_carlo_par(&long, 1, |w| eval(w));
-    let a2 = allocs();
-    assert_eq!(r_short.failures + r_long.failures, 0, "samples failed");
+        let a0 = allocs();
+        let r_short = monte_carlo_par(&short, 1, |w| eval(w));
+        let a1 = allocs();
+        let r_long = monte_carlo_par(&long, 1, |w| eval(w));
+        let a2 = allocs();
+        assert_eq!(r_short.failures + r_long.failures, 0, "samples failed");
 
-    let short_cost = a1 - a0;
-    let long_cost = a2 - a1;
-    let extra_samples = (long.len() - short.len()) as u64;
-    let per_sample = long_cost.saturating_sub(short_cost) / extra_samples;
+        let short_cost = a1 - a0;
+        let long_cost = a2 - a1;
+        let extra_samples = (long.len() - short.len()) as u64;
+        let per_sample = long_cost.saturating_sub(short_cost) / extra_samples;
 
-    eprintln!("alloc audit: {per_sample} allocations per steady-state sample");
-    assert!(
-        per_sample <= PER_SAMPLE_BUDGET,
-        "steady-state Monte-Carlo sample allocated {per_sample} times \
-         (budget: {PER_SAMPLE_BUDGET}). A hot-path change reintroduced \
-         per-sample allocation — pool new buffers through \
-         linvar_numeric::with_workspace, or raise PER_SAMPLE_BUDGET in \
-         tests/alloc_audit.rs with a documented breakdown. \
-         (window costs: {short_cost} for {} samples, {long_cost} for {})",
-        short.len(),
-        long.len(),
-    );
+        eprintln!(
+            "alloc audit (stop rule {stop:?}): {per_sample} allocations per steady-state sample"
+        );
+        assert!(
+            per_sample <= PER_SAMPLE_BUDGET,
+            "steady-state Monte-Carlo sample (stop rule {stop:?}) allocated \
+             {per_sample} times (budget: {PER_SAMPLE_BUDGET}). A hot-path change \
+             reintroduced per-sample allocation — pool new buffers through \
+             linvar_numeric::with_workspace, or raise PER_SAMPLE_BUDGET in \
+             tests/alloc_audit.rs with a documented breakdown. \
+             (window costs: {short_cost} for {} samples, {long_cost} for {})",
+            short.len(),
+            long.len(),
+        );
+    }
 }
 
 /// Steady-state allocation budget for one sparse refactor + solve cycle

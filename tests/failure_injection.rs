@@ -142,6 +142,73 @@ fn divergent_stage_is_an_error_not_a_hang() {
 }
 
 #[test]
+fn unbounded_time_axes_are_typed_errors() {
+    use linvar::mor::PoleResidueModel;
+    use linvar::numeric::{CMatrix, Complex, Matrix};
+    use linvar::teta::engine::DriverSpec;
+    use linvar::teta::{StageSolverOptions, TetaError, MAX_STEPS};
+    let mut r = CMatrix::zeros(1, 1);
+    r[(0, 0)] = Complex::from_real(1e14);
+    let load = PoleResidueModel {
+        poles: vec![Complex::from_real(-1e11)],
+        residues: vec![r],
+        direct: Matrix::zeros(1, 1),
+    };
+    let tech = tech_018();
+    let driver = DriverSpec {
+        port: 0,
+        input: Waveform::ramp(0.0, 1.8, 10e-12, 30e-12),
+        nmos: tech.library.get(&tech.library.nmos_name()).unwrap().clone(),
+        pmos: tech.library.get(&tech.library.pmos_name()).unwrap().clone(),
+        wn: tech.wn,
+        wp: tech.wp,
+        length: tech.library.lmin,
+        g_out: 1e-3,
+    };
+    // Non-finite steps and horizons, and a step count past the cap, are
+    // rejected before the solver sizes its recorded waveforms.
+    let past_cap = (MAX_STEPS as f64 + 1.0) * 1e-12;
+    for (h, t_end) in [
+        (f64::NAN, 1e-9),
+        (f64::INFINITY, 1e-9),
+        (1e-12, f64::INFINITY),
+        (1e-12, f64::NAN),
+        (1e-12, past_cap),
+        (f64::MIN_POSITIVE, 1e-9),
+    ] {
+        let opts = StageSolverOptions::new(1.8, t_end, h);
+        match StageSolver::new(&load, vec![driver.clone()], opts) {
+            Err(TetaError::BadStage(msg)) => assert!(msg.contains("time"), "{msg}"),
+            other => panic!("h = {h:e}, t_end = {t_end:e}: expected BadStage, got {other:?}"),
+        }
+    }
+
+    let tech = tech_018();
+    let wire = WireTech::m018();
+    let spec = |input_slew| PathSpec {
+        cells: vec!["inv".into(), "inv".into()],
+        linear_elements_between_stages: 10,
+        input_slew,
+    };
+    // An infinite input slew never finished a sample; it is a bad spec.
+    assert!(matches!(
+        PathModel::build(&spec(f64::INFINITY), &tech, &wire),
+        Err(CoreError::BadSpec(_))
+    ));
+    // A finite but absurd slew (1000 s) asks each stage for ~10^15 steps:
+    // a typed error on every engine, not an allocation abort.
+    let model = PathModel::build(&spec(1e3), &tech, &wire).expect("builds");
+    let sample = PathSample::default();
+    let too_long = |e: CoreError| matches!(e, CoreError::Teta(TetaError::BadStage(_)));
+    assert!(model.evaluate_sample(&sample).is_err_and(too_long));
+    assert!(model
+        .evaluate_sample_recovering(&sample, false)
+        .is_err_and(too_long));
+    let sources = VariationSources::example3(0.33, 0.0);
+    assert!(model.gradient_analysis(&sources).is_err_and(too_long));
+}
+
+#[test]
 fn empty_path_and_unknown_cells_rejected() {
     let tech = tech_018();
     let wire = WireTech::m018();

@@ -73,6 +73,7 @@ fn counters_are_identical_across_thread_counts() {
     // populated, not a sea of zeros.
     for needle in [
         "\"phase.sample_eval.calls\"",
+        "\"phase.sc_loop.calls\"",
         "\"phase.lu_factor.calls\"",
         "\"mc.samples_completed\": 8",
         "\"rung.",

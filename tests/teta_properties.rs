@@ -54,6 +54,38 @@ fn assert_matches_reference(w: &Waveform, tol: f64) {
     );
 }
 
+/// The prefix lemma the stage solver's stop rule rests on: compressing a
+/// prefix `p[..=K]` keeps, before its forced last point, exactly the points
+/// that compressing all of `p` keeps before index `K`. A `compress` that
+/// looked further ahead than one sample would fail here.
+fn assert_prefix_lemma(w: &Waveform, tol: f64) {
+    let bits = |p: &[(f64, f64)]| -> Vec<(u64, u64)> {
+        p.iter().map(|&(t, v)| (t.to_bits(), v.to_bits())).collect()
+    };
+    let p = w.points();
+    let full = w.compress(tol);
+    for k in 0..p.len() {
+        let prefix = Waveform::from_points(p[..=k].to_vec()).compress(tol);
+        let (_, before_last) = prefix.points().split_last().expect("non-empty");
+        // Times increase strictly, so "index < K" is "time < t_K".
+        let kept: Vec<(f64, f64)> = full
+            .points()
+            .iter()
+            .copied()
+            .take_while(|&(t, _)| t < p[k].0)
+            .collect();
+        assert!(
+            bits(before_last) == bits(&kept),
+            "compress(tol = {tol:e}) of the first {} of {} samples keeps {} points \
+             before its last, the whole waveform {}",
+            k + 1,
+            p.len(),
+            before_last.len(),
+            kept.len()
+        );
+    }
+}
+
 /// `v` moved by `ulps` representable steps (negative: downwards).
 fn nudge(v: f64, ulps: i64) -> f64 {
     (0..ulps.unsigned_abs()).fold(v, |x, _| if ulps > 0 { x.next_up() } else { x.next_down() })
@@ -173,6 +205,24 @@ proptest! {
         }
     }
 
+    /// Every prefix of a random, an ulp-boundary and a non-finite waveform
+    /// compresses to the whole waveform's points before it.
+    #[test]
+    fn compress_prefix_keeps_the_whole_waveforms_points(
+        w in waveform_strategy(),
+        case in boundary_strategy(),
+        nf in non_finite_strategy(),
+        tol in 1e-4f64..0.5,
+    ) {
+        for tol in [tol, 0.0, f64::INFINITY] {
+            assert_prefix_lemma(&w, tol);
+            assert_prefix_lemma(&nf, tol);
+        }
+        let (b, b_tol) = case;
+        assert_prefix_lemma(&b, b_tol);
+        assert_prefix_lemma(&b, b_tol.next_up());
+    }
+
     /// Shifting is exact and invertible.
     #[test]
     fn shift_roundtrip(w in waveform_strategy(), dt in -1e-9f64..1e-9) {
@@ -228,34 +278,53 @@ proptest! {
     }
 }
 
-/// Settled tails of thousands of samples, the bulk of every stage output:
-/// an RC-like exponential, an exactly flat tail and one dithered by an ulp.
-#[test]
-fn compress_matches_reference_on_settled_tails() {
-    let n = 4000;
+/// Settled tails of `n` samples, the bulk of every stage output: an RC-like
+/// exponential, an exactly flat tail and one dithered by an ulp.
+fn settled_tails(n: usize) -> Vec<Waveform> {
     let rise = |t: f64| 1.8 * (1.0 - (-t / 20e-12).exp());
     let tails: [&dyn Fn(usize, f64) -> f64; 3] = [
         &|_, t| rise(t),
         &|k, t| if k < 100 { rise(t) } else { 1.8 },
         &|k, _| if k % 2 == 0 { 1.8 } else { 1.8f64.next_up() },
     ];
-    for tail in tails {
-        let points = (0..n)
-            .map(|k| {
-                let t = k as f64 * 1e-12;
-                (t, tail(k, t))
-            })
-            .collect();
-        let w = Waveform::from_points(points);
+    tails
+        .into_iter()
+        .map(|tail| {
+            let points = (0..n)
+                .map(|k| {
+                    let t = k as f64 * 1e-12;
+                    (t, tail(k, t))
+                })
+                .collect();
+            Waveform::from_points(points)
+        })
+        .collect()
+}
+
+#[test]
+fn compress_matches_reference_on_settled_tails() {
+    for w in settled_tails(4000) {
         for tol in [1.8e-4, 1e-2, 1e-12, 0.0, f64::INFINITY] {
             assert_matches_reference(&w, tol);
         }
     }
 }
 
+/// The prefix lemma on settled tails as long as a stage output's (every
+/// prefix costs a compression, so the tails are shorter than above).
+#[test]
+fn compress_prefix_lemma_on_settled_tails() {
+    for w in settled_tails(1500) {
+        for tol in [1.8e-4, 1e-2, 0.0] {
+            assert_prefix_lemma(&w, tol);
+        }
+    }
+}
+
 /// The golden stage of `tests/golden_fixtures.rs`, solved with compression
 /// off, compresses at `1e-4·vdd` exactly as the reference loop does — and
-/// exactly to the waveforms `StageModel::evaluate` returns.
+/// exactly to the waveforms `StageModel::evaluate` returns — and every
+/// prefix of it obeys the prefix lemma.
 #[test]
 fn compress_matches_reference_on_raw_stage_output() {
     let tech = tech_018();
@@ -311,6 +380,7 @@ fn compress_matches_reference_on_raw_stage_output() {
     for (raw, compressed) in raw.iter().zip(&evaluated.waveforms) {
         assert!(raw.points().len() > 1000, "raw output has every time step");
         assert_matches_reference(raw, tol);
+        assert_prefix_lemma(raw, tol);
         assert_eq!(raw.compress(tol).points(), compressed.points());
     }
 }
