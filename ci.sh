@@ -22,27 +22,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+# The workspace tests above already ran every test binary once; the
+# re-runs below are the ones whose environment or package differs.
 echo "==> determinism contract at LINVAR_THREADS=1 and LINVAR_THREADS=8"
 LINVAR_THREADS=1 cargo test -q --test parallel_determinism
 LINVAR_THREADS=8 cargo test -q --test parallel_determinism
 
-echo "==> fault matrix (injected failures across the solver stack)"
-cargo test -q --test fault_matrix
-cargo test -q --test failure_injection
-
-echo "==> sparse/dense solver equivalence (property battery + golden chains rows)"
-cargo test -q -p linvar-numeric --test sparse_dense_equivalence
-cargo test -q --test golden_chains
-
-echo "==> durable campaigns (kill-and-resume determinism, corruption rejection)"
-cargo test -q --test campaign_resume
-cargo test -q -p linvar-stats --test checkpoint_corruption
-
-echo "==> allocation audit (steady-state Monte-Carlo samples stay inside the alloc budget)"
-cargo test -q --test alloc_audit
-
-echo "==> golden fixtures (bit-exact hot-path numerics, pooled and allocating paths)"
-cargo test -q --test golden_fixtures
+echo "==> golden fixtures on the allocating path (LINVAR_WS_DISABLE=1)"
 LINVAR_WS_DISABLE=1 cargo test -q --test golden_fixtures
 
 echo "==> benchmark self-tests and seed-1 result rows (paths, chains, irdrop, serve)"
@@ -195,10 +181,6 @@ for key in '"phase.symbolic.calls"' '"phase.numeric_factor.calls"' '"phase.solve
     fi
 done
 
-echo "==> AC conformance (vROM H(jω) vs full-order sweeps) + complex solver properties"
-cargo test -q --test ac_conformance
-cargo test -q -p linvar-numeric --test complex_lu_properties
-
 echo "==> AC campaign smoke (chains --quick --analysis ac per backend, mc rows diffed)"
 LINVAR_THREADS=2 LINVAR_SOLVER=dense cargo run --release -q -p linvar-bench \
     --bin chains -- --quick --analysis ac >"$ckdir/ac_dense.out" 2>&1
@@ -258,12 +240,9 @@ if ! [ -s "$ckdir/gpc.rows" ]; then
     exit 1
 fi
 
-echo "==> shard identity (sharded merge bitwise-equal to single-process, incl. faults)"
-cargo test -q --test shard_identity
-
-echo "==> shard smoke (table4 --quick at 1 vs 4 shards, one shard killed + resumed)"
+echo "==> shard smoke (table4 --quick: 1 shard, then 2 shard processes, one killed)"
 # Unsharded reference rows come from the interrupted-resume smoke above
-# ($ckdir/clean.mc). 1 supervised shard must reproduce them...
+# ($ckdir/clean.mc). 1 shard must reproduce them...
 LINVAR_THREADS=2 cargo run --release -q -p linvar-bench --bin table4 -- --quick \
     --shards 1 >"$ckdir/shard1.out" 2>&1
 grep '^mc ' "$ckdir/shard1.out" >"$ckdir/shard1.mc"
@@ -271,19 +250,50 @@ if ! diff -u "$ckdir/clean.mc" "$ckdir/shard1.mc"; then
     echo "table4 mc rows differ between unsharded and --shards 1" >&2
     exit 1
 fi
-# ...and so must 4 shards with shard 1 killed mid-checkpoint-write on its
-# first attempt: the supervisor retries it from its own snapshot and the
-# merged rows stay byte-identical.
-if ! LINVAR_THREADS=2 LINVAR_SHARD_FAULT=1:killmid \
-    cargo run --release -q -p linvar-bench --bin table4 -- --quick \
-    --shards 4 --checkpoint "$ckdir/sh4" >"$ckdir/shard4.out" 2>&1; then
-    echo "fault-injected sharded table4 run did not exit cleanly:" >&2
-    cat "$ckdir/shard4.out" >&2
+# ...and so must 2 shard processes merged by a resumed run. Shard 0 runs
+# to completion. Shard 1 is killed with -9 as soon as its first campaign
+# snapshot lands (the whole worker takes under a second, so a fixed
+# delay would usually miss it) and is re-run with --resume, which
+# restores the finished campaigns instead of evaluating them again.
+T4=target/release/table4
+if ! LINVAR_THREADS=2 "$T4" --quick --shards 2 --shard-index 0 \
+    --checkpoint "$ckdir/sh" >"$ckdir/shard_w0.out" 2>&1; then
+    echo "table4 shard worker 0 failed:" >&2
+    cat "$ckdir/shard_w0.out" >&2
     exit 1
 fi
-grep '^mc ' "$ckdir/shard4.out" >"$ckdir/shard4.mc"
-if ! diff -u "$ckdir/clean.mc" "$ckdir/shard4.mc"; then
-    echo "table4 mc rows differ after a shard kill + supervised resume" >&2
+LINVAR_THREADS=2 "$T4" --quick --shards 2 --shard-index 1 \
+    --checkpoint "$ckdir/sh" >"$ckdir/shard_w1_killed.out" 2>&1 &
+shard_w1_pid=$!
+i=0
+while [ "$i" -lt 200 ] && ! ls "$ckdir"/sh.*.shard1of2.ckpt >/dev/null 2>&1; do
+    sleep 0.05
+    i=$((i + 1))
+done
+shard_w1_killed=0
+kill -9 "$shard_w1_pid" 2>/dev/null && shard_w1_killed=1
+wait "$shard_w1_pid" 2>/dev/null || true
+[ "$shard_w1_killed" -eq 1 ] || echo "    shard worker 1 finished before the kill"
+if ! LINVAR_THREADS=2 "$T4" --quick --shards 2 --shard-index 1 \
+    --checkpoint "$ckdir/sh" --resume "$ckdir/sh" >"$ckdir/shard_w1.out" 2>&1; then
+    echo "re-run of killed table4 shard worker 1 failed:" >&2
+    cat "$ckdir/shard_w1.out" >&2
+    exit 1
+fi
+if [ "$shard_w1_killed" -eq 1 ] && ! grep -q ' evaluated=0 ' "$ckdir/shard_w1.out"; then
+    echo "re-run of the killed shard worker restored no campaign from its snapshots:" >&2
+    cat "$ckdir/shard_w1.out" >&2
+    exit 1
+fi
+if ! LINVAR_THREADS=2 "$T4" --quick --shards 2 --resume "$ckdir/sh" \
+    >"$ckdir/shard2.out" 2>&1; then
+    echo "merging table4 --shards 2 --resume run failed:" >&2
+    cat "$ckdir/shard2.out" >&2
+    exit 1
+fi
+grep '^mc ' "$ckdir/shard2.out" >"$ckdir/shard2.mc"
+if ! diff -u "$ckdir/clean.mc" "$ckdir/shard2.mc"; then
+    echo "table4 mc rows differ after two shard processes (one killed) were merged" >&2
     exit 1
 fi
 

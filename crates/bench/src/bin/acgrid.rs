@@ -11,8 +11,8 @@
 //! bin prints the dense/sparse throughput comparison.
 //!
 //! `LINVAR_SOLVER=dense|sparse` pins one backend instead. `--shards <N>`
-//! routes the campaigns through the shard supervisor (rows byte-identical
-//! either way). `--engine sobol` reruns the flow over the Sobol quasi-MC
+//! runs each campaign as N contiguous shards, one after another (rows
+//! byte-identical either way). `--engine sobol` reruns the flow over the Sobol quasi-MC
 //! stream; `--engine gpc` replaces the campaign with the Smolyak spectral
 //! grid of [`linvar_bench::grid::GRID_GPC_CONFIG`] — 11 DC solves per
 //! case. Neither spectral engine supports `--shards`.
@@ -67,7 +67,7 @@ fn run() -> Result<(), BenchError> {
         None => println!("comparing backends (grid MNA is small; both always run)"),
     }
     if let Some(n_shards) = args.shards {
-        println!("shard supervisor: {n_shards} shard(s) per campaign");
+        println!("shards: {n_shards} per campaign, run one after another");
     }
     if args.engine != Engine::Mc {
         println!("statistics engine: {engine}");

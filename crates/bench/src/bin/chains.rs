@@ -11,9 +11,8 @@
 //!
 //! Setting `LINVAR_SOLVER=dense|sparse` pins a single backend instead;
 //! `ci.sh` uses that to run the quick suite once per backend and compare.
-//! `--shards <N>` routes every campaign through the shard supervisor
-//! (in-memory, no checkpoints) — the `mc` rows are byte-identical either
-//! way, which `ci.sh` also diffs.
+//! `--shards <N>` runs every campaign as N contiguous shards, one after
+//! another — the `mc` rows are byte-identical either way.
 //!
 //! `--engine sobol` reruns the MC flow over the Sobol quasi-MC sample
 //! stream (rows prefixed `sobol`); `--engine gpc` replaces the sample
@@ -95,7 +94,7 @@ fn run() -> Result<(), BenchError> {
         None => println!("comparing backends (dense skipped above dim {DENSE_MAX_DIM})"),
     }
     if let Some(n_shards) = args.shards {
-        println!("shard supervisor: {n_shards} shard(s) per campaign");
+        println!("shards: {n_shards} per campaign, run one after another");
     }
     if args.engine != Engine::Mc {
         println!("statistics engine: {engine}");
@@ -143,8 +142,7 @@ fn run() -> Result<(), BenchError> {
                 case.name, case.dim, case.element_count, case.tstop
             ),
         }
-        // The rows stay byte-identical with and without shards — the
-        // identity ci.sh's shard smoke diffs.
+        // The rows stay byte-identical with and without shards.
         let spec = args.run_spec(&row_name, run_start, RunSpec::plain(threads))?;
         let campaign = |choice| -> Result<(String, f64), BenchError> {
             let (run, rate) = timed_campaign(case, points, &spec, choice, args.analysis)?;

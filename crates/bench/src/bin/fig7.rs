@@ -10,8 +10,8 @@
 //! `--deadline <secs>` run the Monte-Carlo portion as a durable campaign
 //! (one snapshot per circuit). Completed circuits print a deterministic
 //! `mc …` line with the statistics as raw `f64` bit patterns.
-//! `--shards <N>` routes the campaigns through the shard supervisor
-//! (`mc` lines byte-identical to the unsharded run); with
+//! `--shards <N>` runs each campaign as N contiguous shards, one after
+//! another (`mc` lines byte-identical to the unsharded run); with
 //! `--shard-index <K> --checkpoint <prefix>` this process evaluates
 //! only shard K and leaves its snapshot for a later `--resume` merge.
 //!

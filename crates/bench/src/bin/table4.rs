@@ -17,13 +17,14 @@
 //! line with the statistics as raw `f64` bit patterns — identical
 //! between a clean run and any interrupted-and-resumed schedule.
 //!
-//! `--shards <N>` routes each campaign through the shard supervisor
-//! (fault-tolerant, per-shard snapshots under `--checkpoint`); the `mc`
-//! lines stay byte-identical to the unsharded run at any shard count.
-//! `--shards <N> --shard-index <K> --checkpoint <prefix>` instead runs
-//! only shard K of every campaign in this process, leaving its snapshot
-//! as the output — a later `--shards N --resume <prefix>` run merges
-//! the per-shard snapshots without re-evaluating any sample.
+//! `--shards <N>` runs each campaign as N contiguous shards, one after
+//! another, with per-shard snapshots under `--checkpoint` and per-shard
+//! resume from `--resume`; the `mc` lines stay byte-identical to the
+//! unsharded run at any shard count. `--shards <N> --shard-index <K>
+//! --checkpoint <prefix>` instead runs only shard K of every campaign in
+//! this process, leaving its snapshot as the output — a later
+//! `--shards N --resume <prefix>` run merges the per-shard snapshots
+//! without re-evaluating any sample.
 //!
 //! `--engine gpc|sobol` switches to the engine-comparison mode: per
 //! circuit at 10 linear elements, an MC reference runs next to the
@@ -322,7 +323,7 @@ fn run() -> Result<(), BenchError> {
             let t0 = Instant::now();
             // Plain, durable and sharded runs all feed the same `mc` line
             // below — the rows are byte-identical at any shard count,
-            // which ci.sh's shard smoke diffs.
+            // which ci.sh's shard smokes diff.
             let mc = model.run(&sources, Sampling::Lhs(n_teta), master_seed, &spec)?;
             if let (Some(n_shards), Some(k)) = (args.shards, args.shard_index) {
                 // Process-per-shard worker: only shard k of this

@@ -225,7 +225,7 @@ mod tests {
         RunSpec {
             shards: n_shards.map(|n_shards| ShardConfig {
                 n_shards,
-                ..ShardConfig::default()
+                shard_index: None,
             }),
             ..RunSpec::plain(threads)
         }

@@ -170,7 +170,7 @@ mod tests {
         let spec = RunSpec {
             shards: Some(ShardConfig {
                 n_shards: 3,
-                ..ShardConfig::default()
+                shard_index: None,
             }),
             ..RunSpec::plain(2)
         };

@@ -28,7 +28,7 @@ use linvar_spice::SpiceError;
 use linvar_stats::{
     execute, run_spectral, AnalysisKind, CampaignConfig, CampaignFingerprint, CheckpointError,
     HistogramError, MonteCarloResult, RecoveryPolicy, RunError, RunSpec, SampleStatus, ShardConfig,
-    ShardFault, SpectralPlan, SpectralResult,
+    SpectralPlan, SpectralResult,
 };
 use linvar_teta::TetaError;
 use std::fmt;
@@ -212,7 +212,8 @@ pub struct BenchArgs {
     /// `--quick`: reduced sample counts / skipped configurations.
     pub quick: bool,
     /// `--checkpoint <prefix>`: write per-run snapshots under this path
-    /// prefix (each campaign appends `.<tag>.ckpt`).
+    /// prefix (each campaign appends `.<tag>.ckpt`, or with `--shards`
+    /// `.<tag>.shard<k>of<N>.ckpt`).
     pub checkpoint: Option<PathBuf>,
     /// `--resume <prefix>`: resume campaigns whose snapshot under this
     /// prefix exists (missing snapshots start fresh).
@@ -222,9 +223,9 @@ pub struct BenchArgs {
     /// `--metrics <path>`: also write the machine-readable metrics
     /// report (the `BENCH_<bin>.json` content) to this path.
     pub metrics: Option<PathBuf>,
-    /// `--shards <N>`: run the Monte-Carlo campaigns through the
-    /// sharded supervisor with `N` shards (output stays byte-identical
-    /// to an unsharded run).
+    /// `--shards <N>`: run each Monte-Carlo campaign as `N` contiguous
+    /// shards, one after another, each with its own snapshot (output
+    /// stays byte-identical to an unsharded run).
     pub shards: Option<usize>,
     /// `--shard-index <K>`: process-per-shard mode — run only shard `K`
     /// of the `--shards` plan and write its snapshot (requires
@@ -321,18 +322,25 @@ impl BenchArgs {
         Ok(out)
     }
 
-    /// Snapshot path for one campaign: `<prefix>.<tag>.ckpt`.
-    fn snapshot_path(prefix: &std::path::Path, tag: &str) -> PathBuf {
+    /// Snapshot path of one campaign: `<prefix>.<tag>.ckpt`, or with
+    /// `--shards` the prefix `<prefix>.<tag>` that each shard extends to
+    /// `<prefix>.<tag>.shard<k>of<N>.ckpt`.
+    fn snapshot_path(&self, prefix: &std::path::Path, tag: &str) -> PathBuf {
         let mut os = prefix.as_os_str().to_owned();
-        os.push(format!(".{tag}.ckpt"));
+        os.push(format!(".{tag}"));
+        if self.shards.is_none() {
+            os.push(".ckpt");
+        }
         PathBuf::from(os)
     }
 
     /// Builds the [`CampaignConfig`] for one campaign of this run.
     ///
-    /// * the checkpoint file is `<prefix>.<tag>.ckpt`;
+    /// * the checkpoint and resume paths are `--checkpoint` and
+    ///   `--resume` narrowed by the tag (see `snapshot_path`);
     /// * a resume snapshot is used only if it exists (first runs of a
-    ///   `--resume`d invocation start fresh);
+    ///   `--resume`d invocation start fresh) — a sharded run makes that
+    ///   check per shard;
     /// * the process-wide `--deadline` is converted to this campaign's
     ///   remaining budget, measured from `run_start` — an exhausted
     ///   budget yields a zero deadline, so later campaigns truncate
@@ -340,15 +348,12 @@ impl BenchArgs {
     ///   running over.
     pub fn campaign_config(&self, tag: &str, run_start: Instant) -> CampaignConfig {
         CampaignConfig {
-            checkpoint: self
-                .checkpoint
-                .as_ref()
-                .map(|p| Self::snapshot_path(p, tag)),
+            checkpoint: self.checkpoint.as_ref().map(|p| self.snapshot_path(p, tag)),
             resume: self
                 .resume
                 .as_ref()
-                .map(|p| Self::snapshot_path(p, tag))
-                .filter(|p| p.exists()),
+                .map(|p| self.snapshot_path(p, tag))
+                .filter(|p| self.shards.is_some() || p.exists()),
             deadline: self.deadline.map(|d| d.saturating_sub(run_start.elapsed())),
             ..CampaignConfig::default()
         }
@@ -370,7 +375,7 @@ impl BenchArgs {
     ) -> Result<RunSpec, BenchError> {
         Ok(RunSpec {
             campaign: self.campaign_config(tag, run_start),
-            shards: self.shard_config(tag)?,
+            shards: self.shard_config()?,
             ..base
         })
     }
@@ -418,7 +423,7 @@ impl BenchArgs {
 
     /// Rejects a non-default `--engine` for single-engine bins, and the
     /// shard flags for the spectral/Sobol engines on multi-engine bins
-    /// (only the MC/LHS driver has a sharded supervisor).
+    /// (only the MC/LHS driver runs sharded).
     pub fn validate_engine(&self, bin: &str, multi_engine: bool) -> Result<(), BenchError> {
         if !multi_engine && self.engine != Engine::Mc {
             return Err(BenchError::Usage(format!(
@@ -434,21 +439,16 @@ impl BenchArgs {
         Ok(())
     }
 
-    /// Builds the [`ShardConfig`] for one campaign of this run, or
-    /// `None` when `--shards` was not given.
+    /// Builds the [`ShardConfig`] of this run, or `None` when
+    /// `--shards` was not given. The snapshot and resume prefixes, and
+    /// the `--deadline` budget the shards share, are in
+    /// [`BenchArgs::campaign_config`].
     ///
-    /// * shard snapshots live under `<prefix>.<tag>.shard<k>of<N>.ckpt`
-    ///   (the campaign prefix narrowed by the tag, then by the shard
-    ///   coordinates);
-    /// * `--resume` resumes each shard from its own snapshot — this is
-    ///   also how per-process `--shard-index` outputs are merged;
-    /// * `--shard-index` becomes the config's worker index (run only
-    ///   that shard, leave its snapshot as the output);
-    /// * faults can be injected from the environment for smoke tests
-    ///   (see [`shard_faults_from_env`]);
-    /// * `--deadline` is refused in sharded mode: the supervisor's
-    ///   retry/backoff ladder owns the clock.
-    pub fn shard_config(&self, tag: &str) -> Result<Option<ShardConfig>, BenchError> {
+    /// * `--shard-index` runs only that shard and leaves its snapshot as
+    ///   the output, so it needs `--checkpoint`;
+    /// * a later `--shards N --resume <prefix>` run merges the
+    ///   per-process snapshots.
+    pub fn shard_config(&self) -> Result<Option<ShardConfig>, BenchError> {
         let Some(n_shards) = self.shards else {
             if self.shard_index.is_some() {
                 return Err(BenchError::Usage(
@@ -457,13 +457,6 @@ impl BenchArgs {
             }
             return Ok(None);
         };
-        if self.deadline.is_some() {
-            return Err(BenchError::Usage(
-                "--deadline is not supported with --shards (the shard supervisor \
-                 owns the retry/backoff clock)"
-                    .into(),
-            ));
-        }
         if self.shard_index.is_some() && self.checkpoint.is_none() {
             return Err(BenchError::Usage(
                 "--shard-index requires --checkpoint <prefix> (the shard snapshot is \
@@ -471,57 +464,11 @@ impl BenchArgs {
                     .into(),
             ));
         }
-        let prefix = self.checkpoint.as_ref().or(self.resume.as_ref());
         Ok(Some(ShardConfig {
             n_shards,
-            checkpoint: prefix.map(|p| {
-                let mut os = p.as_os_str().to_owned();
-                os.push(format!(".{tag}"));
-                PathBuf::from(os)
-            }),
-            resume: self.resume.is_some(),
-            faults: shard_faults_from_env()?,
             shard_index: self.shard_index,
-            ..ShardConfig::default()
         }))
     }
-}
-
-/// Parses `LINVAR_SHARD_FAULT=<shard>:<kind>` into an injected-fault
-/// list for the sharded bench runs (the ci.sh shard smoke kills one
-/// shard and byte-diffs the recovered output against a clean run).
-/// Kinds: `kill` (before checkpoint), `killmid` (mid checkpoint write),
-/// `corrupt`, `stall:<millis>`, `dup`.
-pub fn shard_faults_from_env() -> Result<Vec<(usize, ShardFault)>, BenchError> {
-    let Ok(raw) = std::env::var("LINVAR_SHARD_FAULT") else {
-        return Ok(Vec::new());
-    };
-    let raw = raw.trim();
-    if raw.is_empty() {
-        return Ok(Vec::new());
-    }
-    let bad = || {
-        BenchError::Usage(format!(
-            "LINVAR_SHARD_FAULT wants <shard>:<kill|killmid|corrupt|stall:<millis>|dup>, \
-             got {raw:?}"
-        ))
-    };
-    let (shard, kind) = raw.split_once(':').ok_or_else(bad)?;
-    let shard: usize = shard.trim().parse().map_err(|_| bad())?;
-    let fault = match kind.trim() {
-        "kill" => ShardFault::KillBeforeCheckpoint,
-        "killmid" => ShardFault::KillMidWrite,
-        "corrupt" => ShardFault::CorruptCheckpoint,
-        "dup" => ShardFault::DuplicateCompletion,
-        stall => {
-            let millis = stall
-                .strip_prefix("stall:")
-                .and_then(|m| m.trim().parse().ok())
-                .ok_or_else(bad)?;
-            ShardFault::Stall { millis }
-        }
-    };
-    Ok(vec![(shard, fault)])
 }
 
 /// The sample points of one bench campaign.
@@ -797,65 +744,50 @@ mod tests {
     fn shard_config_derivation_and_validation() {
         // No --shards → no sharded mode.
         let plain = BenchArgs::parse(argv(&["--quick"])).unwrap();
-        assert!(plain.shard_config("s27.10").unwrap().is_none());
+        assert!(plain.shard_config().unwrap().is_none());
         // --shard-index without --shards is a usage error even when the
         // bin would otherwise run unsharded.
         let orphan = BenchArgs::parse(argv(&["--shard-index", "1"])).unwrap();
-        assert_eq!(orphan.shard_config("t").unwrap_err().exit_code(), 2);
-        // --deadline belongs to the unsharded campaign driver.
-        let clash = BenchArgs::parse(argv(&["--shards", "2", "--deadline", "1"])).unwrap();
-        assert_eq!(clash.shard_config("t").unwrap_err().exit_code(), 2);
+        assert_eq!(orphan.shard_config().unwrap_err().exit_code(), 2);
         // A per-process shard worker's snapshot IS its output.
         let worker = BenchArgs::parse(argv(&["--shards", "2", "--shard-index", "0"])).unwrap();
-        assert_eq!(worker.shard_config("t").unwrap_err().exit_code(), 2);
-        // The shard prefix narrows the campaign prefix by the tag;
-        // --resume flips resume on and can supply the prefix alone.
-        let cfg = BenchArgs::parse(argv(&["--shards", "4", "--checkpoint", "/tmp/pfx"]))
-            .unwrap()
-            .shard_config("s27.10")
-            .unwrap()
+        assert_eq!(worker.shard_config().unwrap_err().exit_code(), 2);
+        // --deadline bounds a sharded run like any other.
+        let timed = BenchArgs::parse(argv(&["--shards", "2", "--deadline", "1"])).unwrap();
+        let spec = timed
+            .run_spec("t", Instant::now(), RunSpec::default())
             .unwrap();
-        assert_eq!(cfg.n_shards, 4);
-        assert!(!cfg.resume);
+        assert!(spec.campaign.deadline.is_some());
+        // The shard prefixes narrow the campaign prefixes by the tag, and
+        // a resume prefix is kept whether or not its snapshots exist (each
+        // shard checks its own).
+        let a = BenchArgs::parse(argv(&[
+            "--shards",
+            "4",
+            "--checkpoint",
+            "/tmp/pfx",
+            "--resume",
+            "/tmp/old",
+        ]))
+        .unwrap();
+        let spec = a
+            .run_spec("s27.10", Instant::now(), RunSpec::default())
+            .unwrap();
         assert_eq!(
-            cfg.checkpoint.as_deref(),
+            spec.shards,
+            Some(ShardConfig {
+                n_shards: 4,
+                shard_index: None
+            })
+        );
+        assert_eq!(
+            spec.campaign.checkpoint.as_deref(),
             Some(std::path::Path::new("/tmp/pfx.s27.10"))
         );
-        let resumed = BenchArgs::parse(argv(&["--shards", "4", "--resume", "/tmp/pfx"]))
-            .unwrap()
-            .shard_config("s27.10")
-            .unwrap()
-            .unwrap();
-        assert!(resumed.resume);
         assert_eq!(
-            resumed.checkpoint.as_deref(),
-            Some(std::path::Path::new("/tmp/pfx.s27.10"))
+            spec.campaign.resume.as_deref(),
+            Some(std::path::Path::new("/tmp/old.s27.10"))
         );
-    }
-
-    #[test]
-    fn shard_fault_env_parsing() {
-        // One test owns the env var end to end so parallel tests never
-        // observe a transient value.
-        std::env::remove_var("LINVAR_SHARD_FAULT");
-        assert!(shard_faults_from_env().unwrap().is_empty());
-        let cases: &[(&str, (usize, ShardFault))] = &[
-            ("1:kill", (1, ShardFault::KillBeforeCheckpoint)),
-            ("0:killmid", (0, ShardFault::KillMidWrite)),
-            ("2:corrupt", (2, ShardFault::CorruptCheckpoint)),
-            ("3:stall:250", (3, ShardFault::Stall { millis: 250 })),
-            ("1:dup", (1, ShardFault::DuplicateCompletion)),
-        ];
-        for (raw, want) in cases {
-            std::env::set_var("LINVAR_SHARD_FAULT", raw);
-            assert_eq!(shard_faults_from_env().unwrap(), vec![*want], "{raw}");
-        }
-        for bad in ["nonsense", "x:kill", "1:stab", "1:stall:", "1:stall:soon"] {
-            std::env::set_var("LINVAR_SHARD_FAULT", bad);
-            let err = shard_faults_from_env().unwrap_err();
-            assert_eq!(err.exit_code(), 2, "{bad}");
-        }
-        std::env::remove_var("LINVAR_SHARD_FAULT");
     }
 
     #[test]

@@ -69,5 +69,5 @@ pub use worst_case::WorstCaseResult;
 pub use linvar_stats::{
     shard_checkpoint_path, CampaignConfig, CampaignFingerprint, CampaignVerdict, CheckpointError,
     HealthSummary, RecoveryPolicy, RunError, RunSpec, SampleHealth, SampleStatus, ShardConfig,
-    ShardFault, ShardOutcome, ShardPlan, ShardVerdict, SpectralResult,
+    ShardPlan, SpectralResult,
 };

@@ -30,7 +30,7 @@ use linvar_mor::ReductionMethod;
 use linvar_stats::{
     execute, fingerprint_str, fingerprint_words, lhs_normal, rng_from_seed, run_spectral,
     sobol_normal_streamed, CampaignConfig, CampaignFingerprint, CampaignVerdict, HealthSummary,
-    MonteCarloResult, RecoveryPolicy, RunSpec, SampleHealth, SampleRng, SampleStatus, ShardVerdict,
+    MonteCarloResult, RecoveryPolicy, RunSpec, SampleHealth, SampleRng, SampleStatus,
     SpectralConfig, SpectralPlan, SpectralResult, Summary,
 };
 use linvar_teta::{StageModel, StopRule, Waveform};
@@ -151,8 +151,7 @@ pub struct McPathResult {
     pub delays: Vec<f64>,
     /// Summary statistics of the delays.
     pub summary: Summary,
-    /// Samples lost after exhausting the attempt budget (plus samples of
-    /// permanently dead shards).
+    /// Samples lost after exhausting the attempt budget.
     pub failures: usize,
     /// Indices of the failed samples, ascending.
     pub failed_indices: Vec<usize>,
@@ -170,12 +169,10 @@ pub struct McPathResult {
     pub completed: usize,
     /// Samples restored from snapshots.
     pub resumed: usize,
-    /// Samples evaluated in this run (summed over shard attempts).
+    /// Samples evaluated in this run.
     pub evaluated: usize,
     /// Snapshots written in this run.
     pub checkpoints_written: usize,
-    /// Per-shard verdicts of a sharded run; empty otherwise.
-    pub shards: Vec<ShardVerdict>,
     /// Degradation reports of the assisted samples *evaluated in this
     /// run*, ascending index. Checkpoints persist status and attempts but
     /// not report notes, so resumed samples carry no report. Spectral
@@ -206,7 +203,6 @@ impl McPathResult {
             resumed: res.resumed,
             evaluated: res.evaluated,
             checkpoints_written: res.checkpoints_written,
-            shards: res.shards,
             reports,
             spectral,
         }
@@ -703,12 +699,10 @@ impl PathModel {
             self.campaign_eval(spec.policy, &reports, s, attempt)
         })?;
         let mut reports = reports.into_inner().expect("workers joined");
-        // Drop reports beyond a fail-fast cut; shard retries and straggler
-        // re-dispatches can evaluate a sample more than once, and reports
-        // are pure per sample, so keeping the first of each index is exact.
+        // Drop reports beyond a fail-fast cut; each sample is evaluated at
+        // most once per run, so the rest are one per assisted sample.
         reports.retain(|r| res.truncated_at.is_none_or(|cut| r.sample_index <= cut));
         reports.sort_by_key(|r| r.sample_index);
-        reports.dedup_by_key(|r| r.sample_index);
         Ok(McPathResult::new(res, reports, None))
     }
 

@@ -86,8 +86,6 @@ pub enum Phase {
     SparseNumericFactor,
     /// Sparse-LU triangular solve.
     SparseSolve,
-    /// One supervised shard attempt (launch through delivery or death).
-    ShardRun,
     /// One accepted connection on the campaign service listener (accept
     /// through handler dispatch).
     ServeAccept,
@@ -108,7 +106,7 @@ pub enum Phase {
 }
 
 /// Number of [`Phase`] variants.
-pub const N_PHASES: usize = 21;
+pub const N_PHASES: usize = 20;
 
 impl Phase {
     /// Every phase, in declaration order (= index order).
@@ -127,7 +125,6 @@ impl Phase {
         Phase::SparseSymbolic,
         Phase::SparseNumericFactor,
         Phase::SparseSolve,
-        Phase::ShardRun,
         Phase::ServeAccept,
         Phase::ServeHandle,
         Phase::SpectralSolve,
@@ -156,7 +153,6 @@ impl Phase {
             Phase::SparseSymbolic => "symbolic",
             Phase::SparseNumericFactor => "numeric_factor",
             Phase::SparseSolve => "solve",
-            Phase::ShardRun => "shard_run",
             Phase::ServeAccept => "serve_accept",
             Phase::ServeHandle => "serve_handle",
             Phase::SpectralSolve => "spectral_solve",
@@ -218,21 +214,6 @@ pub enum Counter {
     CheckpointsWritten,
     /// Bytes of checkpoint payload written.
     CheckpointBytes,
-    /// Shard attempts launched by the supervisor (first tries + retries
-    /// + re-dispatches all pass through here).
-    ShardsLaunched,
-    /// Shards whose sample range was fully delivered.
-    ShardsCompleted,
-    /// Shard retry-ladder attempts beyond each shard's first.
-    ShardRetries,
-    /// Straggler shards re-dispatched by the watchdog.
-    ShardsRedispatched,
-    /// Faults injected by the shard fault harness.
-    ShardFaultsInjected,
-    /// Sample deliveries dropped by first-writer-wins dedup.
-    ShardMergeDuplicates,
-    /// Sample records accepted into the merged result.
-    ShardMergedSamples,
     /// Orphaned `*.tmp` snapshot siblings reaped by the checkpoint
     /// hygiene pass (resume and server recovery scans).
     CampaignTmpReaped,
@@ -279,7 +260,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants.
-pub const N_COUNTERS: usize = 49;
+pub const N_COUNTERS: usize = 42;
 
 impl Counter {
     /// Every counter, in declaration order (= index order).
@@ -307,13 +288,6 @@ impl Counter {
         Counter::McSampleRetries,
         Counter::CheckpointsWritten,
         Counter::CheckpointBytes,
-        Counter::ShardsLaunched,
-        Counter::ShardsCompleted,
-        Counter::ShardRetries,
-        Counter::ShardsRedispatched,
-        Counter::ShardFaultsInjected,
-        Counter::ShardMergeDuplicates,
-        Counter::ShardMergedSamples,
         Counter::CampaignTmpReaped,
         Counter::ServeRequests,
         Counter::ServeJobsSubmitted,
@@ -362,13 +336,6 @@ impl Counter {
             Counter::McSampleRetries => "mc.sample_retries",
             Counter::CheckpointsWritten => "campaign.checkpoints_written",
             Counter::CheckpointBytes => "campaign.checkpoint_bytes",
-            Counter::ShardsLaunched => "shard.launched",
-            Counter::ShardsCompleted => "shard.completed",
-            Counter::ShardRetries => "shard.retries",
-            Counter::ShardsRedispatched => "shard.redispatched",
-            Counter::ShardFaultsInjected => "shard.faults_injected",
-            Counter::ShardMergeDuplicates => "shard.merge_duplicates",
-            Counter::ShardMergedSamples => "shard.merged_samples",
             Counter::CampaignTmpReaped => "campaign.tmp_reaped",
             Counter::ServeRequests => "serve.requests",
             Counter::ServeJobsSubmitted => "serve.jobs_submitted",

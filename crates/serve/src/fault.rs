@@ -1,5 +1,5 @@
-//! Fault injection for the campaign service, mirroring the shard
-//! supervisor's `ShardFault` matrix.
+//! Fault injection for the campaign service: one fault per crash window
+//! of a job's life.
 //!
 //! Set `LINVAR_SERVE_FAULT` to one of:
 //!

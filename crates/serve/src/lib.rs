@@ -34,9 +34,8 @@
 //!   next process to resume, and exits 0.
 //! * **Fault harness** ([`fault`]) — `LINVAR_SERVE_FAULT` injects
 //!   crash-before-journal, crash-after-journal, crash-mid-checkpoint,
-//!   worker-panic, and stalled-worker faults, mirroring the shard
-//!   supervisor's fault matrix, so every crash window is exercised by
-//!   `tests/serve_recovery.rs` and ci.sh.
+//!   worker-panic, and stalled-worker faults, so every crash window is
+//!   exercised by `tests/serve_recovery.rs` and ci.sh.
 //!
 //! See DESIGN.md, "Campaign service: job store, recovery scan &
 //! overload semantics".

@@ -25,8 +25,8 @@
 //! (renamed to `.bad` — bit rot must not block restart), prevalidate
 //! the checkpoint of every interrupted job against its fingerprint
 //! (corrupt snapshots are deleted — costing a re-run, never a wrong
-//! answer — exactly the shard supervisor's prevalidation), and journal
-//! interrupted jobs back to [`JobState::Queued`] for re-dispatch.
+//! answer), and journal interrupted jobs back to [`JobState::Queued`]
+//! for re-dispatch.
 
 use linvar_metrics::Counter;
 use linvar_stats::campaign::{
@@ -456,10 +456,10 @@ impl JobStore {
                     linvar_metrics::incr(Counter::ServeJobsRecovered);
                     match fingerprint_of(&rec) {
                         Some(fp) => {
-                            // Checkpoint prevalidation, shard-supervisor
-                            // style: a corrupt or mismatched snapshot is
-                            // deleted so the resumed run starts clean —
-                            // one re-run, never a wrong answer.
+                            // Checkpoint prevalidation: a corrupt or
+                            // mismatched snapshot is deleted so the
+                            // resumed run starts clean — one re-run,
+                            // never a wrong answer.
                             let ckpt = self.checkpoint_path(&rec.id);
                             if ckpt.exists() {
                                 let ok = load_checkpoint(&ckpt, &fp).is_ok();

@@ -12,8 +12,8 @@
 //! This module is the only code in the workspace that spawns sample
 //! workers, walks the per-sample attempt ladder, checks deadline,
 //! cancel, budget and fail-fast, writes periodic snapshots, and merges
-//! outcomes in index order. The shard supervisor ([`crate::shard`])
-//! calls it once per shard attempt.
+//! outcomes in index order. A sharded run ([`crate::shard`]) runs the
+//! worker pool once per shard.
 //!
 //! **Determinism contract.** Every outcome is a pure function of
 //! `(sample, attempt)` and the merge walks sample-index order, so the
@@ -31,7 +31,7 @@ use crate::campaign::{
     CheckpointError, SampleRecord,
 };
 use crate::montecarlo::{resolve_threads, MonteCarloResult, RecoveryPolicy, SampleStatus};
-use crate::shard::{self, ShardConfig};
+use crate::shard::{run_sharded, ShardConfig};
 use std::fmt::{self, Display};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,17 +44,19 @@ use std::time::{Duration, Instant};
 pub struct RunSpec {
     /// Sample workers; `0` resolves via [`resolve_threads`]
     /// (`LINVAR_THREADS`, then available cores). One worker evaluates
-    /// inline on the calling thread. In a sharded run this is the worker
-    /// count of each shard attempt.
+    /// inline on the calling thread. Shards run one after another, each
+    /// with this many workers.
     pub threads: usize,
     /// Per-sample attempt budget. `fail_fast` truncates the run at the
     /// lowest failing sample index; sharded runs ignore it.
     pub policy: RecoveryPolicy,
     /// Checkpoint, resume, deadline, watchdog, sample budget and cancel.
-    /// A sharded run takes its snapshot prefix, resume flag and snapshot
-    /// interval from [`ShardConfig`] instead and ignores these fields.
+    /// In a sharded run `checkpoint` and `resume` are path prefixes each
+    /// shard extends, and `deadline` and `sample_budget` bound the whole
+    /// run.
     pub campaign: CampaignConfig,
-    /// Split the run into supervised shards.
+    /// Split the run into contiguous shards, walked in order (or run
+    /// only one of them).
     pub shards: Option<ShardConfig>,
 }
 
@@ -142,8 +144,8 @@ pub(crate) type Eval<'a, S> = dyn Fn(&S, usize) -> Result<(f64, SampleStatus), S
 ///
 /// [`RunError::Plan`] for a sample-count or shard-plan problem;
 /// [`RunError::Checkpoint`] when a resume snapshot is rejected or the
-/// final snapshot cannot be written. Failed samples, truncation and
-/// dead shards are not errors: they are reported in the result.
+/// final snapshot cannot be written. Failed samples and truncation are
+/// not errors: they are reported in the result.
 pub fn execute<S, E>(
     samples: &[S],
     spec: &RunSpec,
@@ -164,8 +166,8 @@ where
         });
     }
     let f = |s: &S, attempt: usize| f(s, attempt).map_err(|e| e.to_string());
-    match &spec.shards {
-        Some(cfg) => shard::supervise(samples, spec.threads, spec.policy, cfg, fingerprint, &f),
+    match spec.shards {
+        Some(cfg) => run_sharded(samples, spec, cfg, fingerprint, &f),
         None => Ok(run_range(
             samples,
             spec.threads,
@@ -178,25 +180,34 @@ where
     }
 }
 
-/// What one pass of the worker pool left behind.
+/// What one pass of the worker pool (or a walk over shards) left behind.
+#[derive(Default)]
 pub(crate) struct Ran {
     /// Per-index outcomes; `None` = not evaluated (truncated).
-    pub(crate) records: Vec<Option<SampleRecord>>,
+    records: Vec<Option<SampleRecord>>,
     /// Fail-fast cut: the lowest failing index, beyond which nothing is kept.
-    pub(crate) truncated_at: Option<usize>,
-    /// Records restored from the resume snapshot.
-    pub(crate) resumed: usize,
+    truncated_at: Option<usize>,
+    /// Records evaluated in this run (the rest of the completed ones
+    /// were restored from a resume snapshot).
+    pub(crate) evaluated: usize,
     /// Snapshots written (periodic + final).
-    pub(crate) checkpoints_written: usize,
+    checkpoints_written: usize,
 }
 
 impl Ran {
+    /// Appends the next shard's pass; its records follow the ones held.
+    pub(crate) fn append(&mut self, shard: Ran) {
+        self.records.extend(shard.records);
+        self.evaluated += shard.evaluated;
+        self.checkpoints_written += shard.checkpoints_written;
+    }
+
     /// Merges the records, recording the `mc.*` counters.
     pub(crate) fn result(&self) -> MonteCarloResult {
-        let mut res = MonteCarloResult::merge(&self.records, true);
+        let mut res = MonteCarloResult::merge(&self.records);
         res.truncated_at = self.truncated_at;
-        res.resumed = self.resumed;
-        res.evaluated = res.completed - self.resumed;
+        res.resumed = res.completed - self.evaluated;
+        res.evaluated = self.evaluated;
         res.checkpoints_written = self.checkpoints_written;
         res
     }
@@ -331,7 +342,6 @@ pub(crate) fn run_range<S: Sync>(
         records[cut + 1..].iter_mut().for_each(|r| *r = None);
     }
     let evaluated = pending.iter().filter(|&&i| records[i].is_some()).count();
-    let resumed = records.iter().filter(|r| r.is_some()).count() - evaluated;
     if let Some(path) = &config.checkpoint {
         save_checkpoint(path, fingerprint, &records)?;
         snapshots.fetch_add(1, Ordering::Relaxed);
@@ -339,7 +349,7 @@ pub(crate) fn run_range<S: Sync>(
     Ok(Ran {
         records,
         truncated_at,
-        resumed,
+        evaluated,
         checkpoints_written: snapshots.into_inner(),
     })
 }

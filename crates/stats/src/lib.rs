@@ -21,11 +21,11 @@
 //!   service's job store shares), fingerprint-validated resume, deadline
 //!   budgets and a cooperative per-sample watchdog (see DESIGN.md,
 //!   "Durable campaigns: checkpoint format & resume invariants");
-//! * [`shard`] — the sharded campaign supervisor: fingerprinted per-shard
-//!   checkpoints, heartbeats with a straggler-re-dispatching watchdog, a
-//!   retry ladder with capped exponential backoff, and a first-writer-wins
-//!   merge that is bitwise-identical to a single-process run (see
-//!   DESIGN.md, "Sharding protocol & merge invariants");
+//! * [`shard`] — sharded runs: a contiguous [`ShardPlan`] walked shard
+//!   by shard (or one shard per process) with fingerprinted per-shard
+//!   snapshots, merged once in index order so the result is
+//!   bitwise-identical to an unsharded run (see DESIGN.md, "Sharding
+//!   protocol & merge invariants");
 //! * [`envknob`] — hardened environment-knob parsing (trim, validate,
 //!   warn-and-fall-back on anything malformed) shared by
 //!   [`montecarlo::resolve_threads`] and the campaign service's knobs;
@@ -74,10 +74,7 @@ pub use sampling::{
     normal_samples, rng_from_seed, sobol_normal_streamed, sobol_point, uniform_samples, SampleRng,
     SampleSource, SeedStream, SOBOL_MAX_DIMS,
 };
-pub use shard::{
-    shard_checkpoint_path, shard_fingerprint, ShardConfig, ShardFault, ShardOutcome, ShardPlan,
-    ShardVerdict,
-};
+pub use shard::{shard_checkpoint_path, shard_fingerprint, ShardConfig, ShardPlan};
 pub use spectral::{
     basis_eval, gauss_hermite, hermite_prob, multi_indices, run_spectral, GridKind, SpectralConfig,
     SpectralError, SpectralPlan, SpectralResult, SpectralRun, SpectralRunError, QUANTILE_PROBS,

@@ -8,7 +8,6 @@
 
 use crate::campaign::{CampaignFingerprint, CampaignVerdict, SampleRecord};
 use crate::executor::{execute, RunSpec};
-use crate::shard::ShardVerdict;
 use crate::summary::Summary;
 use std::fmt::Display;
 
@@ -158,25 +157,19 @@ pub struct MonteCarloResult {
     pub completed: usize,
     /// Samples restored from snapshots instead of evaluated.
     pub resumed: usize,
-    /// Samples evaluated in this run; in a sharded run, summed over every
-    /// shard attempt, including attempts that later died.
+    /// Samples evaluated in this run.
     pub evaluated: usize,
     /// Snapshots written in this run (periodic + final, every shard).
     pub checkpoints_written: usize,
-    /// Per-shard verdicts of a sharded run, in shard order; empty
-    /// otherwise.
-    pub shards: Vec<ShardVerdict>,
 }
 
 impl MonteCarloResult {
     /// The index-ordered merge: folds per-index records (`None` = not
     /// completed) into values, failure bookkeeping and health.
     ///
-    /// With `count`, the `mc.*` counters are recorded here — at the merge
-    /// point, over exactly the samples the merged output covers — and
-    /// nowhere else. The shard supervisor's final merge passes `false`:
-    /// each shard attempt already counted its own samples.
-    pub(crate) fn merge(records: &[Option<SampleRecord>], count: bool) -> MonteCarloResult {
+    /// The `mc.*` counters are recorded here — at the merge point, over
+    /// exactly the samples the merged output covers — and nowhere else.
+    pub(crate) fn merge(records: &[Option<SampleRecord>]) -> MonteCarloResult {
         let mut values = Vec::with_capacity(records.len());
         let mut failed_indices = Vec::new();
         let mut first_error = None;
@@ -184,16 +177,14 @@ impl MonteCarloResult {
         let mut health = HealthSummary::default();
         for (idx, rec) in records.iter().enumerate() {
             let Some(rec) = rec else { continue };
-            if count {
-                linvar_metrics::incr(linvar_metrics::Counter::McSamplesCompleted);
-                if rec.outcome.is_err() {
-                    linvar_metrics::incr(linvar_metrics::Counter::McSamplesFailed);
-                }
-                linvar_metrics::count(
-                    linvar_metrics::Counter::McSampleRetries,
-                    rec.attempts.saturating_sub(1) as u64,
-                );
+            linvar_metrics::incr(linvar_metrics::Counter::McSamplesCompleted);
+            if rec.outcome.is_err() {
+                linvar_metrics::incr(linvar_metrics::Counter::McSamplesFailed);
             }
+            linvar_metrics::count(
+                linvar_metrics::Counter::McSampleRetries,
+                rec.attempts.saturating_sub(1) as u64,
+            );
             health.count(rec.status);
             sample_health.push(SampleHealth {
                 index: idx,
@@ -230,7 +221,6 @@ impl MonteCarloResult {
             resumed: 0,
             evaluated: completed,
             checkpoints_written: 0,
-            shards: Vec::new(),
         }
     }
 }

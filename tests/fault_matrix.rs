@@ -824,19 +824,20 @@ fn degradation_report_display_names_the_serving_rung() {
 // ------------------------------------------------------------------ shard
 
 /// Shared scaffolding for the shard-layer rows: a deterministic mixed
-/// workload run once unsharded (the parity reference) and once under the
-/// supervisor with one injected [`ShardFault`].
+/// workload run once unsharded (the parity reference), and the
+/// process-per-shard pieces — one worker per shard of a 4-shard plan and
+/// the resumed walk that merges their snapshots.
 mod shard_rows {
     use linvar::stats::{
-        execute, run_campaign, CampaignConfig, CampaignFingerprint, MonteCarloResult, RunSpec,
-        SampleStatus, ShardConfig, ShardFault, ShardOutcome,
+        execute, run_campaign, shard_checkpoint_path, CampaignConfig, CampaignFingerprint,
+        MonteCarloResult, RunError, RunSpec, SampleStatus, ShardConfig,
     };
     use linvar_core::RecoveryPolicy;
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Duration;
 
     pub const N: usize = 16;
+    pub const SHARDS: usize = 4;
 
     pub fn eval(s: &usize, attempt: usize) -> Result<(f64, SampleStatus), String> {
         let k = *s;
@@ -858,20 +859,8 @@ mod shard_rows {
         }
     }
 
-    pub fn reference() -> MonteCarloResult {
-        let samples: Vec<usize> = (0..N).collect();
-        run_campaign(
-            &samples,
-            1,
-            RecoveryPolicy::default(),
-            &CampaignConfig::default(),
-            fingerprint(),
-            eval,
-        )
-        .expect("reference campaign")
-    }
-
-    fn tmp_dir(tag: &str) -> PathBuf {
+    /// A process-unique snapshot prefix for one row.
+    pub fn tmp_prefix(tag: &str) -> PathBuf {
         static SEQ: AtomicUsize = AtomicUsize::new(0);
         let k = SEQ.fetch_add(1, Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!(
@@ -879,105 +868,149 @@ mod shard_rows {
             std::process::id()
         ));
         std::fs::create_dir_all(&dir).expect("create tmp dir");
-        dir
+        dir.join("campaign")
     }
 
-    /// Runs the workload under the supervisor with `fault` injected into
-    /// shard 1, asserts recovery parity with the unsharded reference,
-    /// and returns the result for fault-specific verdict assertions.
-    pub fn run_with_fault(tag: &str, fault: ShardFault) -> MonteCarloResult {
+    /// Snapshot path of shard `k` under `prefix`.
+    pub fn snapshot(prefix: &Path, k: usize) -> PathBuf {
+        shard_checkpoint_path(prefix, k, SHARDS)
+    }
+
+    /// Campaign knobs writing under `prefix`, resuming from it if asked.
+    pub fn writing(prefix: &Path, resume: bool) -> CampaignConfig {
+        CampaignConfig {
+            checkpoint: Some(prefix.to_path_buf()),
+            resume: resume.then(|| prefix.to_path_buf()),
+            ..CampaignConfig::default()
+        }
+    }
+
+    fn run(
+        shard_index: Option<usize>,
+        campaign: CampaignConfig,
+    ) -> Result<MonteCarloResult, RunError> {
         let samples: Vec<usize> = (0..N).collect();
-        let reference = reference();
-        let dir = tmp_dir(tag);
-        let cfg = ShardConfig {
-            n_shards: 4,
-            checkpoint: Some(dir.join("campaign")),
-            faults: vec![(1, fault)],
-            stall_after: Some(Duration::from_millis(50)),
-            poll_interval: Duration::from_millis(5),
-            ..ShardConfig::default()
-        };
         let spec = RunSpec {
             threads: 2,
-            shards: Some(cfg),
+            campaign,
+            shards: Some(ShardConfig {
+                n_shards: SHARDS,
+                shard_index,
+            }),
             ..RunSpec::default()
         };
-        let sharded = execute(&samples, &spec, &fingerprint(), eval).expect("supervised campaign");
-        assert_eq!(sharded.values, reference.values, "{tag}: values");
+        execute(&samples, &spec, &fingerprint(), eval)
+    }
+
+    /// One shard process: shard `k` of the plan under `campaign`.
+    pub fn worker(k: usize, campaign: CampaignConfig) -> Result<MonteCarloResult, RunError> {
+        run(Some(k), campaign)
+    }
+
+    /// The merging run: every shard resumed from `prefix`, nothing written.
+    pub fn merge(prefix: &Path) -> Result<MonteCarloResult, RunError> {
+        run(
+            None,
+            CampaignConfig {
+                resume: Some(prefix.to_path_buf()),
+                ..CampaignConfig::default()
+            },
+        )
+    }
+
+    /// Asserts bitwise parity of `merged` with the unsharded reference.
+    pub fn assert_parity(merged: &MonteCarloResult, tag: &str) {
+        let samples: Vec<usize> = (0..N).collect();
+        let reference = run_campaign(
+            &samples,
+            1,
+            RecoveryPolicy::default(),
+            &CampaignConfig::default(),
+            fingerprint(),
+            eval,
+        )
+        .expect("reference campaign");
+        assert_eq!(merged.values, reference.values, "{tag}: values");
         assert_eq!(
-            sharded.sample_health, reference.sample_health,
+            merged.sample_health, reference.sample_health,
             "{tag}: sample health"
         );
-        assert_eq!(sharded.health, reference.health, "{tag}: health");
+        assert_eq!(merged.health, reference.health, "{tag}: health");
         assert_eq!(
-            sharded.first_error, reference.first_error,
+            merged.first_error, reference.first_error,
             "{tag}: first_error"
         );
         assert_eq!(
-            sharded.summary.mean.to_bits(),
+            merged.summary.mean.to_bits(),
             reference.summary.mean.to_bits(),
             "{tag}: mean bits"
         );
-        assert!(
-            sharded
-                .shards
-                .iter()
-                .all(|v| v.outcome == ShardOutcome::Completed),
-            "{tag}: every shard must recover: {:?}",
-            sharded.shards
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-        sharded
     }
 }
 
 #[test]
 fn killed_shard_is_retried_to_parity() {
-    use linvar::stats::ShardFault;
-    // Shard 1 dies before it can write a snapshot: the retry ladder
-    // re-runs it from scratch and the merge is still bitwise parity.
-    let res = shard_rows::run_with_fault("kill", ShardFault::KillBeforeCheckpoint);
-    let victim = res.shards.iter().find(|v| v.shard == 1).unwrap();
+    use shard_rows::{snapshot, worker, writing};
+    // Shard 1's process dies half-way: its snapshot holds the samples it
+    // finished, and the write in flight left a torn `.tmp` sibling. The
+    // re-run with resume reaps the torn file, evaluates only the rest,
+    // and the merged walk is bitwise parity.
+    let prefix = shard_rows::tmp_prefix("kill");
+    let cut = worker(
+        1,
+        CampaignConfig {
+            sample_budget: Some(2),
+            ..writing(&prefix, false)
+        },
+    )
+    .expect("cut worker");
+    assert_eq!(cut.evaluated, 2);
+    let mut torn = snapshot(&prefix, 1).into_os_string();
+    torn.push(".tmp");
+    std::fs::write(&torn, b"torn partial checkpoint write\x00garbage").expect("write torn tmp");
+    let rerun = worker(1, writing(&prefix, true)).expect("re-run worker");
+    assert_eq!((rerun.resumed, rerun.evaluated), (2, 2));
     assert!(
-        victim.attempts >= 2,
-        "death before checkpoint must consume a retry: {victim:?}"
+        !std::path::Path::new(&torn).exists(),
+        "the resume reaps the torn staging file"
     );
+    for k in [0, 2, 3] {
+        worker(k, writing(&prefix, false)).expect("worker");
+    }
+    let merged = shard_rows::merge(&prefix).expect("merging run");
+    assert_eq!(merged.evaluated, 0, "the merge evaluates nothing");
+    shard_rows::assert_parity(&merged, "kill");
+    let _ = std::fs::remove_dir_all(prefix.parent().expect("tmp dir"));
 }
 
 #[test]
-fn corrupted_shard_checkpoint_is_rejected_and_rerun() {
-    use linvar::stats::ShardFault;
-    // Shard 1 dies leaving a corrupt snapshot: prevalidation on the
-    // retry rejects it (typed, no panic) and re-runs the shard fresh.
-    let res = shard_rows::run_with_fault("corrupt", ShardFault::CorruptCheckpoint);
-    let victim = res.shards.iter().find(|v| v.shard == 1).unwrap();
-    assert!(victim.attempts >= 2, "corruption costs a retry: {victim:?}");
-}
-
-#[test]
-fn stalled_shard_is_redispatched_to_parity() {
-    use linvar::stats::ShardFault;
-    // Shard 1 goes silent past the heartbeat deadline: the watchdog
-    // re-dispatches it; first-writer-wins dedup keeps the merge exact
-    // even when both the stalled original and the replacement deliver.
-    let res = shard_rows::run_with_fault("stall", ShardFault::Stall { millis: 300 });
+fn corrupted_shard_checkpoint_is_refused_and_kept() {
+    use linvar::stats::{CheckpointError, RunError};
+    use shard_rows::{snapshot, worker, writing};
+    // A bit-flipped shard snapshot is refused on resume with a typed
+    // checksum error — never merged, never silently deleted and re-run —
+    // and stays on disk as it was.
+    let prefix = shard_rows::tmp_prefix("corrupt");
+    for k in 0..shard_rows::SHARDS {
+        worker(k, writing(&prefix, false)).expect("worker");
+    }
+    let victim = snapshot(&prefix, 1);
+    let mut bytes = std::fs::read(&victim).expect("read snapshot");
+    let at = bytes.len() / 2;
+    bytes[at] ^= 0x40;
+    std::fs::write(&victim, &bytes).expect("corrupt snapshot");
+    let err = shard_rows::merge(&prefix).expect_err("a corrupt shard must be refused");
     assert!(
-        res.shards.iter().any(|v| v.redispatched),
-        "watchdog must have re-dispatched the stalled shard: {:?}",
-        res.shards
+        matches!(
+            err,
+            RunError::Checkpoint(CheckpointError::ChecksumMismatch { .. })
+        ),
+        "{err}"
     );
-}
-
-#[test]
-fn duplicate_shard_completion_is_deduplicated() {
-    use linvar::stats::ShardFault;
-    // Shard 1 delivers its results twice: per-sample first-writer-wins
-    // dedup must keep every slot single-writer — the merged bookkeeping
-    // counts each sample exactly once.
-    let res = shard_rows::run_with_fault("dup", ShardFault::DuplicateCompletion);
     assert_eq!(
-        res.completed,
-        shard_rows::N,
-        "every sample merged exactly once"
+        std::fs::read(&victim).expect("snapshot kept"),
+        bytes,
+        "the refused snapshot is left as it was"
     );
+    let _ = std::fs::remove_dir_all(prefix.parent().expect("tmp dir"));
 }

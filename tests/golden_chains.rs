@@ -92,7 +92,7 @@ fn assert_runner_rows(case: &ChainCase, samples: &[Vec<f64>], base_line: &str) {
     let sharded = RunSpec {
         shards: Some(ShardConfig {
             n_shards: 3,
-            ..ShardConfig::default()
+            shard_index: None,
         }),
         ..RunSpec::plain(2)
     };

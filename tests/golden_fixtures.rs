@@ -233,7 +233,7 @@ fn golden_acgrid_rows() {
         let sharded = RunSpec {
             shards: Some(ShardConfig {
                 n_shards: 3,
-                ..ShardConfig::default()
+                shard_index: None,
             }),
             ..RunSpec::plain(2)
         };

@@ -3,8 +3,8 @@
 //!
 //! 1. **Determinism** — the `counters` section of the metrics report is
 //!    bitwise-identical for the same master seed at any worker count
-//!    (1/2/8 threads). Timers and gauges are run-dependent and
-//!    explicitly excluded.
+//!    (1/2/8 threads) and shard count. Timers and gauges are
+//!    run-dependent and explicitly excluded.
 //! 2. **Zero interference** — running with the sink disabled produces
 //!    bitwise-identical simulation results to running instrumented, and
 //!    a disabled run leaves the sink empty.
@@ -15,6 +15,7 @@
 use linvar::iscas::{benchmark, decompose_to_primitives, longest_path};
 use linvar::metrics;
 use linvar::prelude::*;
+use linvar::stats::ShardConfig;
 
 const MASTER_SEED: u64 = 2002;
 const N_SAMPLES: usize = 8;
@@ -32,9 +33,10 @@ fn s27_model() -> PathModel {
 }
 
 /// A recovering LHS run at `threads` workers under the default policy.
-fn recovering_run(model: &PathModel, threads: usize) -> McPathResult {
+fn recovering_run(model: &PathModel, threads: usize, shards: Option<ShardConfig>) -> McPathResult {
     let spec = RunSpec {
         threads,
+        shards,
         ..RunSpec::default()
     };
     model
@@ -47,10 +49,14 @@ fn recovering_run(model: &PathModel, threads: usize) -> McPathResult {
         .expect("recovering run")
 }
 
-fn instrumented_run(model: &PathModel, threads: usize) -> (McPathResult, String) {
+fn instrumented_run(
+    model: &PathModel,
+    threads: usize,
+    shards: Option<ShardConfig>,
+) -> (McPathResult, String) {
     metrics::reset();
     metrics::enable();
-    let res = recovering_run(model, threads);
+    let res = recovering_run(model, threads, shards);
     metrics::flush_local();
     let counters = metrics::snapshot().counters_json();
     metrics::disable();
@@ -66,7 +72,7 @@ fn delay_bits(res: &McPathResult) -> Vec<u64> {
 fn counters_are_identical_across_thread_counts() {
     let _guard = metrics::test_lock();
     let model = s27_model();
-    let (ref_res, ref_counters) = instrumented_run(&model, 1);
+    let (ref_res, ref_counters) = instrumented_run(&model, 1, None);
     assert_eq!(ref_res.delays.len(), N_SAMPLES);
     assert_eq!(ref_res.failures, 0, "{:?}", ref_res.first_error);
     // The run did real work: phase call counts and sample tallies are
@@ -84,7 +90,7 @@ fn counters_are_identical_across_thread_counts() {
         );
     }
     for threads in [2usize, 8] {
-        let (res, counters) = instrumented_run(&model, threads);
+        let (res, counters) = instrumented_run(&model, threads, None);
         assert_eq!(
             counters, ref_counters,
             "counters section diverged at {threads} threads"
@@ -105,7 +111,7 @@ fn disabled_sink_leaves_results_and_sink_untouched() {
     // Disabled run: the no-op sink must stay empty.
     metrics::reset();
     metrics::disable();
-    let plain = recovering_run(&model, 2);
+    let plain = recovering_run(&model, 2, None);
     metrics::flush_local();
     let report = metrics::snapshot();
     assert!(
@@ -122,7 +128,7 @@ fn disabled_sink_leaves_results_and_sink_untouched() {
     );
 
     // Instrumented run: same inputs, bitwise-identical outputs.
-    let (instrumented, counters) = instrumented_run(&model, 2);
+    let (instrumented, counters) = instrumented_run(&model, 2, None);
     assert_eq!(
         delay_bits(&plain),
         delay_bits(&instrumented),
@@ -210,65 +216,27 @@ fn spectral_counters_are_identical_across_thread_counts() {
 
 #[test]
 fn shard_counters_are_identical_across_thread_counts() {
-    use linvar::stats::ShardConfig;
+    // A sharded run is the unsharded run cut into ranges: the same
+    // samples are evaluated once each and merged once, so its counters
+    // section is the unsharded one, byte for byte, at any worker count.
     let _guard = metrics::test_lock();
     let model = s27_model();
-    let sources = VariationSources::example3(0.33, 0.33);
-    let cfg = ShardConfig {
-        n_shards: 2,
-        ..ShardConfig::default()
-    };
-    let run = |threads: usize| {
-        metrics::reset();
-        metrics::enable();
-        let spec = RunSpec {
-            threads,
-            shards: Some(cfg.clone()),
-            ..RunSpec::default()
-        };
-        let res = model
-            .run(&sources, Sampling::Lhs(N_SAMPLES), MASTER_SEED, &spec)
-            .expect("sharded run");
-        metrics::flush_local();
-        let counters = metrics::snapshot().counters_json();
-        metrics::disable();
-        metrics::reset();
-        (res, counters)
-    };
-    let (ref_res, ref_counters) = run(1);
+    let (ref_res, ref_counters) = instrumented_run(&model, 1, None);
     assert_eq!(ref_res.failures, 0, "{:?}", ref_res.first_error);
-    // The supervisor's own counters are in the report next to the inner
-    // campaigns' mc.* tallies (which must match an unsharded run —
-    // shard accounting never inflates the sample bookkeeping).
-    for needle in [
-        "\"shard.launched\": 2",
-        "\"shard.completed\": 2",
-        "\"shard.merged_samples\": 8",
-        "\"shard.retries\": 0",
-        "\"shard.redispatched\": 0",
-        "\"shard.faults_injected\": 0",
-        "\"shard.merge_duplicates\": 0",
-        "\"phase.shard_run.calls\": 2",
-        "\"mc.samples_completed\": 8",
-    ] {
-        assert!(
-            ref_counters.contains(needle),
-            "missing {needle} in:\n{ref_counters}"
-        );
-    }
-    for threads in [2usize, 8] {
-        let (res, counters) = run(threads);
+    assert!(ref_counters.contains("\"mc.samples_completed\": 8"));
+    let shards = ShardConfig {
+        n_shards: 2,
+        shard_index: None,
+    };
+    for threads in [1usize, 2, 8] {
+        let (res, counters) = instrumented_run(&model, threads, Some(shards));
         assert_eq!(
             counters, ref_counters,
-            "shard counters diverged at {threads} threads"
+            "2-shard counters diverged from the unsharded run at {threads} threads"
         );
         assert_eq!(
-            res.delays.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-            ref_res
-                .delays
-                .iter()
-                .map(|d| d.to_bits())
-                .collect::<Vec<_>>(),
+            delay_bits(&res),
+            delay_bits(&ref_res),
             "sharded results must not depend on the thread count"
         );
     }

@@ -182,8 +182,8 @@ fn tmp_prefix(tag: &str) -> PathBuf {
 
 /// Runs one cell of the table. A durable unsharded cell is cut by a
 /// sample budget and resumed from its checkpoint; a durable sharded cell
-/// runs shards 0 and 1 as process-per-shard workers, then resumes the
-/// supervisor over their snapshots.
+/// runs shards 0 and 1 as process-per-shard workers, then a resumed walk
+/// over the plan merges their snapshots.
 fn run_cell(
     source: &str,
     points: &[Point],
@@ -206,7 +206,7 @@ fn run_cell(
             CampaignConfig::default(),
             Some(ShardConfig {
                 n_shards: 3,
-                ..ShardConfig::default()
+                shard_index: None,
             }),
         )),
         (true, false) => {
@@ -232,20 +232,19 @@ fn run_cell(
             res
         }
         (true, true) => {
-            let sharded = |shard_index, resume| ShardConfig {
+            let sharded = |shard_index| ShardConfig {
                 n_shards: 3,
+                shard_index,
+            };
+            let campaign = |resume| CampaignConfig {
                 checkpoint: Some(prefix.clone()),
                 resume,
-                shard_index,
-                ..ShardConfig::default()
+                ..CampaignConfig::default()
             };
             for k in 0..2 {
-                run(spec(
-                    CampaignConfig::default(),
-                    Some(sharded(Some(k), false)),
-                ));
+                run(spec(campaign(None), Some(sharded(Some(k)))));
             }
-            let res = run(spec(CampaignConfig::default(), Some(sharded(None, true))));
+            let res = run(spec(campaign(Some(prefix.clone())), Some(sharded(None))));
             assert!(res.resumed > 0, "the worker snapshots must be merged");
             res
         }
@@ -363,7 +362,7 @@ fn s27_cells_per_source_match_the_one_worker_run() {
         threads: 2,
         shards: Some(ShardConfig {
             n_shards: 3,
-            ..ShardConfig::default()
+            shard_index: None,
         }),
         ..RunSpec::default()
     };
