@@ -303,7 +303,8 @@ echo "==> paired perf gate (perfbench paths, base vs change, alternating pairs)"
 # seed k, and the side that goes first alternates. One run drifts 10-15%
 # with machine load, so the gate fails only when the change loses most
 # pairs *and* the median per-pair samples_per_s ratio (change / base) is
-# below the threshold.
+# below the threshold. It also fails when the median per-pair peak_rss_mb
+# ratio is above 1 + that metric's bound in BENCHMARK.json.
 perf_pairs=5
 perf_seconds=5
 perf_workload=paths
@@ -343,22 +344,32 @@ python3 - "$ckdir" "$perf_pairs" "$perf_min_ratio" <<'EOF'
 import json, statistics, sys
 
 ckdir, pairs, min_ratio = sys.argv[1], int(sys.argv[2]), float(sys.argv[3])
-def samples_per_s(side, seed):
+def metric(side, seed, name):
     line = open(f"{ckdir}/perf_{side}_{seed}.json").read().splitlines()[-1]
-    return json.loads(line)["metrics"]["samples_per_s"]["value"]
-ratios = []
+    return json.loads(line)["metrics"][name]["value"]
+ratios, rss_ratios = [], []
 for seed in range(1, pairs + 1):
-    base, change = samples_per_s("base", seed), samples_per_s("change", seed)
+    base, change = metric("base", seed, "samples_per_s"), metric("change", seed, "samples_per_s")
     ratios.append(change / base)
+    base_rss, change_rss = metric("base", seed, "peak_rss_mb"), metric("change", seed, "peak_rss_mb")
+    rss_ratios.append(change_rss / base_rss)
     first = "change" if seed % 2 else "base"
     print(f"    pair {seed} ({first} first): base {base:.2f}, change {change:.2f} "
-          f"samples/s, ratio {ratios[-1]:.3f}")
+          f"samples/s, ratio {ratios[-1]:.3f}; peak RSS base {base_rss:.1f}, "
+          f"change {change_rss:.1f} MiB, ratio {rss_ratios[-1]:.3f}")
 wins = sum(r > 1.0 for r in ratios)
 median = statistics.median(ratios)
 print(f"    change wins {wins}/{pairs} pairs, median ratio {median:.3f}")
 if 2 * wins <= pairs and median < min_ratio:
     sys.exit(f"perf gate: change loses {pairs - wins}/{pairs} pairs and its median "
              f"samples_per_s ratio {median:.3f} is below {min_ratio}")
+rss_bound = next(m["bound"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]
+                 if m["name"] == "peak_rss_mb")
+rss_median = statistics.median(rss_ratios)
+print(f"    median peak_rss_mb ratio {rss_median:.3f} (at most {1 + rss_bound:.2f})")
+if rss_median > 1 + rss_bound:
+    sys.exit(f"perf gate: median peak_rss_mb ratio {rss_median:.3f} is above "
+             f"{1 + rss_bound:.2f}")
 EOF
 
 echo "==> campaign-service smoke (kill -9 mid-campaign + restart, byte-identical result)"

@@ -19,7 +19,7 @@
 
 use crate::{BenchArgs, BenchError};
 use linvar_metrics::Json;
-use std::path::PathBuf;
+use std::path::Path;
 use std::time::Instant;
 
 /// Observability harness for one benchmark binary run.
@@ -62,6 +62,12 @@ impl BenchMeter {
     ///
     /// [`BenchError::Msg`] if a report file cannot be written.
     pub fn finish(self, args: &BenchArgs) -> Result<(), BenchError> {
+        // An empty directory joins to the bare file name: the CWD.
+        self.finish_in(Path::new(""), args)
+    }
+
+    /// [`BenchMeter::finish`] with `BENCH_<bin>.json` written into `dir`.
+    fn finish_in(self, dir: &Path, args: &BenchArgs) -> Result<(), BenchError> {
         linvar_metrics::flush_local();
         let wall = self.start.elapsed().as_secs_f64();
         let mut report = linvar_metrics::snapshot();
@@ -81,7 +87,7 @@ impl BenchMeter {
         let mut top = report.to_json_value();
         top.set("bench", bench);
         let text = top.render();
-        let default_path = PathBuf::from(format!("BENCH_{}.json", self.bin));
+        let default_path = dir.join(format!("BENCH_{}.json", self.bin));
         write_report(&default_path, &text)?;
         if let Some(path) = &args.metrics {
             write_report(path, &text)?;
@@ -90,7 +96,7 @@ impl BenchMeter {
     }
 }
 
-fn write_report(path: &std::path::Path, text: &str) -> Result<(), BenchError> {
+fn write_report(path: &Path, text: &str) -> Result<(), BenchError> {
     std::fs::write(path, text)
         .map_err(|e| BenchError::Msg(format!("cannot write metrics report {path:?}: {e}")))
 }
@@ -98,12 +104,24 @@ fn write_report(path: &std::path::Path, text: &str) -> Result<(), BenchError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
+
+    /// A directory removed on drop, so also when the test fails.
+    struct TempDir(PathBuf);
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
 
     #[test]
     fn meter_writes_canonical_report_with_bench_section() {
         let _guard = linvar_metrics::test_lock();
-        let dir = std::env::temp_dir().join("linvar_meter_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let tmp =
+            TempDir(std::env::temp_dir().join(format!("linvar_meter_test-{}", std::process::id())));
+        let dir = &tmp.0;
+        std::fs::create_dir_all(dir).unwrap();
         let out = dir.join("meter.json");
         let mut meter = BenchMeter::start("metertest");
         linvar_metrics::incr(linvar_metrics::Counter::McSamplesCompleted);
@@ -112,14 +130,9 @@ mod tests {
             metrics: Some(out.clone()),
             ..BenchArgs::default()
         };
-        // finish() also writes BENCH_metertest.json into the CWD; point
-        // the CWD-relative default at the temp dir via the --metrics copy
-        // and check both exist.
-        let cwd = std::env::current_dir().unwrap();
-        std::env::set_current_dir(&dir).unwrap();
-        let res = meter.finish(&args);
-        std::env::set_current_dir(cwd).unwrap();
-        res.unwrap();
+        // The default report goes into the temp dir instead of the CWD,
+        // beside the --metrics copy.
+        meter.finish_in(dir, &args).unwrap();
         let text = std::fs::read_to_string(&out).unwrap();
         let default = std::fs::read_to_string(dir.join("BENCH_metertest.json")).unwrap();
         assert_eq!(text, default, "--metrics copy must match the default");

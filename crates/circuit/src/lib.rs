@@ -12,7 +12,9 @@
 //! * [`MnaStamps`] — the MNA stamps at one parameter sample, the one
 //!   stamping routine behind both the dense and the sparse assembly;
 //! * [`MnaSystem`] / [`VariationalMna`] — assembled modified-nodal-analysis
-//!   matrices, nominal and variational;
+//!   matrices, nominal and variational; [`VariationalStamps`], the
+//!   variational stamps behind both [`VariationalMna`] and its sparse
+//!   form [`SparseVariationalMna`];
 //! * a small SPICE-like deck parser for RC decks ([`parse_deck`]).
 //!
 //! # Example
@@ -45,7 +47,9 @@ pub mod variation;
 
 pub use element::{Element, MosInstance, MosType, SourceWaveform};
 pub use error::CircuitError;
-pub use mna::{MnaStamps, MnaSystem, VariationalMna};
+pub use mna::{
+    port_incidence, MnaStamps, MnaSystem, SparseVariationalMna, VariationalMna, VariationalStamps,
+};
 pub use netlist::{Netlist, NodeId};
 pub use parse::parse_deck;
 pub use variation::{ParamSet, VariationalValue};

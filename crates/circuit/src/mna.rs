@@ -11,13 +11,16 @@
 //! * [`VariationalMna`] — node-space admittance/susceptance matrices in the
 //!   paper's variational form `G(w) = G0 + Σ dGi·wi`, `C(w) = C0 + Σ dCi·wi`
 //!   (eqs. 3–4), restricted to the linear R/C portion of the netlist. This
-//!   is the input to variational reduced-order modeling.
+//!   is the input to variational reduced-order modeling. It is the dense
+//!   replay of [`VariationalStamps`], whose CSC form is
+//!   [`SparseVariationalMna`], for holders that only read `G(w)`, `C(w)`
+//!   now and then after reduction.
 
 use crate::element::Element;
 use crate::error::CircuitError;
 use crate::netlist::Netlist;
 use crate::variation::VariationalValue;
-use linvar_numeric::{Matrix, NumericError};
+use linvar_numeric::{Matrix, NumericError, SparseMatrix};
 
 /// The MNA stamps of a netlist at one parameter sample.
 ///
@@ -43,15 +46,18 @@ impl MnaStamps {
     /// The dense `(G, C)`: each stream replayed with `+=` into a zeroed
     /// `dim × dim` matrix, in emission order.
     pub fn dense(&self) -> (Matrix, Matrix) {
-        let replay = |stamps: &[(usize, usize, f64)]| {
-            let mut m = Matrix::zeros(self.dim, self.dim);
-            for &(i, j, v) in stamps {
-                m[(i, j)] += v;
-            }
-            m
-        };
-        (replay(&self.g), replay(&self.c))
+        (replay(self.dim, &self.g), replay(self.dim, &self.c))
     }
+}
+
+/// `stamps` replayed with `+=` into a zeroed `dim × dim` matrix, in
+/// emission order.
+fn replay(dim: usize, stamps: &[(usize, usize, f64)]) -> Matrix {
+    let mut m = Matrix::zeros(dim, dim);
+    for &(i, j, v) in stamps {
+        m[(i, j)] += v;
+    }
+    m
 }
 
 /// Assembled nominal MNA system.
@@ -124,11 +130,7 @@ impl VariationalMna {
 
     /// Port incidence matrix `B` (`n x Np`), with a 1 at each port row.
     pub fn port_incidence(&self) -> Matrix {
-        let mut b = Matrix::zeros(self.order(), self.port_indices.len());
-        for (j, &idx) in self.port_indices.iter().enumerate() {
-            b[(idx, j)] = 1.0;
-        }
-        b
+        port_incidence(self.order(), &self.port_indices)
     }
 
     /// Adds conductance `g` from MNA index `idx` to ground on all matrices
@@ -151,21 +153,173 @@ impl VariationalMna {
     }
 }
 
-fn stamp_conductance(m: &mut Matrix, a: Option<usize>, b: Option<usize>, g: f64) {
-    if let Some(i) = a {
-        m[(i, i)] += g;
+/// Port incidence matrix `B` (`order x ports.len()`), with a 1 at each
+/// port's row.
+pub fn port_incidence(order: usize, ports: &[usize]) -> Matrix {
+    let mut b = Matrix::zeros(order, ports.len());
+    for (j, &idx) in ports.iter().enumerate() {
+        b[(idx, j)] = 1.0;
     }
-    if let Some(j) = b {
-        m[(j, j)] += g;
+    b
+}
+
+/// The variational stamps of a netlist's linear portion: `(row, col,
+/// value)` triplets of `G0`, `C0` and each `dGi`, `dCi`, in emission
+/// order, the one stamping routine behind [`VariationalMna`] and
+/// [`SparseVariationalMna`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct VariationalStamps {
+    /// Matrix order (node unknowns plus one branch per inductor).
+    pub dim: usize,
+    /// Stamps of `G0`.
+    pub g0: Vec<(usize, usize, f64)>,
+    /// Stamps of `C0`.
+    pub c0: Vec<(usize, usize, f64)>,
+    /// Stamps of each `dGi`, one list per declared parameter.
+    pub dg: Vec<Vec<(usize, usize, f64)>>,
+    /// Stamps of each `dCi`, one list per declared parameter.
+    pub dc: Vec<Vec<(usize, usize, f64)>>,
+    /// Parameter names, index-aligned with `dg`/`dc`.
+    pub param_names: Vec<String>,
+    /// MNA indices of the ports, in port-marking order.
+    pub port_indices: Vec<usize>,
+}
+
+impl VariationalStamps {
+    /// The dense matrices: each stream replayed with `+=` into a zeroed
+    /// `dim × dim` matrix, in emission order.
+    pub fn dense(&self) -> VariationalMna {
+        let replay_all = |streams: &[Vec<(usize, usize, f64)>]| {
+            streams.iter().map(|t| replay(self.dim, t)).collect()
+        };
+        VariationalMna {
+            g0: replay(self.dim, &self.g0),
+            c0: replay(self.dim, &self.c0),
+            dg: replay_all(&self.dg),
+            dc: replay_all(&self.dc),
+            param_names: self.param_names.clone(),
+            port_indices: self.port_indices.clone(),
+        }
     }
-    if let (Some(i), Some(j)) = (a, b) {
-        m[(i, j)] -= g;
-        m[(j, i)] -= g;
+
+    /// The sparse matrices: each stream summed into CSC in emission
+    /// order, [`SparseMatrix::from_stamps`], which stores exactly the
+    /// nonzero entries of the dense replay.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumericError::InvalidInput`] if a stamp indexes out of
+    /// range (possible only if the fields were mutated after assembly).
+    pub fn sparse(&self) -> Result<SparseVariationalMna, NumericError> {
+        let csc = |t: &[(usize, usize, f64)]| SparseMatrix::from_stamps(self.dim, self.dim, t);
+        let csc_all = |streams: &[Vec<(usize, usize, f64)>]| {
+            streams
+                .iter()
+                .map(|t| csc(t))
+                .collect::<Result<Vec<_>, _>>()
+        };
+        Ok(SparseVariationalMna {
+            g0: csc(&self.g0)?,
+            c0: csc(&self.c0)?,
+            dg: csc_all(&self.dg)?,
+            dc: csc_all(&self.dc)?,
+            port_indices: self.port_indices.clone(),
+        })
+    }
+
+    /// Stamps conductance `g` from MNA index `idx` to ground into `G0`,
+    /// after every element stamp: the `G_SC` folding of
+    /// [`VariationalMna::add_grounded_conductance`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CircuitError::UnknownNode`] if `idx` is out of range.
+    pub fn add_grounded_conductance(&mut self, idx: usize, g: f64) -> Result<(), CircuitError> {
+        if idx >= self.dim {
+            return Err(CircuitError::UnknownNode(idx + 1));
+        }
+        self.g0.push((idx, idx, g));
+        Ok(())
     }
 }
 
-/// Emits a two-terminal conductance stamp in [`stamp_conductance`]'s
-/// order (diagonals, then the off-diagonal pair).
+/// [`VariationalMna`]'s matrices stored as CSC matrices of their nonzero
+/// entries, built by [`VariationalStamps::sparse`].
+///
+/// An RC load has a few nonzeros per row, so this keeps about 1 % of the
+/// dense bytes. [`SparseVariationalMna::eval`] densifies `(G(w), C(w))`
+/// bit-identically to [`VariationalMna::eval`] of the same stamps. An
+/// entry the sparse form does not store is `0.0`, and adding `wi·0.0` to a
+/// value leaves it as it was, since accumulated stamps are never `-0.0`. A
+/// non-finite `wi`, whose `wi·0.0` is NaN, replays the dense sensitivity.
+#[derive(Debug, Clone)]
+pub struct SparseVariationalMna {
+    g0: SparseMatrix,
+    c0: SparseMatrix,
+    dg: Vec<SparseMatrix>,
+    dc: Vec<SparseMatrix>,
+    port_indices: Vec<usize>,
+}
+
+impl SparseVariationalMna {
+    /// Evaluates the dense `(G(w), C(w))`: `G0` and `C0`, then for each
+    /// parameter `i` in order whose `wi` is present and nonzero, `wi·dGi`
+    /// (and `wi·dCi`) added entry by entry. Entries of `w` beyond the
+    /// parameters are ignored; missing entries are 0 (nominal).
+    pub fn eval(&self, w: &[f64]) -> (Matrix, Matrix) {
+        let mut g = self.g0.to_dense();
+        let mut c = self.c0.to_dense();
+        for (i, (dg, dc)) in self.dg.iter().zip(&self.dc).enumerate() {
+            if let Some(&wi) = w.get(i) {
+                if wi != 0.0 {
+                    add_scaled(&mut g, wi, dg);
+                    add_scaled(&mut c, wi, dc);
+                }
+            }
+        }
+        (g, c)
+    }
+
+    /// Number of variation parameters.
+    pub fn param_count(&self) -> usize {
+        self.dg.len()
+    }
+
+    /// Number of node unknowns.
+    pub fn order(&self) -> usize {
+        self.g0.n_rows()
+    }
+
+    /// MNA indices of the ports, in port-marking order.
+    pub fn port_indices(&self) -> &[usize] {
+        &self.port_indices
+    }
+
+    /// Port incidence matrix `B` (`n x Np`), with a 1 at each port row.
+    pub fn port_incidence(&self) -> Matrix {
+        port_incidence(self.order(), &self.port_indices)
+    }
+}
+
+/// `m += s·a` as [`Matrix::axpy`] with `a` dense would compute it.
+fn add_scaled(m: &mut Matrix, s: f64, a: &SparseMatrix) {
+    if !s.is_finite() {
+        // `s·0.0` is NaN: the entries `a` does not store change too.
+        for (x, y) in m.as_mut_slice().iter_mut().zip(a.to_dense().as_slice()) {
+            *x += s * y;
+        }
+        return;
+    }
+    for j in 0..a.n_cols() {
+        let (rows, vals) = a.col(j);
+        for (&i, &v) in rows.iter().zip(vals) {
+            m[(i, j)] += s * v;
+        }
+    }
+}
+
+/// Emits a two-terminal conductance stamp: the diagonals, then the
+/// off-diagonal pair.
 fn push_conductance(t: &mut Vec<(usize, usize, f64)>, a: Option<usize>, b: Option<usize>, g: f64) {
     if let Some(i) = a {
         t.push((i, i, g));
@@ -280,7 +434,7 @@ impl Netlist {
         })
     }
 
-    /// Assembles the node-space variational matrices of the linear R/C
+    /// Stamps the node-space variational matrices of the linear R/C/L
     /// portion (sources and MOSFETs are excluded — the linear load of a
     /// logic stage is driven at its ports).
     ///
@@ -293,63 +447,70 @@ impl Netlist {
     ///
     /// Returns [`CircuitError::EmptyNetlist`] if there are no non-ground
     /// nodes.
-    pub fn assemble_variational(&self) -> Result<VariationalMna, CircuitError> {
+    pub fn variational_stamps(&self) -> Result<VariationalStamps, CircuitError> {
         let n = self.node_count();
         if n == 0 {
             return Err(CircuitError::EmptyNetlist);
         }
         let np = self.params.len();
-        let n_ind = self.inductor_count();
-        let dim = n + n_ind;
-        let mut g0 = Matrix::zeros(dim, dim);
-        let mut c0 = Matrix::zeros(dim, dim);
-        let mut dg = vec![Matrix::zeros(dim, dim); np];
-        let mut dc = vec![Matrix::zeros(dim, dim); np];
+        let mut out = VariationalStamps {
+            dim: n + self.inductor_count(),
+            g0: Vec::new(),
+            c0: Vec::new(),
+            dg: vec![Vec::new(); np],
+            dc: vec![Vec::new(); np],
+            param_names: self.params.iter().map(str::to_string).collect(),
+            port_indices: self.ports().iter().filter_map(|p| p.mna_index()).collect(),
+        };
         let mut ind_branch = n;
         for e in self.elements() {
             match e {
                 Element::Resistor { a, b, value, .. } => {
-                    let g_nom = 1.0 / value.nominal;
-                    stamp_conductance(&mut g0, a.mna_index(), b.mna_index(), g_nom);
+                    let (a, b) = (a.mna_index(), b.mna_index());
+                    push_conductance(&mut out.g0, a, b, 1.0 / value.nominal);
                     for &(p, s) in &value.sens {
                         // dG/dw = -dR/dw / R0^2
                         let dgdw = -s / (value.nominal * value.nominal);
-                        stamp_conductance(&mut dg[p], a.mna_index(), b.mna_index(), dgdw);
+                        push_conductance(&mut out.dg[p], a, b, dgdw);
                     }
                 }
                 Element::Capacitor { a, b, value, .. } => {
-                    stamp_conductance(&mut c0, a.mna_index(), b.mna_index(), value.nominal);
+                    let (a, b) = (a.mna_index(), b.mna_index());
+                    push_conductance(&mut out.c0, a, b, value.nominal);
                     for &(p, s) in &value.sens {
-                        stamp_conductance(&mut dc[p], a.mna_index(), b.mna_index(), s);
+                        push_conductance(&mut out.dc[p], a, b, s);
                     }
                 }
                 Element::Inductor { a, b, value, .. } => {
                     if let Some(i) = a.mna_index() {
-                        g0[(i, ind_branch)] += 1.0;
-                        g0[(ind_branch, i)] -= 1.0;
+                        out.g0.push((i, ind_branch, 1.0));
+                        out.g0.push((ind_branch, i, -1.0));
                     }
                     if let Some(j) = b.mna_index() {
-                        g0[(j, ind_branch)] -= 1.0;
-                        g0[(ind_branch, j)] += 1.0;
+                        out.g0.push((j, ind_branch, -1.0));
+                        out.g0.push((ind_branch, j, 1.0));
                     }
-                    c0[(ind_branch, ind_branch)] += value.nominal;
+                    out.c0.push((ind_branch, ind_branch, value.nominal));
                     for &(p, sns) in &value.sens {
-                        dc[p][(ind_branch, ind_branch)] += sns;
+                        out.dc[p].push((ind_branch, ind_branch, sns));
                     }
                     ind_branch += 1;
                 }
                 Element::VSource { .. } | Element::ISource { .. } => {}
             }
         }
-        let port_indices = self.ports().iter().filter_map(|p| p.mna_index()).collect();
-        Ok(VariationalMna {
-            g0,
-            c0,
-            dg,
-            dc,
-            param_names: self.params.iter().map(str::to_string).collect(),
-            port_indices,
-        })
+        Ok(out)
+    }
+
+    /// Assembles the node-space variational matrices: the dense replay of
+    /// [`Netlist::variational_stamps`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CircuitError::EmptyNetlist`] if there are no non-ground
+    /// nodes.
+    pub fn assemble_variational(&self) -> Result<VariationalMna, CircuitError> {
+        Ok(self.variational_stamps()?.dense())
     }
 
     /// Evaluates the netlist at a parameter sample, returning a plain

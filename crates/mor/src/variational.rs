@@ -16,7 +16,7 @@
 
 use crate::pact::pact_reduce;
 use crate::prima::{prima_basis, prima_project, ReducedModel};
-use linvar_circuit::VariationalMna;
+use linvar_circuit::{port_incidence, VariationalMna};
 use linvar_numeric::{CMatrix, Complex, Matrix, NumericError};
 
 /// Projection algorithm used for the reduction.
@@ -269,8 +269,9 @@ impl VariationalRom {
         self.evaluate(w)?.transfer_at(s)
     }
 
-    /// Reference evaluation: recomputes the *exact* reduction at sample `w`
-    /// from scratch (re-assembled matrices, fresh basis). This is what a
+    /// Reference evaluation: recomputes the *exact* reduction of the
+    /// full-order load `(G(w), C(w))` evaluated at a sample, with the ports
+    /// at MNA rows `ports` (fresh basis, same method). This is what a
     /// non-variational flow would do for every sample; used to measure the
     /// first-order model's accuracy and the runtime advantage.
     ///
@@ -279,13 +280,13 @@ impl VariationalRom {
     /// Propagates reduction errors at the sample point.
     pub fn evaluate_exact(
         &self,
-        var: &VariationalMna,
-        w: &[f64],
+        g: &Matrix,
+        c: &Matrix,
+        ports: &[usize],
     ) -> Result<ReducedModel, NumericError> {
-        let (g, c) = var.eval(w)?;
-        let b = var.port_incidence();
-        let x = basis_at(&g, &c, &b, &var.port_indices, self.method)?;
-        Ok(prima_project(&g, &c, &b, &x))
+        let b = port_incidence(g.rows(), ports);
+        let x = basis_at(g, c, &b, ports, self.method)?;
+        Ok(prima_project(g, c, &b, &x))
     }
 
     /// The nominal projection basis.
@@ -324,6 +325,12 @@ mod tests {
     use super::*;
     use linvar_circuit::{Netlist, VariationalValue};
 
+    /// The exact reduction of `var` at `w`.
+    fn exact(rom: &VariationalRom, var: &VariationalMna, w: &[f64]) -> ReducedModel {
+        let (g, c) = var.eval(w).unwrap();
+        rom.evaluate_exact(&g, &c, &var.port_indices).unwrap()
+    }
+
     /// Variational RC ladder netlist: R and C values scale with parameter 0.
     fn var_ladder(n: usize) -> VariationalMna {
         let mut nl = Netlist::new();
@@ -360,7 +367,7 @@ mod tests {
         let rom =
             VariationalRom::characterize(&var, ReductionMethod::Prima { order: 4 }, 0.01).unwrap();
         let at0 = rom.evaluate(&[0.0]).unwrap();
-        let exact = rom.evaluate_exact(&var, &[0.0]).unwrap();
+        let exact = exact(&rom, &var, &[0.0]);
         assert!((&at0.gr - &exact.gr).max_abs() < 1e-9 * exact.gr.max_abs());
         assert!((&at0.cr - &exact.cr).max_abs() < 1e-9 * exact.cr.max_abs());
     }
@@ -372,7 +379,7 @@ mod tests {
             VariationalRom::characterize(&var, ReductionMethod::Prima { order: 4 }, 0.01).unwrap();
         let w = [0.05];
         let approx = rom.evaluate(&w).unwrap();
-        let exact = rom.evaluate_exact(&var, &w).unwrap();
+        let exact = exact(&rom, &var, &w);
         // DC impedance comparison is basis-independent.
         let z_a = approx.dc_impedance().unwrap()[(0, 0)];
         let z_e = exact.dc_impedance().unwrap()[(0, 0)];
@@ -389,11 +396,7 @@ mod tests {
             VariationalRom::characterize(&var, ReductionMethod::Prima { order: 3 }, 0.01).unwrap();
         let err_at = |wv: f64| -> f64 {
             let a = rom.evaluate(&[wv]).unwrap().dc_impedance().unwrap()[(0, 0)];
-            let e = rom
-                .evaluate_exact(&var, &[wv])
-                .unwrap()
-                .dc_impedance()
-                .unwrap()[(0, 0)];
+            let e = exact(&rom, &var, &[wv]).dc_impedance().unwrap()[(0, 0)];
             (a - e).abs()
         };
         let e1 = err_at(0.05);
@@ -415,11 +418,7 @@ mod tests {
         assert_eq!(rom.port_count(), 1);
         assert_eq!(rom.param_count(), 1);
         let z0 = rom.evaluate(&[0.0]).unwrap().dc_impedance().unwrap()[(0, 0)];
-        let ze = rom
-            .evaluate_exact(&var, &[0.0])
-            .unwrap()
-            .dc_impedance()
-            .unwrap()[(0, 0)];
+        let ze = exact(&rom, &var, &[0.0]).dc_impedance().unwrap()[(0, 0)];
         assert!((z0 - ze).abs() < 1e-8 * ze.abs());
     }
 

@@ -24,6 +24,11 @@
 //! * **Admission control** — the queue is bounded
 //!   (`LINVAR_SERVE_QUEUE`); excess submissions are shed with HTTP 429
 //!   + `Retry-After` instead of growing memory without bound.
+//! * **Live-only job memory** — memory holds only queued and running
+//!   jobs; finished ones are answered from their journal records.
+//! * **Blocking acceptor** ([`server`]) — one thread blocks in `accept`,
+//!   so an idle server does not wake; shutdown wakes it with one
+//!   loopback connection.
 //! * **Slow-client armor** ([`http`]) — per-request read/write socket
 //!   timeouts and header/body size caps, so a stalled or malicious
 //!   client costs one handler slot for a bounded time, never the

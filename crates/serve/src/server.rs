@@ -3,10 +3,11 @@
 //!
 //! Thread structure (all std):
 //!
-//! * **acceptor** — non-blocking `TcpListener` polled every few
-//!   milliseconds (std has no accept timeout) so it can observe the
-//!   stop flag; accepted sockets get their read/write timeouts set
-//!   *before* they reach a handler, then go down an mpsc channel.
+//! * **acceptor** (named `accept-<port>`) — blocks in `accept`; accepted
+//!   sockets get their read/write timeouts set *before* they reach a
+//!   handler, then go down an mpsc channel. [`ServerHandle::join`] sets
+//!   the stop flag and wakes it with one loopback connection, which it
+//!   drops unread.
 //! * **handlers** (small fixed pool) — parse one request per
 //!   connection, route it, write the response. A slow client costs one
 //!   handler slot for at most the socket timeout; `/healthz` keeps
@@ -23,6 +24,10 @@
 //! Interrupted jobs stay journaled as `running`, which is precisely
 //! what the next process's recovery scan re-queues — kill -9 and
 //! graceful shutdown converge on the same restart path.
+//!
+//! Memory holds only live (queued and running) jobs: a terminal job is
+//! journaled and dropped, and a lookup that misses memory reads its
+//! record from the journal.
 
 use crate::bits_hex;
 use crate::config::ServeConfig;
@@ -37,7 +42,7 @@ use linvar_metrics::{Counter, Json, Phase};
 use linvar_stats::RecoveryPolicy;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -54,6 +59,13 @@ const RETRY_AFTER_SECS: u64 = 1;
 /// Samples between periodic snapshots while a job runs.
 const JOB_CHECKPOINT_EVERY: usize = 8;
 
+/// Pause after a failed `accept` (say, out of file descriptors), so the
+/// acceptor does not spin on an error that persists.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+
+/// How long [`ServerHandle::join`]'s wake-up connection may take.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// Server-level error (startup and teardown).
 #[derive(Debug)]
 pub enum ServeError {
@@ -61,6 +73,8 @@ pub enum ServeError {
     Bind(String),
     /// The job store failed (journal I/O).
     Store(linvar_stats::CheckpointError),
+    /// A server thread could not be started.
+    Spawn(String),
 }
 
 impl fmt::Display for ServeError {
@@ -68,6 +82,7 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::Bind(e) => write!(f, "bind: {e}"),
             ServeError::Store(e) => write!(f, "job store: {e}"),
+            ServeError::Spawn(e) => write!(f, "spawn: {e}"),
         }
     }
 }
@@ -84,8 +99,11 @@ struct Sched {
     queued: usize,
     /// Jobs currently being run by a worker.
     running: usize,
-    /// In-memory view of every job (authoritative journal on disk).
+    /// The live (queued and running) jobs. A terminal job lives only in
+    /// the journal, unless its terminal record failed to journal.
     jobs: BTreeMap<String, JobRecord>,
+    /// Terminal jobs in the journal and not in `jobs`.
+    terminal: usize,
     /// Cancel flag per running job.
     cancel_flags: BTreeMap<String, Arc<AtomicBool>>,
     /// Running jobs whose cancellation was requested.
@@ -175,17 +193,14 @@ impl Server {
             queued: 0,
             running: 0,
             jobs: BTreeMap::new(),
+            terminal: recovery.terminal,
             cancel_flags: BTreeMap::new(),
             cancel_requested: BTreeSet::new(),
         };
-        // Terminal jobs from previous lives stay visible (idempotent
-        // resubmission answers from them); requeued jobs enter the
-        // queues. Recovered work bypasses the admission bound: it was
-        // admitted by a previous life.
-        let (all_records, _) = store.load_all();
-        for rec in all_records {
-            sched.jobs.insert(rec.id.clone(), rec);
-        }
+        // Terminal jobs from previous lives stay in the journal, where
+        // lookups and idempotent resubmission find them; requeued jobs
+        // enter the queues. Recovered work bypasses the admission bound:
+        // it was admitted by a previous life.
         for rec in requeued {
             enqueue_locked(&mut sched, &rec);
             sched.jobs.insert(rec.id.clone(), rec);
@@ -193,9 +208,6 @@ impl Server {
 
         let listener =
             TcpListener::bind(&config.addr).map_err(|e| ServeError::Bind(e.to_string()))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| ServeError::Bind(e.to_string()))?;
         let addr = listener
             .local_addr()
             .map_err(|e| ServeError::Bind(e.to_string()))?;
@@ -217,7 +229,10 @@ impl Server {
 
         let acceptor = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || acceptor_loop(&shared, &listener, &conn_tx))
+            std::thread::Builder::new()
+                .name(format!("accept-{}", addr.port()))
+                .spawn(move || acceptor_loop(&shared, &listener, &conn_tx))
+                .map_err(|e| ServeError::Spawn(e.to_string()))?
         };
         let handlers = (0..N_HANDLERS)
             .map(|_| {
@@ -279,21 +294,44 @@ impl ServerHandle {
             let _ = w.join();
         }
         self.shared.accept_stop.store(true, Ordering::SeqCst);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join(); // dropping the acceptor drops conn_tx …
+        let Some(acceptor) = self.acceptor.take() else {
+            return;
+        };
+        if !wake_acceptor(self.addr) {
+            // The acceptor may stay blocked in `accept`, and the handlers
+            // on its channel: leave them to process exit rather than hang.
+            eprintln!("serve: could not wake the acceptor on {}", self.addr);
+            return;
         }
+        let _ = acceptor.join(); // dropping the acceptor drops conn_tx …
         for h in self.handlers.drain(..) {
             let _ = h.join(); // … which unblocks the handlers' recv.
         }
     }
 }
 
+/// Connects once to the acceptor's own address, so that its blocking
+/// `accept` returns and it sees `accept_stop`. An unspecified bind address
+/// is reached through the loopback address of its family.
+fn wake_acceptor(mut addr: SocketAddr) -> bool {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    TcpStream::connect_timeout(&addr, WAKE_TIMEOUT).is_ok()
+}
+
 fn acceptor_loop(shared: &Shared, listener: &TcpListener, conn_tx: &mpsc::Sender<TcpStream>) {
     loop {
+        let accepted = listener.accept();
+        // Once stopping, every connection, the wake-up one included, is
+        // dropped before it reaches a handler or a metric.
         if shared.accept_stop.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 let _span = linvar_metrics::timer(Phase::ServeAccept);
                 // Slow-client armor: timeouts are set before the
@@ -305,10 +343,7 @@ fn acceptor_loop(shared: &Shared, listener: &TcpListener, conn_tx: &mpsc::Sender
                     return;
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }
@@ -377,7 +412,7 @@ fn healthz(shared: &Shared) -> Response {
     j.set("ok", true)
         .set("queued", sched.queued as u64)
         .set("running", sched.running as u64)
-        .set("jobs", sched.jobs.len() as u64)
+        .set("jobs", (sched.jobs.len() + sched.terminal) as u64)
         .set("queue_cap", shared.config.queue_cap as u64)
         .set("draining", shared.shutdown.load(Ordering::SeqCst));
     Response::json(200, &j)
@@ -407,6 +442,21 @@ fn job_json(rec: &JobRecord) -> Json {
         j.set("error", e.as_str());
     }
     j
+}
+
+/// Whether `id` has the shape of a job id: 16 lowercase hex digits. Only
+/// such an id reaches the file system.
+fn is_job_id(id: &str) -> bool {
+    id.len() == 16 && id.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+}
+
+/// The record of job `id`: the live one in `sched`, else the journaled
+/// one (a terminal job's only copy).
+fn find_job(shared: &Shared, sched: &Sched, id: &str) -> Option<JobRecord> {
+    if let Some(rec) = sched.jobs.get(id) {
+        return Some(rec.clone());
+    }
+    is_job_id(id).then(|| shared.store.load(id).ok())?
 }
 
 fn submit(shared: &Shared, body: &[u8]) -> Response {
@@ -474,11 +524,11 @@ fn submit(shared: &Shared, body: &[u8]) -> Response {
     );
 
     let mut sched = shared.sched.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(existing) = sched.jobs.get(&rec.id) {
+    if let Some(existing) = find_job(shared, &sched, &rec.id) {
         // Idempotent resubmission: same campaign fingerprint → the
         // existing job, whatever state it is in. Never double-run.
         linvar_metrics::incr(Counter::ServeDuplicateSubmits);
-        let mut j = job_json(existing);
+        let mut j = job_json(&existing);
         j.set("existing", true);
         return Response::json(200, &j);
     }
@@ -522,59 +572,66 @@ fn enqueue_locked(sched: &mut Sched, rec: &JobRecord) {
     }
 }
 
+/// Every job, by id: the live ones from memory, the rest from the
+/// journal.
 fn list_jobs(shared: &Shared) -> Response {
-    let sched = shared.sched.lock().unwrap_or_else(|e| e.into_inner());
-    let jobs: Vec<Json> = sched.jobs.values().map(job_json).collect();
+    let mut jobs = {
+        let sched = shared.sched.lock().unwrap_or_else(|e| e.into_inner());
+        sched.jobs.clone()
+    };
+    for rec in shared.store.list() {
+        jobs.entry(rec.id.clone()).or_insert(rec);
+    }
     let mut j = Json::obj();
-    j.set("jobs", Json::Arr(jobs));
+    j.set("jobs", Json::Arr(jobs.values().map(job_json).collect()));
     Response::json(200, &j)
 }
 
 fn job_status(shared: &Shared, id: &str) -> Response {
     let sched = shared.sched.lock().unwrap_or_else(|e| e.into_inner());
-    match sched.jobs.get(id) {
-        Some(rec) => Response::json(200, &job_json(rec)),
+    match find_job(shared, &sched, id) {
+        Some(rec) => Response::json(200, &job_json(&rec)),
         None => Response::error(404, "no such job"),
     }
 }
 
 fn job_result(shared: &Shared, id: &str) -> Response {
     let sched = shared.sched.lock().unwrap_or_else(|e| e.into_inner());
-    match sched.jobs.get(id) {
+    match find_job(shared, &sched, id) {
         None => Response::error(404, "no such job"),
-        Some(rec) if rec.state.is_terminal() => Response::json(200, &job_json(rec)),
+        Some(rec) if rec.state.is_terminal() => Response::json(200, &job_json(&rec)),
         Some(rec) => {
             // Not finished: 202 with the current state so pollers can
             // distinguish "keep waiting" from "gone".
-            Response::json(202, &job_json(rec))
+            Response::json(202, &job_json(&rec))
         }
     }
 }
 
 fn cancel_job(shared: &Shared, id: &str) -> Response {
     let mut sched = shared.sched.lock().unwrap_or_else(|e| e.into_inner());
-    let Some(rec) = sched.jobs.get(id).cloned() else {
+    let Some(rec) = find_job(shared, &sched, id) else {
         return Response::error(404, "no such job");
     };
     match rec.state {
         JobState::Queued => {
-            // Remove from its tenant queue and journal the terminal
-            // state before answering.
+            // Journal the terminal state, then take the job out of its
+            // tenant queue and out of memory, before answering.
+            let mut rec = rec;
+            rec.state = JobState::Cancelled;
+            if let Err(e) = shared.store.save(&rec) {
+                return Response::error(500, &format!("journal write failed: {e}"));
+            }
             if let Some(q) = sched.queues.get_mut(&rec.tenant) {
                 if let Some(pos) = q.iter().position(|j| j == id) {
                     q.remove(pos);
                     sched.queued -= 1;
                 }
             }
-            let mut rec = rec;
-            rec.state = JobState::Cancelled;
-            if let Err(e) = shared.store.save(&rec) {
-                return Response::error(500, &format!("journal write failed: {e}"));
-            }
+            sched.jobs.remove(id);
+            sched.terminal += 1;
             linvar_metrics::incr(Counter::ServeJobsCancelled);
-            let j = job_json(&rec);
-            sched.jobs.insert(rec.id.clone(), rec);
-            Response::json(200, &j)
+            Response::json(200, &job_json(&rec))
         }
         JobState::Running => {
             // Raise the campaign's cancel flag; the worker journals the
@@ -663,14 +720,21 @@ fn result_line(rec: &JobRecord, run: &linvar_core::ModelRun) -> String {
 fn run_job(shared: &Shared, mut rec: JobRecord) {
     let id = rec.id.clone();
     let finish = |rec: &mut JobRecord, to: JobState| {
-        // In-memory map and journal move together under the lock; the
-        // journal write is the authoritative one.
+        // In-memory map and journal move together under the lock: once
+        // the terminal record is journaled, memory drops the job. If the
+        // write fails, memory keeps the record so the result is not lost.
         rec.state = to;
         let mut sched = shared.sched.lock().unwrap_or_else(|e| e.into_inner());
-        if let Err(e) = shared.store.save(rec) {
-            eprintln!("serve: journal write for job {} failed: {e}", rec.id);
+        match shared.store.save(rec) {
+            Ok(()) => {
+                sched.jobs.remove(&rec.id);
+                sched.terminal += 1;
+            }
+            Err(e) => {
+                eprintln!("serve: journal write for job {} failed: {e}", rec.id);
+                sched.jobs.insert(rec.id.clone(), rec.clone());
+            }
         }
-        sched.jobs.insert(rec.id.clone(), rec.clone());
         sched.cancel_flags.remove(&rec.id);
         sched.cancel_requested.remove(&rec.id);
         sched.running -= 1;
@@ -850,4 +914,67 @@ mod sig {
 pub fn install_signal_handlers() {
     #[cfg(unix)]
     sig::install();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::request;
+
+    #[test]
+    fn memory_drops_terminal_jobs() {
+        let dir =
+            std::env::temp_dir().join(format!("linvar-serve-unit-live-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            jobs_dir: dir.clone(),
+            ..ServeConfig::default()
+        };
+        let handle = Server::start(config, ModelRegistry::with_builtins()).unwrap();
+        let addr = handle.addr().to_string();
+        let timeout = Duration::from_secs(5);
+        let ids: Vec<String> = (0..3u64)
+            .map(|seed| {
+                let mut body = Json::obj();
+                body.set("model", "demo-fast")
+                    .set("seed", seed)
+                    .set("n", 8u64);
+                let resp = request(&addr, "POST", "/jobs", Some(&body), timeout).unwrap();
+                resp.body.get_str("job").unwrap().to_string()
+            })
+            .collect();
+        // Cancel the last one while it is still queued, if it is.
+        let _ = request(
+            &addr,
+            "POST",
+            &format!("/jobs/{}/cancel", ids[2]),
+            None,
+            timeout,
+        );
+        for id in &ids {
+            let path = format!("/jobs/{id}/result");
+            while request(&addr, "GET", &path, None, timeout).unwrap().status != 200 {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+        {
+            let sched = handle.shared.sched.lock().unwrap();
+            let terminal: Vec<&JobRecord> = sched
+                .jobs
+                .values()
+                .filter(|r| r.state.is_terminal())
+                .collect();
+            assert!(
+                terminal.is_empty(),
+                "terminal records in memory: {terminal:?}"
+            );
+            assert!(sched.jobs.is_empty());
+            assert_eq!(sched.terminal, ids.len());
+        }
+        handle.shutdown();
+        handle.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

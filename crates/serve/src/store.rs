@@ -346,6 +346,9 @@ pub struct RecoveryReport {
     pub corrupt_checkpoints: usize,
     /// Unreadable job records quarantined to `*.bad`.
     pub quarantined_records: usize,
+    /// Terminal job records left in the journal (those the scan journaled
+    /// as failed included); the server answers for them from disk.
+    pub terminal: usize,
 }
 
 /// The on-disk job store.
@@ -390,14 +393,10 @@ impl JobStore {
         load_record(&self.record_path(id))
     }
 
-    /// Loads every readable record, sorted by id. Unreadable records
-    /// are renamed to `<name>.bad` (quarantine — restart must not be
-    /// blocked by one rotten file) and counted.
-    pub fn load_all(&self) -> (Vec<JobRecord>, usize) {
-        let mut out = Vec::new();
-        let mut quarantined = 0usize;
+    /// Every `job-*.rec` file in the store, sorted (so by id).
+    fn record_files(&self) -> Vec<PathBuf> {
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return (out, 0);
+            return Vec::new();
         };
         let mut rec_files: Vec<PathBuf> = entries
             .flatten()
@@ -410,7 +409,25 @@ impl JobStore {
             })
             .collect();
         rec_files.sort();
-        for path in rec_files {
+        rec_files
+    }
+
+    /// Loads every readable record, sorted by id, and leaves unreadable
+    /// ones where they are (a listing moves no file).
+    pub fn list(&self) -> Vec<JobRecord> {
+        self.record_files()
+            .iter()
+            .filter_map(|p| load_record(p).ok())
+            .collect()
+    }
+
+    /// Loads every readable record, sorted by id. Unreadable records
+    /// are renamed to `<name>.bad` (quarantine — restart must not be
+    /// blocked by one rotten file) and counted.
+    pub fn load_all(&self) -> (Vec<JobRecord>, usize) {
+        let mut out = Vec::new();
+        let mut quarantined = 0usize;
+        for path in self.record_files() {
             match load_record(&path) {
                 Ok(rec) => out.push(rec),
                 Err(e) => {
@@ -476,10 +493,11 @@ impl JobStore {
                             rec.state = JobState::Failed;
                             rec.error = Some(format!("model {:?} is not registered", rec.model));
                             let _ = self.save(&rec);
+                            report.terminal += 1;
                         }
                     }
                 }
-                _ => {}
+                _ => report.terminal += 1,
             }
         }
         requeue.sort_by(|a, b| a.id.cmp(&b.id));
@@ -590,6 +608,9 @@ mod tests {
             store.load(&r.id),
             Err(CheckpointError::ChecksumMismatch { .. })
         ));
+        // A listing skips it and moves nothing; the startup load moves it.
+        assert!(store.list().is_empty());
+        assert!(path.exists(), "a listing renames no file");
         let (records, quarantined) = store.load_all();
         assert_eq!(records.len(), 0);
         assert_eq!(quarantined, 1);
@@ -681,6 +702,7 @@ mod tests {
         assert_eq!(report.tmp_reaped, 1);
         assert_eq!(report.interrupted, 1);
         assert_eq!(report.corrupt_checkpoints, 1);
+        assert_eq!(report.terminal, 2, "done + cancelled stay on disk");
         assert!(!ckpt.exists(), "corrupt checkpoint deleted");
         assert_eq!(requeued.len(), 2, "queued + running come back");
         assert!(requeued.iter().all(|r| r.state == JobState::Queued));
@@ -707,6 +729,7 @@ mod tests {
         let (report, requeued) = store.recover(|_| None);
         assert!(requeued.is_empty());
         assert_eq!(report.interrupted, 1);
+        assert_eq!(report.terminal, 1, "journaled as failed");
         let back = store.load(&r.id).unwrap();
         assert_eq!(back.state, JobState::Failed);
         assert!(back.error.unwrap().contains("not registered"));

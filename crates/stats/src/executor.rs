@@ -315,13 +315,24 @@ pub(crate) fn run_range<S: Sync>(
             linvar_metrics::flush_local();
         } else {
             std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        // Merge this worker's phase metrics on every exit
-                        // path before the scope joins.
-                        let _flush = linvar_metrics::flush_on_drop();
-                        work();
-                    });
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            // Merge this worker's phase metrics on every
+                            // exit path before it is joined.
+                            let _flush = linvar_metrics::flush_on_drop();
+                            work();
+                        })
+                    })
+                    .collect();
+                // Join the OS threads, not only their closures as the
+                // scope's own wait does: a thread that is still exiting
+                // holds its malloc arena, the next campaign's workers then
+                // open fresh ones, and a run's peak memory would depend on
+                // thread timing.
+                let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+                if let Some(payload) = joined.into_iter().find_map(Result::err) {
+                    std::panic::resume_unwind(payload);
                 }
             });
         }

@@ -15,7 +15,7 @@
 use crate::engine::{DriverSpec, StageSolver, StageSolverOptions, StageStats, StopRule};
 use crate::error::TetaError;
 use crate::waveform::Waveform;
-use linvar_circuit::{Netlist, NodeId};
+use linvar_circuit::{Netlist, NodeId, SparseVariationalMna};
 use linvar_devices::{chord_conductance, DeviceVariation, MosParams, Technology};
 use linvar_mor::{
     extract_pole_residue, extract_stabilized_degrading, stabilize, PoleResidueModel, ReducedModel,
@@ -28,8 +28,9 @@ use linvar_numeric::with_workspace;
 pub struct StageModel {
     vrom: VariationalRom,
     /// The effective-load variational matrices (chords already folded),
-    /// kept for the exact-reduction reference flow.
-    var: linvar_circuit::VariationalMna,
+    /// kept sparse for the rungs that read the full-order load (exact
+    /// reduction, unreduced load) and the exact reference flow.
+    load: SparseVariationalMna,
     /// `(port index, g_out)` of each driven port, in driver order.
     driver_ports: Vec<(usize, f64)>,
     nmos: MosParams,
@@ -126,8 +127,8 @@ impl StageModel {
         method: ReductionMethod,
         delta: f64,
     ) -> Result<Self, TetaError> {
-        let mut var = netlist
-            .assemble_variational()
+        let mut stamps = netlist
+            .variational_stamps()
             .map_err(|e| TetaError::BadStage(e.to_string()))?;
         let nmos = tech
             .library
@@ -152,15 +153,20 @@ impl StageModel {
                     netlist.node_name(*node)
                 ))
             })?;
-            let mna_idx = var.port_indices[port_pos];
-            var.add_grounded_conductance(mna_idx, g_out)
+            let mna_idx = stamps.port_indices[port_pos];
+            stamps
+                .add_grounded_conductance(mna_idx, g_out)
                 .map_err(|e| TetaError::BadStage(e.to_string()))?;
             driver_ports.push((port_pos, g_out));
         }
-        let vrom = VariationalRom::characterize(&var, method, delta)?;
+        // Characterize from the dense matrices and keep the sparse ones:
+        // after this, only rungs 2 and 3 and `evaluate_exact` read the
+        // full-order load, each densifying it at its sample.
+        let vrom = VariationalRom::characterize(&stamps.dense(), method, delta)?;
+        let load = stamps.sparse()?;
         Ok(StageModel {
             vrom,
-            var,
+            load,
             driver_ports,
             nmos,
             pmos,
@@ -184,6 +190,12 @@ impl StageModel {
     /// The underlying variational ROM (for diagnostics and benches).
     pub fn vrom(&self) -> &VariationalRom {
         &self.vrom
+    }
+
+    /// The effective load (chords folded) the ROM was characterized from,
+    /// in sparse form (for diagnostics and differential tests).
+    pub fn load(&self) -> &SparseVariationalMna {
+        &self.load
     }
 
     /// Evaluates the stage at an interconnect parameter sample `w` and a
@@ -301,10 +313,14 @@ impl StageModel {
             Err(e) => return Err(e),
         }
 
+        // Rungs 2 and 3 read the full-order load, densified at the sample
+        // once.
+        let (g, c) = self.load.eval(w);
+
         // Rung 2: exact reduction at the sample.
         let rung2 = self
             .vrom
-            .evaluate_exact(&self.var, w)
+            .evaluate_exact(&g, &c, self.load.port_indices())
             .map_err(TetaError::from)
             .and_then(|rom| {
                 extract_stabilized_degrading(&rom, DEFAULT_BETA_TOL).map_err(TetaError::from)
@@ -330,19 +346,14 @@ impl StageModel {
         // Rung 3: the unreduced MNA load — stabilize the full node-space
         // pencil directly. Expensive (dense eigensolve at full dimension)
         // but the most faithful model short of baseline SPICE.
-        let rung3 = self
-            .var
-            .eval(w)
-            .map_err(TetaError::from)
-            .and_then(|(g, c)| {
-                let full = ReducedModel {
-                    gr: g,
-                    cr: c,
-                    br: self.var.port_incidence(),
-                };
-                let pr = extract_pole_residue(&full)?;
-                Ok((full.order(), stabilize(&pr)))
-            });
+        let full = ReducedModel {
+            gr: g,
+            cr: c,
+            br: self.load.port_incidence(),
+        };
+        let rung3 = extract_pole_residue(&full)
+            .map(|pr| (full.order(), stabilize(&pr)))
+            .map_err(TetaError::from);
         match rung3 {
             Ok((order, (stable, stability))) => {
                 match self.sc_attempts(&stable, &stability, inputs, &opts, &mut sc_retries)? {
@@ -413,7 +424,8 @@ impl StageModel {
         h: f64,
         t_end: f64,
     ) -> Result<StageResult, TetaError> {
-        let rom = self.vrom.evaluate_exact(&self.var, w)?;
+        let (g, c) = self.load.eval(w);
+        let rom = self.vrom.evaluate_exact(&g, &c, self.load.port_indices())?;
         self.evaluate_with_rom(&rom, inputs, self.options(variation, h, t_end, None))
     }
 

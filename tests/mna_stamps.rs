@@ -12,30 +12,38 @@
 //!   of that dense matrix;
 //! * `ir_drop_for_sample` returns the same `f64` bits as a test-local
 //!   copy of the freeze → assemble → dense-matrix factor route.
+//!
+//! `Netlist::variational_stamps` is likewise the one source of the
+//! variational matrices: `assemble_variational` replays it and must equal
+//! a test-local copy of the element-walking assembler it replaced, and
+//! its sparse form must evaluate to the same bits.
 
 use linvar_bench::grid::sample_set;
 use linvar_circuit::{parse_deck, Element, Netlist};
+use linvar_core::stage_builder::{build_stage_load, StageLoadSpec};
+use linvar_devices::{tech_018, CellLibrary};
 use linvar_interconnect::{
     htree_case, ir_drop_for_sample, power_grid_case, rc_chain_case, GridCase, PowerGridSpec,
     WireTech,
 };
 use linvar_numeric::{AnySolver, LinearSolver, Matrix, SolverChoice, SparseMatrix};
 
+fn stamp_conductance(m: &mut Matrix, a: Option<usize>, b: Option<usize>, g: f64) {
+    if let Some(i) = a {
+        m[(i, i)] += g;
+    }
+    if let Some(j) = b {
+        m[(j, j)] += g;
+    }
+    if let (Some(i), Some(j)) = (a, b) {
+        m[(i, j)] -= g;
+        m[(j, i)] -= g;
+    }
+}
+
 /// The element-walking dense assembler `assemble_mna` used before it
 /// became a replay of `stamp_mna(&[])`, kept verbatim as the reference.
 fn legacy_assemble(nl: &Netlist) -> (Matrix, Matrix) {
-    fn stamp_conductance(m: &mut Matrix, a: Option<usize>, b: Option<usize>, g: f64) {
-        if let Some(i) = a {
-            m[(i, i)] += g;
-        }
-        if let Some(j) = b {
-            m[(j, j)] += g;
-        }
-        if let (Some(i), Some(j)) = (a, b) {
-            m[(i, j)] -= g;
-            m[(j, i)] -= g;
-        }
-    }
     let n = nl.node_count();
     let m = nl.vsource_count();
     let dim = n + m + nl.inductor_count();
@@ -78,6 +86,57 @@ fn legacy_assemble(nl: &Netlist) -> (Matrix, Matrix) {
         }
     }
     (g, c)
+}
+
+/// The element-walking `assemble_variational` used before it became a
+/// replay of `variational_stamps`, kept verbatim as the reference:
+/// `(G0, C0, dG, dC)`.
+fn legacy_assemble_variational(nl: &Netlist) -> (Matrix, Matrix, Vec<Matrix>, Vec<Matrix>) {
+    let n = nl.node_count();
+    let np = nl.params.len();
+    let n_ind = nl.inductor_count();
+    let dim = n + n_ind;
+    let mut g0 = Matrix::zeros(dim, dim);
+    let mut c0 = Matrix::zeros(dim, dim);
+    let mut dg = vec![Matrix::zeros(dim, dim); np];
+    let mut dc = vec![Matrix::zeros(dim, dim); np];
+    let mut ind_branch = n;
+    for e in nl.elements() {
+        match e {
+            Element::Resistor { a, b, value, .. } => {
+                let g_nom = 1.0 / value.nominal;
+                stamp_conductance(&mut g0, a.mna_index(), b.mna_index(), g_nom);
+                for &(p, s) in &value.sens {
+                    // dG/dw = -dR/dw / R0^2
+                    let dgdw = -s / (value.nominal * value.nominal);
+                    stamp_conductance(&mut dg[p], a.mna_index(), b.mna_index(), dgdw);
+                }
+            }
+            Element::Capacitor { a, b, value, .. } => {
+                stamp_conductance(&mut c0, a.mna_index(), b.mna_index(), value.nominal);
+                for &(p, s) in &value.sens {
+                    stamp_conductance(&mut dc[p], a.mna_index(), b.mna_index(), s);
+                }
+            }
+            Element::Inductor { a, b, value, .. } => {
+                if let Some(i) = a.mna_index() {
+                    g0[(i, ind_branch)] += 1.0;
+                    g0[(ind_branch, i)] -= 1.0;
+                }
+                if let Some(j) = b.mna_index() {
+                    g0[(j, ind_branch)] -= 1.0;
+                    g0[(ind_branch, j)] += 1.0;
+                }
+                c0[(ind_branch, ind_branch)] += value.nominal;
+                for &(p, sns) in &value.sens {
+                    dc[p][(ind_branch, ind_branch)] += sns;
+                }
+                ind_branch += 1;
+            }
+            Element::VSource { .. } | Element::ISource { .. } => {}
+        }
+    }
+    (g0, c0, dg, dc)
 }
 
 /// `ir_drop_for_sample` as it was before the stamp emitter: freeze the
@@ -204,6 +263,47 @@ fn stamp_replay_matches_frozen_dense_assembly_bitwise() {
         let mna = nl.assemble_mna().unwrap();
         assert!(same_bits(&mna.g, &legacy_g), "{name}: nominal G");
         assert!(same_bits(&mna.c, &legacy_c), "{name}: nominal C");
+    }
+}
+
+#[test]
+fn variational_stamps_match_the_element_walking_assembly_bitwise() {
+    // The small families (the large meshes and the chain would hold a
+    // dozen dense matrices of 1k+ nodes), plus a 500-element Table-4
+    // stage load with its lumped driver and receiver capacitances.
+    let tech = tech_018();
+    let spec = StageLoadSpec {
+        linear_elements: 500,
+        driver_cell: "nand2".into(),
+        receiver_cell: "inv".into(),
+    };
+    let stage = build_stage_load(&spec, &CellLibrary::standard(tech), &WireTech::m018()).unwrap();
+    let mut cases: Vec<(String, Netlist)> = netlists()
+        .into_iter()
+        .filter(|(name, _)| !matches!(name.as_str(), "grid32x32" | "chain2x500"))
+        .collect();
+    cases.push(("stage500".into(), stage.netlist));
+    for (name, nl) in cases {
+        let var = nl.assemble_variational().unwrap();
+        let (g0, c0, dg, dc) = legacy_assemble_variational(&nl);
+        assert!(same_bits(&var.g0, &g0), "{name}: G0");
+        assert!(same_bits(&var.c0, &c0), "{name}: C0");
+        assert_eq!((var.dg.len(), var.dc.len()), (dg.len(), dc.len()), "{name}");
+        for (i, (a, b)) in var.dg.iter().zip(&dg).enumerate() {
+            assert!(same_bits(a, b), "{name}: dG{i}");
+        }
+        for (i, (a, b)) in var.dc.iter().zip(&dc).enumerate() {
+            assert!(same_bits(a, b), "{name}: dC{i}");
+        }
+        let sparse = nl.variational_stamps().unwrap().sparse().unwrap();
+        let mut ws = samples();
+        ws.push(vec![f64::INFINITY, -2.0, 0.5]);
+        for w in ws {
+            let (g, c) = sparse.eval(&w);
+            let (g_want, c_want) = var.eval(&w).unwrap();
+            assert!(same_bits(&g, &g_want), "{name} at {w:?}: G(w)");
+            assert!(same_bits(&c, &c_want), "{name} at {w:?}: C(w)");
+        }
     }
 }
 

@@ -114,6 +114,56 @@ fn raw_drivers_agree_on_the_s27_workload() {
     }
 }
 
+static WORKERS_ENTERED: AtomicUsize = AtomicUsize::new(0);
+static WORKERS_EXITED: AtomicUsize = AtomicUsize::new(0);
+
+/// Counts a worker thread in when first touched and out when the
+/// thread's thread-local destructors run.
+struct WorkerTally;
+
+impl WorkerTally {
+    fn enter() -> Self {
+        WORKERS_ENTERED.fetch_add(1, Ordering::SeqCst);
+        WorkerTally
+    }
+}
+
+impl Drop for WorkerTally {
+    fn drop(&mut self) {
+        // Long enough that a campaign returning before its workers have
+        // exited reads the count before this lands.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        WORKERS_EXITED.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+thread_local! {
+    static WORKER_TALLY: WorkerTally = WorkerTally::enter();
+}
+
+#[test]
+fn campaign_returns_after_its_workers_have_exited() {
+    // A worker thread that is still exiting holds its malloc arena, so
+    // the next campaign's workers would open fresh ones and a run's peak
+    // memory would depend on thread timing. Every worker must be gone,
+    // its thread-local destructors included, when the campaign returns.
+    let samples: Vec<f64> = (0..64).map(f64::from).collect();
+    for round in 0..3 {
+        let mc = monte_carlo_par(&samples, 2, |&x| {
+            WORKER_TALLY.with(|_| ());
+            Ok::<f64, String>(x)
+        });
+        assert_eq!(mc.failures, 0);
+        let entered = WORKERS_ENTERED.load(Ordering::SeqCst);
+        assert!(entered > 0, "round {round}: no worker evaluated a sample");
+        assert_eq!(
+            WORKERS_EXITED.load(Ordering::SeqCst),
+            entered,
+            "round {round}: the campaign returned before its workers exited"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // The run-spec table: source × durability × shards × threads.
 // ---------------------------------------------------------------------

@@ -368,3 +368,166 @@ fn tenants_are_served_round_robin_not_first_come_first_served() {
     );
     stop(handle, &dir);
 }
+
+fn get(addr: &str, path: &str) -> ClientResponse {
+    request(addr, "GET", path, None, CLIENT_TIMEOUT).expect("get")
+}
+
+fn post(addr: &str, path: &str) -> ClientResponse {
+    request(addr, "POST", path, None, CLIENT_TIMEOUT).expect("post")
+}
+
+/// Polls `/jobs/<id>/result` until it answers 200 and returns the line.
+fn wait_result(addr: &str, id: &str) -> String {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let resp = get(addr, &format!("/jobs/{id}/result"));
+        if resp.status == 200 {
+            return resp.body.get_str("result").expect("result line").into();
+        }
+        assert_eq!(resp.status, 202, "job {id}: {}", resp.body.render());
+        assert!(Instant::now() < deadline, "job {id} never finished");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Asserts what the service answers for finished jobs (`done`, by id with
+/// their result lines), which it reads back from the journal.
+fn check_finished(addr: &str, done: &[(String, String)], seed0: u64) {
+    for (k, (id, line)) in done.iter().enumerate() {
+        let resp = get(addr, &format!("/jobs/{id}/result"));
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.body.get_str("result"), Some(line.as_str()));
+        let status = get(addr, &format!("/jobs/{id}"));
+        assert_eq!(status.body.get_str("state"), Some("done"));
+        let again = submit(addr, "demo-fast", seed0 + k as u64, 16);
+        assert_eq!(again.status, 200);
+        assert_eq!(again.body.get_bool("existing"), Some(true));
+        assert_eq!(again.body.get_str("job"), Some(id.as_str()));
+        assert_eq!(again.body.get_str("result"), Some(line.as_str()));
+        assert_eq!(post(addr, &format!("/jobs/{id}/cancel")).status, 409);
+    }
+    // The resubmissions ran nothing.
+    let health = get(addr, "/healthz");
+    assert_eq!(health.body.get_u64("queued"), Some(0));
+    assert_eq!(health.body.get_u64("running"), Some(0));
+    assert_eq!(health.body.get_u64("jobs"), Some(done.len() as u64));
+    let listing = get(addr, "/jobs").body;
+    let Some(Json::Arr(jobs)) = listing.get("jobs") else {
+        panic!("no job list in {}", listing.render());
+    };
+    let mut listed: Vec<(&str, &str)> = jobs
+        .iter()
+        .map(|j| {
+            (
+                j.get_str("job").expect("id"),
+                j.get_str("state").expect("state"),
+            )
+        })
+        .collect();
+    listed.sort();
+    let mut want: Vec<(&str, &str)> = done.iter().map(|(id, _)| (id.as_str(), "done")).collect();
+    want.sort();
+    assert_eq!(listed, want);
+    // Ids of the wrong shape never reach the journal.
+    for path in ["/jobs/zz/result", "/jobs/zz", "/jobs/..%2Fx/result"] {
+        assert_eq!(get(addr, path).status, 404, "{path}");
+    }
+    assert_eq!(post(addr, "/jobs/zz/cancel").status, 404);
+}
+
+#[test]
+fn finished_jobs_are_served_from_the_journal() {
+    let (handle, addr, dir) = start_server("journal", 1, 16);
+    let seed0 = 900;
+    let ids: Vec<String> = (0..4)
+        .map(|k| {
+            let resp = submit(&addr, "demo-fast", seed0 + k, 16);
+            assert_eq!(resp.body.get_bool("existing"), Some(false));
+            resp.body.get_str("job").expect("id").to_string()
+        })
+        .collect();
+    let done: Vec<(String, String)> = ids
+        .into_iter()
+        .map(|id| {
+            let line = wait_result(&addr, &id);
+            (id, line)
+        })
+        .collect();
+    check_finished(&addr, &done, seed0);
+    handle.shutdown();
+    handle.join();
+
+    // A restarted server counts and answers them the same way.
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        jobs_dir: dir.clone(),
+        ..ServeConfig::default()
+    };
+    let handle = Server::start(config, ModelRegistry::with_builtins()).expect("restart");
+    check_finished(&handle.addr().to_string(), &done, seed0);
+    stop(handle, &dir);
+}
+
+/// The voluntary context switches of this process's thread named `name`.
+#[cfg(target_os = "linux")]
+fn voluntary_switches(name: &str) -> u64 {
+    let mut seen = Vec::new();
+    for task in std::fs::read_dir("/proc/self/task")
+        .expect("task list")
+        .flatten()
+    {
+        let comm = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
+        if comm.trim_end() == name {
+            let status = std::fs::read_to_string(task.path().join("status")).expect("status");
+            let line = status
+                .lines()
+                .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+                .expect("voluntary_ctxt_switches");
+            return line.trim().parse().expect("a count");
+        }
+        seen.push(comm);
+    }
+    panic!("no thread named {name} among {seen:?}");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn idle_acceptor_sleeps_in_accept() {
+    let (handle, addr, dir) = start_server("idle", 1, 16);
+    // One request, so the acceptor has run (and named itself). Its name
+    // carries its port, so other tests' servers in this process are not
+    // counted.
+    assert_eq!(get(&addr, "/healthz").status, 200);
+    let name = format!("accept-{}", handle.addr().port());
+    let before = voluntary_switches(&name);
+    std::thread::sleep(Duration::from_secs(1));
+    let woke = voluntary_switches(&name) - before;
+    assert!(woke <= 2, "idle acceptor woke {woke} times in 1 s");
+    stop(handle, &dir);
+}
+
+#[test]
+fn shutdown_wakes_an_acceptor_bound_on_the_unspecified_address() {
+    let dir = std::env::temp_dir().join(format!("linvar-serve-http-any-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServeConfig {
+        addr: "0.0.0.0:0".into(),
+        workers: 1,
+        jobs_dir: dir.clone(),
+        ..ServeConfig::default()
+    };
+    let handle = Server::start(config, ModelRegistry::with_builtins()).expect("start server");
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.shutdown();
+        handle.join();
+        let _ = tx.send(());
+    });
+    assert!(
+        rx.recv_timeout(Duration::from_secs(20)).is_ok(),
+        "join did not return"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
