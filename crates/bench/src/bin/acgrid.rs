@@ -7,15 +7,16 @@
 //! draw and solves the DC operating point; the metric is the worst IR
 //! drop over the loaded tiles. Both backends always run (grid MNA
 //! dimensions are small), their `mc` rows must be byte-identical — the
-//! property `ci.sh` diffs and `tests/golden_fixtures.rs` pins — and the
-//! bin prints the dense/sparse throughput comparison.
+//! bin exits 1 on a mismatch, `ci.sh` checks that and
+//! `tests/golden_fixtures.rs` pins the rows — and the bin prints the
+//! dense/sparse throughput comparison.
 //!
-//! `LINVAR_SOLVER=dense|sparse` pins one backend instead. `--shards <N>`
-//! runs each campaign as N contiguous shards, one after another (rows
-//! byte-identical either way). `--engine sobol` reruns the flow over the Sobol quasi-MC
-//! stream; `--engine gpc` replaces the campaign with the Smolyak spectral
-//! grid of [`linvar_bench::grid::GRID_GPC_CONFIG`] — 11 DC solves per
-//! case. Neither spectral engine supports `--shards`.
+//! `--shards <N>` runs each campaign as N contiguous shards, one after
+//! another (rows byte-identical either way). `--engine sobol` reruns the
+//! flow over the Sobol quasi-MC stream; `--engine gpc` replaces the
+//! campaign with the Smolyak spectral grid of
+//! [`linvar_bench::grid::GRID_GPC_CONFIG`] — 11 DC solves per case.
+//! Neither spectral engine supports `--shards`.
 //!
 //! Per-case throughput lands in `BENCH_acgrid.json`; `--metrics <path>`
 //! writes a copy of the report.
@@ -52,20 +53,13 @@ fn run() -> Result<(), BenchError> {
     let threads = resolve_threads(0);
     let engine = args.engine.name();
     let n_samples = if args.quick { 8 } else { 24 };
-    let pinned = match SolverChoice::from_env() {
-        SolverChoice::Auto => None,
-        pick => Some(pick),
-    };
     println!("==== acgrid: stochastic power-grid IR-drop benchmark ====");
     println!(
         "({} suite, {n_samples} samples/case, {threads} worker thread(s); \
          set LINVAR_THREADS to change)",
         if args.quick { "quick" } else { "full" }
     );
-    match pinned {
-        Some(choice) => println!("backend pinned via LINVAR_SOLVER: {}", name_of(choice)),
-        None => println!("comparing backends (grid MNA is small; both always run)"),
-    }
+    println!("comparing backends (grid MNA is small; both always run)");
     if let Some(n_shards) = args.shards {
         println!("shards: {n_shards} per campaign, run one after another");
     }
@@ -112,34 +106,21 @@ fn run() -> Result<(), BenchError> {
             };
             Ok((row, rate))
         };
-        match pinned {
-            Some(choice) => {
-                let (row, rate) = campaign(choice)?;
-                println!("{row}");
-                eprintln!("{}: {} {rate:.2} {unit}/sec", case.name, name_of(choice));
-                meter.set(
-                    &format!("{}.{}.{unit}_per_sec", case.name, name_of(choice)),
-                    rate,
-                );
-            }
-            None => {
-                let (row_s, rate_s) = campaign(SolverChoice::Sparse)?;
-                let (row_d, rate_d) = campaign(SolverChoice::Dense)?;
-                meter.set(&format!("{}.sparse.{unit}_per_sec", case.name), rate_s);
-                meter.set(&format!("{}.dense.{unit}_per_sec", case.name), rate_d);
-                if row_s != row_d {
-                    return Err(BenchError::Msg(format!(
-                        "backend mismatch on {}:\n  dense:  {row_d}\n  sparse: {row_s}",
-                        case.name
-                    )));
-                }
-                println!("{row_s}");
-                println!(
-                    "{}: sparse {rate_s:.2} {unit}/sec, dense {rate_d:.2} {unit}/sec",
-                    case.name
-                );
-            }
+        let (row_s, rate_s) = campaign(SolverChoice::Sparse)?;
+        let (row_d, rate_d) = campaign(SolverChoice::Dense)?;
+        meter.set(&format!("{}.sparse.{unit}_per_sec", case.name), rate_s);
+        meter.set(&format!("{}.dense.{unit}_per_sec", case.name), rate_d);
+        if row_s != row_d {
+            return Err(BenchError::Msg(format!(
+                "backend mismatch on {}:\n  dense:  {row_d}\n  sparse: {row_s}",
+                case.name
+            )));
         }
+        println!("{row_s}");
+        println!(
+            "{}: sparse {rate_s:.2} {unit}/sec, dense {rate_d:.2} {unit}/sec",
+            case.name
+        );
         if args.engine == Engine::Gpc {
             meter.set(&format!("{}.gpc_nodes", case.name), plan.nodes.len() as u64);
         }
@@ -148,11 +129,4 @@ fn run() -> Result<(), BenchError> {
     }
     println!("{}", workspace_note());
     meter.finish(&args)
-}
-
-fn name_of(choice: SolverChoice) -> &'static str {
-    match choice {
-        SolverChoice::Dense => "dense",
-        _ => "sparse",
-    }
 }

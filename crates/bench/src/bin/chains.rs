@@ -5,12 +5,11 @@
 //! For every case the sparse backend always runs; the dense backend runs
 //! only when the MNA dimension is small enough for an `O(n³)` dense
 //! factorization to finish in reasonable time (the larger suite members
-//! exist precisely because it cannot). Where both backends run, the bin
-//! prints their `mc` statistic rows (byte-identical by construction — the
-//! property `ci.sh` diffs) and the dense/sparse wall-time speedup.
+//! exist precisely because it cannot). Where both backends run, their
+//! `mc` statistic rows must be byte-identical — the bin exits 1 on a
+//! mismatch, which is what `ci.sh` checks — and the bin prints the row
+//! once with the dense/sparse wall-time speedup.
 //!
-//! Setting `LINVAR_SOLVER=dense|sparse` pins a single backend instead;
-//! `ci.sh` uses that to run the quick suite once per backend and compare.
 //! `--shards <N>` runs every campaign as N contiguous shards, one after
 //! another — the `mc` rows are byte-identical either way.
 //!
@@ -48,7 +47,7 @@ use linvar_bench::{
     run_points, workspace_note, BenchArgs, BenchError, BenchMeter, Engine, Points, PointsRun,
 };
 use linvar_interconnect::{standard_cases, ChainCase};
-use linvar_numeric::{SolverBackend, SolverChoice};
+use linvar_numeric::SolverChoice;
 use linvar_stats::{resolve_threads, AnalysisKind, RunSpec, SpectralPlan};
 use std::time::Instant;
 
@@ -79,20 +78,13 @@ fn run() -> Result<(), BenchError> {
     let threads = resolve_threads(0);
     let engine = args.engine.name();
     let n_samples = if args.quick { 6 } else { 16 };
-    let pinned = match SolverChoice::from_env() {
-        SolverChoice::Auto => None,
-        pick => Some(pick),
-    };
     println!("==== chains: large-circuit solver benchmark ====");
     println!(
         "({} suite, {n_samples} samples/case, {threads} worker thread(s); \
          set LINVAR_THREADS to change)",
         if args.quick { "quick" } else { "full" }
     );
-    match pinned {
-        Some(choice) => println!("backend pinned via LINVAR_SOLVER: {}", name_of(choice)),
-        None => println!("comparing backends (dense skipped above dim {DENSE_MAX_DIM})"),
-    }
+    println!("comparing backends (dense skipped above dim {DENSE_MAX_DIM})");
     if let Some(n_shards) = args.shards {
         println!("shards: {n_shards} per campaign, run one after another");
     }
@@ -152,54 +144,33 @@ fn run() -> Result<(), BenchError> {
             };
             Ok((row, rate))
         };
-        match pinned {
-            Some(choice) => {
-                if backend_of(choice) == SolverBackend::Dense && case.dim > DENSE_MAX_DIM {
-                    println!(
-                        "dense {row_name}: infeasible at dim {} (skipped; dense cap \
-                         {DENSE_MAX_DIM})",
-                        case.dim
-                    );
-                    continue;
-                }
-                let (row, rate) = campaign(choice)?;
-                println!("{row}");
-                eprintln!("{row_name}: {} {rate:.2} {unit}/sec", name_of(choice));
-                meter.set(
-                    &format!("{row_name}.{}.{unit}_per_sec", name_of(choice)),
-                    rate,
-                );
+        let (row_s, rate_s) = campaign(SolverChoice::Sparse)?;
+        meter.set(&format!("{row_name}.sparse.{unit}_per_sec"), rate_s);
+        if case.dim <= DENSE_MAX_DIM {
+            let (row_d, rate_d) = campaign(SolverChoice::Dense)?;
+            meter.set(&format!("{row_name}.dense.{unit}_per_sec"), rate_d);
+            if row_s != row_d {
+                return Err(BenchError::Msg(format!(
+                    "backend mismatch on {row_name}:\n  dense:  {row_d}\n  sparse: {row_s}"
+                )));
             }
-            None => {
-                let (row_s, rate_s) = campaign(SolverChoice::Sparse)?;
-                meter.set(&format!("{row_name}.sparse.{unit}_per_sec"), rate_s);
-                if case.dim <= DENSE_MAX_DIM {
-                    let (row_d, rate_d) = campaign(SolverChoice::Dense)?;
-                    meter.set(&format!("{row_name}.dense.{unit}_per_sec"), rate_d);
-                    if row_s != row_d {
-                        return Err(BenchError::Msg(format!(
-                            "backend mismatch on {row_name}:\n  dense:  {row_d}\n  sparse: {row_s}"
-                        )));
-                    }
-                    println!("{row_s}");
-                    let speedup = rate_s / rate_d;
-                    println!(
-                        "{row_name}: sparse {rate_s:.2} {unit}/sec, dense {rate_d:.2} \
-                         {unit}/sec, speedup {speedup:.2}x"
-                    );
-                    meter.set(&format!("{row_name}.speedup"), speedup);
-                } else {
-                    println!("{row_s}");
-                    let dense_gib =
-                        (case.dim as f64) * (case.dim as f64) * 8.0 / (1024.0 * 1024.0 * 1024.0);
-                    println!(
-                        "{row_name}: sparse {rate_s:.2} {unit}/sec; dense infeasible at dim {} \
-                         (~{dense_gib:.1} GiB per factor, cap {DENSE_MAX_DIM})",
-                        case.dim
-                    );
-                    meter.set(&format!("{row_name}.dense_infeasible"), true);
-                }
-            }
+            println!("{row_s}");
+            let speedup = rate_s / rate_d;
+            println!(
+                "{row_name}: sparse {rate_s:.2} {unit}/sec, dense {rate_d:.2} \
+                 {unit}/sec, speedup {speedup:.2}x"
+            );
+            meter.set(&format!("{row_name}.speedup"), speedup);
+        } else {
+            println!("{row_s}");
+            let dense_gib =
+                (case.dim as f64) * (case.dim as f64) * 8.0 / (1024.0 * 1024.0 * 1024.0);
+            println!(
+                "{row_name}: sparse {rate_s:.2} {unit}/sec; dense infeasible at dim {} \
+                 (~{dense_gib:.1} GiB per factor, cap {DENSE_MAX_DIM})",
+                case.dim
+            );
+            meter.set(&format!("{row_name}.dense_infeasible"), true);
         }
         if args.engine == Engine::Gpc {
             meter.set(&format!("{}.gpc_nodes", case.name), plan.nodes.len() as u64);
@@ -239,15 +210,4 @@ fn timed_campaign(
     };
     let rate = n as f64 / t0.elapsed().as_secs_f64().max(1e-12);
     Ok((run, rate))
-}
-
-fn backend_of(choice: SolverChoice) -> SolverBackend {
-    match choice {
-        SolverChoice::Dense => SolverBackend::Dense,
-        _ => SolverBackend::Sparse,
-    }
-}
-
-fn name_of(choice: SolverChoice) -> &'static str {
-    backend_of(choice).name()
 }

@@ -155,7 +155,8 @@ fn run() -> Result<(), String> {
             let timeout = opts.take_usize("timeout-secs")?.unwrap_or(120);
             let addr = opts.addr.clone();
             opts.finish()?;
-            let deadline = Instant::now() + Duration::from_secs(timeout as u64);
+            // A timeout past what `Instant` can represent never expires.
+            let deadline = Instant::now().checked_add(Duration::from_secs(timeout as u64));
             loop {
                 let resp = request(
                     &addr,
@@ -180,7 +181,7 @@ fn run() -> Result<(), String> {
                 if resp.status != 202 {
                     return Err(format!("wait: unexpected status {}", resp.status));
                 }
-                if Instant::now() >= deadline {
+                if deadline.is_some_and(|d| Instant::now() >= d) {
                     return Err(format!("job {job} not terminal after {timeout}s"));
                 }
                 std::thread::sleep(Duration::from_millis(50));

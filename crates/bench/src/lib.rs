@@ -269,12 +269,13 @@ impl BenchArgs {
                     let secs: f64 = raw.parse().map_err(|_| {
                         BenchError::Usage(format!("--deadline wants seconds, got {raw:?}"))
                     })?;
-                    if !secs.is_finite() || secs < 0.0 {
-                        return Err(BenchError::Usage(format!(
-                            "--deadline wants a non-negative number of seconds, got {raw:?}"
-                        )));
-                    }
-                    out.deadline = Some(Duration::from_secs_f64(secs));
+                    let deadline = Duration::try_from_secs_f64(secs).map_err(|_| {
+                        BenchError::Usage(format!(
+                            "--deadline wants a non-negative number of seconds within \
+                             range, got {raw:?}"
+                        ))
+                    })?;
+                    out.deadline = Some(deadline);
                 }
                 "--shards" => {
                     let raw = value(&mut argv, "--shards")?;

@@ -11,10 +11,10 @@
 //!
 //! which routes every complex solve through the existing [`AnySolver`]
 //! machinery rather than a parallel complex implementation: dense/sparse
-//! backend selection (`LINVAR_SOLVER`, size heuristic on the *embedded*
-//! order `2n`), the diagonal-perturbation recovery ladder, sparse
-//! pattern-reuse refactorization across a frequency sweep, and workspace
-//! pooling for the per-solve real scratch.
+//! backend selection (by the *embedded* order `2n`), the
+//! diagonal-perturbation recovery ladder, sparse pattern-reuse
+//! refactorization across a frequency sweep, and workspace pooling for
+//! the per-solve real scratch.
 //!
 //! Pattern invariance is deliberate: [`embed_triplets`] emits all four
 //! block entries for every complex triplet, zero components included, so

@@ -16,7 +16,7 @@
 //! stamps and a [`SparseLu`] factorization with a symbolic/numeric phase
 //! split, so per-sample refactors reuse the elimination pattern. The
 //! [`LinearSolver`] trait and [`AnySolver`] wrapper select between them at
-//! runtime (automatically by size, or pinned via `LINVAR_SOLVER`).
+//! runtime by matrix order, or as pinned per call by [`SolverChoice`].
 //!
 //! # Example
 //!

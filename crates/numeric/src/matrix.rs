@@ -125,16 +125,6 @@ impl Matrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Returns a mutable slice of row `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.rows()`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        assert!(i < self.rows, "row index {i} out of bounds");
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Returns column `j` as an owned vector.
     pub fn col(&self, j: usize) -> Vec<f64> {
         assert!(j < self.cols, "column index {j} out of bounds");

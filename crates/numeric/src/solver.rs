@@ -8,13 +8,12 @@
 //!   split, right for the large benchmark interconnect nets where a
 //!   dense factor would be O(n³) on a matrix that is almost all zeros.
 //!
-//! Callers that don't care pick [`SolverChoice::Auto`]: the
-//! `LINVAR_SOLVER` environment variable (`dense` / `sparse` / `auto`) is
-//! consulted first, then matrix order decides — at or above
-//! [`SPARSE_AUTO_MIN_DIM`] unknowns the sparse backend wins. The
-//! threshold sits above every existing paper workload on purpose, so
-//! default-configuration results (and the table4/fig7 golden fixtures)
-//! are bit-for-bit unchanged.
+//! [`AnySolver`] is the one way an engine factors a stamped system.
+//! Callers that don't care pick [`SolverChoice::Auto`], which decides by
+//! matrix order alone: at or above [`SPARSE_AUTO_MIN_DIM`] unknowns the
+//! sparse backend wins. The threshold sits above every existing paper
+//! workload on purpose, so default-configuration results (and the
+//! table4/fig7 golden fixtures) are bit-for-bit unchanged.
 
 use crate::error::NumericError;
 use crate::lu::{FactorRecovery, LuFactor};
@@ -48,13 +47,11 @@ impl SolverBackend {
 
 /// Caller-facing backend request.
 ///
-/// `Auto` defers to the `LINVAR_SOLVER` environment variable and then to
-/// the size heuristic; the explicit variants pin the backend regardless
-/// of environment (which keeps parallel test binaries free of env
-/// races).
+/// `Auto` decides by matrix order; the explicit variants pin the backend
+/// for one call (the equivalence tests run both).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverChoice {
-    /// Environment override, then size heuristic.
+    /// Size heuristic.
     #[default]
     Auto,
     /// Always the dense backend.
@@ -64,43 +61,15 @@ pub enum SolverChoice {
 }
 
 impl SolverChoice {
-    /// Parses a `LINVAR_SOLVER`-style string. Unknown values fall back
-    /// to `Auto` (misspelling an env var must not silently change
-    /// numerics — `Auto` reproduces the default).
-    pub fn parse(s: &str) -> SolverChoice {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "dense" => SolverChoice::Dense,
-            "sparse" => SolverChoice::Sparse,
-            _ => SolverChoice::Auto,
-        }
-    }
-
-    /// Reads the `LINVAR_SOLVER` environment variable.
-    pub fn from_env() -> SolverChoice {
-        match std::env::var("LINVAR_SOLVER") {
-            Ok(v) => SolverChoice::parse(&v),
-            Err(_) => SolverChoice::Auto,
-        }
-    }
-
     /// Resolves this choice to a concrete backend for a system of order
-    /// `n`. `Auto` consults `LINVAR_SOLVER` first; if that is also
-    /// `auto` (or unset), size decides.
+    /// `n`: `Auto` is sparse at [`SPARSE_AUTO_MIN_DIM`] unknowns or more
+    /// and dense below.
     pub fn backend_for(self, n: usize) -> SolverBackend {
-        let effective = match self {
-            SolverChoice::Auto => SolverChoice::from_env(),
-            pinned => pinned,
-        };
-        match effective {
+        match self {
             SolverChoice::Dense => SolverBackend::Dense,
             SolverChoice::Sparse => SolverBackend::Sparse,
-            SolverChoice::Auto => {
-                if n >= SPARSE_AUTO_MIN_DIM {
-                    SolverBackend::Sparse
-                } else {
-                    SolverBackend::Dense
-                }
-            }
+            SolverChoice::Auto if n >= SPARSE_AUTO_MIN_DIM => SolverBackend::Sparse,
+            SolverChoice::Auto => SolverBackend::Dense,
         }
     }
 }
@@ -440,12 +409,16 @@ mod tests {
     }
 
     #[test]
-    fn parse_and_default() {
-        assert_eq!(SolverChoice::parse("dense"), SolverChoice::Dense);
-        assert_eq!(SolverChoice::parse(" SPARSE\n"), SolverChoice::Sparse);
-        assert_eq!(SolverChoice::parse("auto"), SolverChoice::Auto);
-        assert_eq!(SolverChoice::parse("bogus"), SolverChoice::Auto);
+    fn auto_decides_by_order_alone() {
         assert_eq!(SolverChoice::default(), SolverChoice::Auto);
+        assert_eq!(
+            SolverChoice::Auto.backend_for(SPARSE_AUTO_MIN_DIM - 1),
+            SolverBackend::Dense
+        );
+        assert_eq!(
+            SolverChoice::Auto.backend_for(SPARSE_AUTO_MIN_DIM),
+            SolverBackend::Sparse
+        );
     }
 
     #[test]

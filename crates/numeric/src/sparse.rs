@@ -151,21 +151,35 @@ impl SparseMatrix {
     }
 
     /// Converts a dense matrix, keeping only its nonzero entries.
+    ///
+    /// Walks the row-major storage in order, once to count each column's
+    /// entries and once to place them (a counting sort), so the rows of
+    /// every column come out ascending.
     pub fn from_dense(a: &Matrix) -> Self {
         let (n_rows, n_cols) = (a.rows(), a.cols());
-        let mut col_ptr = Vec::with_capacity(n_cols + 1);
-        let mut row_idx = Vec::new();
-        let mut values = Vec::new();
-        col_ptr.push(0);
-        for j in 0..n_cols {
-            for i in 0..n_rows {
-                let v = a[(i, j)];
+        let mut col_ptr = vec![0usize; n_cols + 1];
+        for i in 0..n_rows {
+            for (j, &v) in a.row(i).iter().enumerate() {
                 if v != 0.0 {
-                    row_idx.push(i);
-                    values.push(v);
+                    col_ptr[j + 1] += 1;
                 }
             }
-            col_ptr.push(row_idx.len());
+        }
+        for j in 0..n_cols {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let nnz = col_ptr[n_cols];
+        let mut next = col_ptr[..n_cols].to_vec();
+        let mut row_idx = vec![0usize; nnz];
+        let mut values = vec![0.0f64; nnz];
+        for i in 0..n_rows {
+            for (j, &v) in a.row(i).iter().enumerate() {
+                if v != 0.0 {
+                    row_idx[next[j]] = i;
+                    values[next[j]] = v;
+                    next[j] += 1;
+                }
+            }
         }
         SparseMatrix {
             n_rows,
@@ -246,14 +260,6 @@ impl SparseMatrix {
     /// The value array, parallel to [`SparseMatrix::row_indices`].
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-
-    /// `true` if `other` stores exactly the same nonzero pattern.
-    pub fn pattern_eq(&self, other: &SparseMatrix) -> bool {
-        self.n_rows == other.n_rows
-            && self.n_cols == other.n_cols
-            && self.col_ptr == other.col_ptr
-            && self.row_idx == other.row_idx
     }
 
     /// Largest entry magnitude (`0.0` for an empty matrix).

@@ -595,11 +595,6 @@ impl SparseLu {
         self.n
     }
 
-    /// Stored nonzeros in `L` and `U` combined (diagonals included).
-    pub fn factor_nnz(&self) -> usize {
-        self.l_vals.len() + self.u_vals.len() + 2 * self.n
-    }
-
     /// Cheap condition estimate: ratio of the largest to the smallest
     /// `|U|` diagonal magnitude (same estimator as the dense backend).
     pub fn condition_estimate(&self) -> f64 {

@@ -244,9 +244,12 @@ impl Server {
         let workers = (0..shared.config.workers.max(1))
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
+                std::thread::Builder::new()
+                    .name(format!("job-{}", addr.port()))
+                    .spawn(move || worker_loop(&shared))
+                    .map_err(|e| ServeError::Spawn(e.to_string()))
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
 
         Ok(ServerHandle {
             addr,
@@ -663,11 +666,13 @@ fn worker_loop(shared: &Shared) {
                 if let Some(rec) = claim_locked(&mut sched) {
                     break Some(rec);
                 }
+                // No wake is lost: an enqueue changes the queues under
+                // this lock, and `begin_shutdown` takes it after raising
+                // its flag, before either notifies.
                 sched = shared
                     .work_cv
-                    .wait_timeout(sched, Duration::from_millis(100))
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0;
+                    .wait(sched)
+                    .unwrap_or_else(|e| e.into_inner());
             }
         };
         let Some(rec) = claimed else {
@@ -681,22 +686,27 @@ fn worker_loop(shared: &Shared) {
 
 /// Fair claim: round-robin over tenants in first-seen order, FIFO
 /// within a tenant. One chatty tenant cannot starve the rest — each
-/// pass serves at most one job per tenant before moving on.
+/// pass serves at most one job per tenant before moving on. A queued id
+/// without a live record is dropped and the claim goes on: returning
+/// `None` while work is queued would leave that work waiting for a wake
+/// that may never come.
 fn claim_locked(sched: &mut Sched) -> Option<JobRecord> {
     let nt = sched.tenant_rr.len();
     for k in 0..nt {
         let ti = (sched.rr_next + k) % nt;
         let tenant = sched.tenant_rr[ti].clone();
-        let Some(q) = sched.queues.get_mut(&tenant) else {
-            continue;
-        };
-        let Some(id) = q.pop_front() else { continue };
-        sched.rr_next = (ti + 1) % nt;
-        sched.queued -= 1;
-        sched.running += 1;
-        let flag = Arc::new(AtomicBool::new(false));
-        sched.cancel_flags.insert(id.clone(), flag);
-        return sched.jobs.get(&id).cloned();
+        while let Some(id) = sched.queues.get_mut(&tenant).and_then(VecDeque::pop_front) {
+            sched.queued -= 1;
+            let Some(rec) = sched.jobs.get(&id).cloned() else {
+                continue;
+            };
+            sched.rr_next = (ti + 1) % nt;
+            sched.running += 1;
+            sched
+                .cancel_flags
+                .insert(id, Arc::new(AtomicBool::new(false)));
+            return Some(rec);
+        }
     }
     None
 }

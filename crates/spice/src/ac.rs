@@ -7,15 +7,16 @@
 //!
 //! The complex system is solved through [`CAnySolver`] — the real-embedded
 //! `2n×2n` form of the `AnySolver` stack — so AC inherits the dense/sparse
-//! backend selection (`LINVAR_SOLVER`), the diagonal-perturbation recovery
-//! ladder, and workspace pooling of the real path. A sweep stamps the
-//! union sparsity pattern of `G` and `C` once; every frequency point after
-//! the first reuses it through the pattern-reuse refactor fast path (on
-//! the sparse backend, numeric-only refactorization).
+//! backend selection (by the embedded order), the diagonal-perturbation
+//! recovery ladder, and workspace pooling of the real path. A sweep sums
+//! the netlist's `G` and `C` stamps into CSC once and merges their
+//! patterns; every frequency point after the first reuses that union
+//! through the pattern-reuse refactor fast path (on the sparse backend,
+//! numeric-only refactorization). No dense `n×n` matrix is built.
 
 use crate::error::SpiceError;
-use linvar_circuit::Netlist;
-use linvar_numeric::{CAnySolver, Complex, Matrix, SolverChoice};
+use linvar_circuit::{Element, Netlist};
+use linvar_numeric::{CAnySolver, Complex, SolverChoice, SparseMatrix};
 use std::collections::HashMap;
 
 /// Result of an AC sweep.
@@ -69,23 +70,39 @@ pub fn linear_frequencies(f_lo: f64, f_hi: f64, n: usize) -> Vec<f64> {
 /// ω, which is what lets [`sweep_rows`] walk the refactor fast path.
 struct AcOperator {
     n: usize,
-    /// `(i, j, g, c)` for every position where `G` or `C` is nonzero.
+    /// `(i, j, g, c)` for every position where `G` or `C` is nonzero,
+    /// column by column.
     entries: Vec<(usize, usize, f64, f64)>,
 }
 
 impl AcOperator {
-    fn from_dense(g: &Matrix, c: &Matrix) -> Self {
-        let n = g.rows();
-        let mut entries = Vec::new();
-        for i in 0..n {
-            for j in 0..n {
-                let (gij, cij) = (g[(i, j)], c[(i, j)]);
-                if gij != 0.0 || cij != 0.0 {
-                    entries.push((i, j, gij, cij));
-                }
+    /// Sums each stamp stream into CSC ([`SparseMatrix::from_stamps`]:
+    /// exactly the nonzero entries of its dense `+=` replay) and merges
+    /// the two column patterns; a position only one matrix stores takes
+    /// `0.0` for the other.
+    fn from_stamps(
+        n: usize,
+        g: &[(usize, usize, f64)],
+        c: &[(usize, usize, f64)],
+    ) -> Result<Self, SpiceError> {
+        let g = SparseMatrix::from_stamps(n, n, g)?;
+        let c = SparseMatrix::from_stamps(n, n, c)?;
+        let mut entries = Vec::with_capacity(g.nnz() + c.nnz());
+        for j in 0..n {
+            let ((g_rows, g_vals), (c_rows, c_vals)) = (g.col(j), c.col(j));
+            let (mut a, mut b) = (0, 0);
+            while a < g_rows.len() || b < c_rows.len() {
+                let rg = g_rows.get(a).copied().unwrap_or(usize::MAX);
+                let rc = c_rows.get(b).copied().unwrap_or(usize::MAX);
+                let row = rg.min(rc);
+                let gij = if rg == row { g_vals[a] } else { 0.0 };
+                let cij = if rc == row { c_vals[b] } else { 0.0 };
+                entries.push((row, j, gij, cij));
+                a += usize::from(rg == row);
+                b += usize::from(rc == row);
             }
         }
-        AcOperator { n, entries }
+        Ok(AcOperator { n, entries })
     }
 
     fn triplets_at(&self, omega: f64, buf: &mut Vec<(usize, usize, Complex)>) {
@@ -181,12 +198,15 @@ pub fn ac_analysis_with(
     choice: SolverChoice,
 ) -> Result<AcResult, SpiceError> {
     reject_mosfets(nl)?;
-    let mna = nl.assemble_mna()?;
-    let n = mna.g.rows();
-    let source_branch = mna
-        .vsource_names
+    let stamps = nl.stamp_mna(&[])?;
+    let n = stamps.dim;
+    // Branch rows follow the node rows, one per voltage source in
+    // element order.
+    let source_branch = nl
+        .elements()
         .iter()
-        .position(|s| s == source)
+        .filter(|e| matches!(e, Element::VSource { .. }))
+        .position(|e| e.name() == source)
         .ok_or_else(|| SpiceError::BadCircuit(format!("unknown voltage source {source}")))?;
     let mut probe_rows = Vec::with_capacity(probes.len());
     for p in probes {
@@ -199,9 +219,9 @@ pub fn ac_analysis_with(
         probe_rows.push((p.to_string(), row));
     }
     let mut rhs = vec![Complex::ZERO; n];
-    rhs[mna.node_count + source_branch] = Complex::ONE;
+    rhs[stamps.node_count + source_branch] = Complex::ONE;
 
-    let op = AcOperator::from_dense(&mna.g, &mna.c);
+    let op = AcOperator::from_stamps(n, &stamps.g, &stamps.c)?;
     let rows: Vec<usize> = probe_rows.iter().map(|&(_, r)| r).collect();
     let per_row = op.sweep_rows(&rhs, freqs, &rows, choice)?;
     let response = probe_rows
@@ -239,15 +259,15 @@ pub fn ac_impedance_with(
     choice: SolverChoice,
 ) -> Result<Vec<Complex>, SpiceError> {
     reject_mosfets(nl)?;
-    let var = nl.assemble_variational()?;
+    let stamps = nl.variational_stamps()?;
     let node = nl
         .find_node(port)
         .and_then(|n| n.mna_index())
         .ok_or_else(|| SpiceError::BadCircuit(format!("unknown port node {port}")))?;
-    let n = var.order();
+    let n = stamps.dim;
     let mut rhs = vec![Complex::ZERO; n];
     rhs[node] = Complex::ONE;
-    let op = AcOperator::from_dense(&var.g0, &var.c0);
+    let op = AcOperator::from_stamps(n, &stamps.g0, &stamps.c0)?;
     let mut per_row = op.sweep_rows(&rhs, freqs, &[node], choice)?;
     Ok(per_row.remove(0))
 }
@@ -335,7 +355,7 @@ mod tests {
             prev = next;
         }
         nl.mark_port(p).unwrap();
-        let var = nl.assemble_variational().unwrap();
+        let var = nl.variational_stamps().unwrap().dense();
         let b = var.port_incidence();
         let rom = prima_reduce(&var.g0, &var.c0, &b, 6).unwrap();
         let pr = extract_pole_residue(&rom).unwrap();

@@ -21,9 +21,7 @@ use crate::error::SpiceError;
 use crate::poleres_load::OnePortPoleResidue;
 use linvar_circuit::{Element, Netlist, NodeId};
 use linvar_devices::{DeviceVariation, ModelLibrary, MosParams};
-use linvar_numeric::{
-    AnySolver, LinearSolver, LuFactor, Matrix, SolverBackend, SolverChoice, SparseLu, SparseMatrix,
-};
+use linvar_numeric::{AnySolver, LinearSolver, LuFactor, Matrix, SolverChoice};
 use std::collections::HashMap;
 
 /// Options for a transient analysis.
@@ -52,9 +50,7 @@ pub struct TransientOptions {
     /// nodes.
     pub gmin: f64,
     /// Linear-solver backend for the `A0` factorizations. `Auto` (the
-    /// default) consults `LINVAR_SOLVER` and then matrix order; pinning
-    /// `Dense`/`Sparse` here keeps tests free of environment races.
-    /// Circuits with a pole/residue load always use the dense backend.
+    /// default) picks by matrix order; `Dense`/`Sparse` pin one backend.
     pub solver: SolverChoice,
 }
 
@@ -598,22 +594,12 @@ impl Transient {
         res
     }
 
-    /// Which factorization backend this analysis uses. Pole/residue loads
-    /// stamp dense state rows, so they pin the dense backend; otherwise
-    /// the option's choice resolves by system order.
-    fn backend(&self) -> SolverBackend {
-        if self.poleres.is_some() {
-            SolverBackend::Dense
-        } else {
-            self.opts.solver.backend_for(self.dim)
-        }
-    }
-
     /// Assembles the constant part of the Newton matrix as stamp triplets:
-    /// static stamps, the extra ladder gmin, and capacitor/inductor
-    /// trapezoidal companions for timestep `h` (`None` = DC). The
-    /// emission order exactly mirrors the historical dense assembly, so
-    /// replaying the triplets with `+=` reproduces its bits.
+    /// static stamps, the extra ladder gmin, capacitor/inductor
+    /// trapezoidal companions for timestep `h` (`None` = DC), then the
+    /// pole/residue load's rows. The emission order exactly mirrors the
+    /// historical dense assembly, so replaying the triplets with `+=`
+    /// reproduces its bits.
     fn assemble_triplets(&self, h: Option<f64>, extra_gmin: f64) -> Vec<(usize, usize, f64)> {
         let extra = self.n_nodes + 4 * (self.caps.len() + self.inductors.len());
         let mut t = Vec::with_capacity(self.static_stamps.len() + extra);
@@ -636,23 +622,10 @@ impl Transient {
                 stamp_t(&mut t, l.a, l.b, INDUCTOR_DC_SHORT);
             }
         }
-        t
-    }
-
-    /// Replays stamp triplets into a dense matrix in emission order.
-    fn assemble_dense(&self, triplets: &[(usize, usize, f64)]) -> Matrix {
-        let mut a = Matrix::zeros(self.dim, self.dim);
-        for &(i, j, v) in triplets {
-            a[(i, j)] += v;
-        }
-        a
-    }
-
-    /// Stamps the pole/residue load's constant rows.
-    fn stamp_poleres(&self, a: &mut Matrix, h: Option<f64>) {
         if let Some(p) = &self.poleres {
-            p.stamp(a, self.n_nodes + self.n_vsrc, h);
+            p.stamp(&mut t, self.n_nodes + self.n_vsrc, h);
         }
+        t
     }
 
     /// RHS vector at time `t` given the previous state (for companions).
@@ -710,10 +683,10 @@ impl Transient {
     }
 
     /// Builds the per-timestep cache: for the Woodbury path, factor `A0`
-    /// once (on the selected backend) and pre-solve the device incidence
-    /// columns. `h_opt` is the companion timestep (`None` = DC); `prev`
-    /// donates its sparse factorization for a pattern-reusing numeric
-    /// refactor when the backend allows it.
+    /// once and pre-solve the device incidence columns. `h_opt` is the
+    /// companion timestep (`None` = DC); `prev` donates its factorization
+    /// for [`AnySolver::refactor_triplets`] (on the sparse backend a
+    /// numeric-only refactor when the pattern is unchanged).
     fn make_cache(
         &self,
         h: f64,
@@ -724,8 +697,10 @@ impl Transient {
     ) -> Result<StepCache, SpiceError> {
         let triplets = self.assemble_triplets(h_opt, extra_gmin);
         if self.opts.dense_rebuild {
-            let mut a0 = self.assemble_dense(&triplets);
-            self.stamp_poleres(&mut a0, h_opt);
+            let mut a0 = Matrix::zeros(self.dim, self.dim);
+            for &(i, j, v) in &triplets {
+                a0[(i, j)] += v;
+            }
             return Ok(StepCache {
                 h,
                 a0: Some(a0),
@@ -733,36 +708,17 @@ impl Transient {
                 a0inv_u: Matrix::zeros(0, 0),
             });
         }
-        let solver = match self.backend() {
-            SolverBackend::Dense => {
-                let mut a0 = self.assemble_dense(&triplets);
-                self.stamp_poleres(&mut a0, h_opt);
-                let mut lu = LuFactor::new(&a0).map_err(SpiceError::from)?;
-                // The cache serves every Newton iteration until the
-                // timestep changes; index the (ladder-sparse) factors once
-                // so each of those solves substitutes over the nonzeros
-                // only.
-                lu.optimize_for_solves();
-                AnySolver::Dense(lu)
+        let mut solver = match prev.and_then(|p| p.solver) {
+            Some(mut solver) => {
+                solver.refactor_triplets(self.dim, &triplets)?;
+                solver
             }
-            SolverBackend::Sparse => {
-                let a = SparseMatrix::from_triplets(self.dim, self.dim, &triplets)
-                    .map_err(SpiceError::from)?;
-                // Numeric-only refactor when the previous step's pattern
-                // matches (same circuit, new companion values); a pattern
-                // change or pivot breakdown falls back to a full factor —
-                // whose symbolic ordering is itself served by the
-                // per-worker pattern cache.
-                let reused = prev.and_then(|p| match p.solver {
-                    Some(AnySolver::Sparse(mut lu)) => lu.refactor(&a).ok().map(|()| lu),
-                    _ => None,
-                });
-                match reused {
-                    Some(lu) => AnySolver::Sparse(lu),
-                    None => AnySolver::Sparse(SparseLu::new(&a).map_err(SpiceError::from)?),
-                }
-            }
+            None => AnySolver::factor_triplets(self.dim, &triplets, self.opts.solver)?,
         };
+        // The cache serves every Newton iteration until the timestep
+        // changes; index the (ladder-sparse) dense factors once so each of
+        // those solves substitutes over the nonzeros only.
+        solver.optimize_for_solves();
         stats.lu_factorizations += 1;
         let ndev = self.devices.len();
         let a0inv_u = if ndev > 0 {

@@ -17,7 +17,6 @@
 
 use crate::error::SpiceError;
 use linvar_mor::PoleResidueModel;
-use linvar_numeric::Matrix;
 
 /// One realized section of the impedance.
 #[derive(Debug, Clone)]
@@ -137,57 +136,58 @@ impl OnePortPoleResidue {
         1 + self.x_prev.len()
     }
 
-    /// Stamps the constant rows: port KCL coupling, the branch (voltage)
-    /// equation and the state equations (trapezoidal for timestep `h`,
-    /// steady-state for `None`).
+    /// Emits the constant rows as `(row, col, value)` stamps, to be summed
+    /// with `+=` after the circuit's own: port KCL coupling, the branch
+    /// (voltage) equation and the state equations (trapezoidal for
+    /// timestep `h`, steady-state for `None`).
     ///
     /// `base` is the index of the first extra unknown.
-    pub fn stamp(&self, a: &mut Matrix, base: usize, h: Option<f64>) {
+    pub fn stamp(&self, t: &mut Vec<(usize, usize, f64)>, base: usize, h: Option<f64>) {
         let i_cur = base; // port current unknown
         let node = self.node_index;
         // KCL at the node: + i (current flows from node into the load).
-        a[(node, i_cur)] += 1.0;
+        t.push((node, i_cur, 1.0));
         // Branch equation: v_node - d·i - Σ c·x = 0.
-        a[(i_cur, node)] += 1.0;
-        a[(i_cur, i_cur)] -= self.direct;
+        t.push((i_cur, node, 1.0));
+        t.push((i_cur, i_cur, -self.direct));
         let mut st = base + 1;
         for sec in &self.sections {
             match sec {
                 Section::Real { p, r } => {
-                    a[(i_cur, st)] -= r;
+                    t.push((i_cur, st, -r));
                     // State row: trap: x(1 - h·p/2) - (h/2)·i = rhs
                     // steady:    -p·x - i = 0.
                     match h {
                         Some(h) => {
-                            a[(st, st)] += 1.0 - h * p / 2.0;
-                            a[(st, i_cur)] -= h / 2.0;
+                            t.push((st, st, 1.0 - h * p / 2.0));
+                            t.push((st, i_cur, -(h / 2.0)));
                         }
                         None => {
-                            a[(st, st)] -= p;
-                            a[(st, i_cur)] -= 1.0;
+                            t.push((st, st, -p));
+                            t.push((st, i_cur, -1.0));
                         }
                     }
                     st += 1;
                 }
                 Section::Pair { pr, pi, rr, ri } => {
                     // v contribution: 2(rr·xr - ri·xi).
-                    a[(i_cur, st)] -= 2.0 * rr;
-                    a[(i_cur, st + 1)] += 2.0 * ri;
+                    t.push((i_cur, st, -(2.0 * rr)));
+                    t.push((i_cur, st + 1, 2.0 * ri));
                     match h {
                         Some(h) => {
                             // xr' = pr·xr - pi·xi + i;  xi' = pi·xr + pr·xi.
-                            a[(st, st)] += 1.0 - h * pr / 2.0;
-                            a[(st, st + 1)] += h * pi / 2.0;
-                            a[(st, i_cur)] -= h / 2.0;
-                            a[(st + 1, st + 1)] += 1.0 - h * pr / 2.0;
-                            a[(st + 1, st)] -= h * pi / 2.0;
+                            t.push((st, st, 1.0 - h * pr / 2.0));
+                            t.push((st, st + 1, h * pi / 2.0));
+                            t.push((st, i_cur, -(h / 2.0)));
+                            t.push((st + 1, st + 1, 1.0 - h * pr / 2.0));
+                            t.push((st + 1, st, -(h * pi / 2.0)));
                         }
                         None => {
-                            a[(st, st)] -= pr;
-                            a[(st, st + 1)] += pi;
-                            a[(st, i_cur)] -= 1.0;
-                            a[(st + 1, st + 1)] -= pr;
-                            a[(st + 1, st)] -= pi;
+                            t.push((st, st, -pr));
+                            t.push((st, st + 1, *pi));
+                            t.push((st, i_cur, -1.0));
+                            t.push((st + 1, st + 1, -pr));
+                            t.push((st + 1, st, -pi));
                         }
                     }
                     st += 2;
@@ -256,7 +256,7 @@ mod tests {
     use super::*;
     use crate::engine::{Transient, TransientOptions};
     use linvar_circuit::{Netlist, SourceWaveform};
-    use linvar_numeric::{CMatrix, Complex};
+    use linvar_numeric::{CMatrix, Complex, Matrix};
 
     fn one_port_model(poles: &[Complex], res: &[Complex], direct: f64) -> PoleResidueModel {
         PoleResidueModel {
@@ -393,16 +393,28 @@ mod tests {
         nl.add_resistor("Rs", inp, out, 500.0).unwrap();
         let mut opts = TransientOptions::new(5e-9, 2e-12);
         opts.probes.push("out".into());
-        let res = Transient::new(&nl, &opts)
-            .unwrap()
-            .with_poleres_load(load)
-            .unwrap()
-            .run()
-            .unwrap();
+        let run = |opts: &TransientOptions| {
+            Transient::new(&nl, opts)
+                .unwrap()
+                .with_poleres_load(load.clone())
+                .unwrap()
+                .run()
+                .unwrap()
+        };
+        let res = run(&opts);
         // Final value: divider Rs / (Rs + Z(0)).
         let v_end = *res.probe("out").unwrap().last().unwrap();
         let expect = dc_expect / (500.0 + dc_expect);
         assert!((v_end - expect).abs() < 0.02, "{v_end} vs {expect}");
+        // The load's rows are plain stamps: the sparse backend factors
+        // them too and tracks the dense waveform.
+        opts.solver = linvar_numeric::SolverChoice::Sparse;
+        let sparse = run(&opts);
+        let (dense_w, sparse_w) = (res.probe("out").unwrap(), sparse.probe("out").unwrap());
+        assert_eq!(dense_w.len(), sparse_w.len());
+        for (d, s) in dense_w.iter().zip(sparse_w) {
+            assert!((d - s).abs() < 1e-9, "dense {d} vs sparse {s}");
+        }
     }
 
     #[test]

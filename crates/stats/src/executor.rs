@@ -244,7 +244,8 @@ pub(crate) fn run_range<S: Sync>(
     }
 
     let pending: Vec<usize> = (0..n).filter(|&i| records[i].is_none()).collect();
-    let deadline = config.deadline.map(|d| start + d);
+    // A deadline past what `Instant` can represent never expires.
+    let deadline = config.deadline.and_then(|d| start.checked_add(d));
     let budget = config.sample_budget;
     let every = if config.checkpoint_every == 0 {
         32

@@ -104,11 +104,6 @@ impl RecursiveConvolution {
         self.h
     }
 
-    /// The instantaneous impedance matrix `Z_inst` (real, `Np x Np`).
-    pub fn instantaneous_impedance(&self) -> &Matrix {
-        &self.z_inst
-    }
-
     /// DC impedance of the underlying model (for initialization).
     pub fn dc_impedance(&self) -> Matrix {
         let mut z = self.direct.clone();

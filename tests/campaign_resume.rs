@@ -333,3 +333,45 @@ fn path_model_deadline_truncation_is_graceful_and_resumable() {
     assert_summaries_bitwise(&second.summary, &clean.summary, "deadline resume");
     std::fs::remove_file(&path).ok();
 }
+
+/// A deadline past what `Instant` can represent never expires: `execute`
+/// completes with the bits of the same run without a deadline.
+#[test]
+fn unrepresentable_deadline_means_no_deadline() {
+    let samples: Vec<usize> = (0..SYNTH_N).collect();
+    let run = |deadline| {
+        let config = CampaignConfig {
+            deadline,
+            ..CampaignConfig::default()
+        };
+        let spec = RunSpec::durable(2, RecoveryPolicy::default(), &config);
+        linvar_stats::execute(&samples, &spec, &synth_fingerprint(), synth_eval)
+            .expect("campaign runs")
+    };
+    let base = run(None);
+    let far = run(Some(std::time::Duration::MAX));
+    assert_eq!(far.verdict, CampaignVerdict::Complete);
+    assert_summaries_bitwise(&far.summary, &base.summary, "Duration::MAX deadline");
+    let bits = |r: &MonteCarloResult| r.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&far), bits(&base));
+    assert_eq!(far.health, base.health);
+}
+
+/// `--deadline` rejects a number of seconds no `Duration` holds with a
+/// usage error (exit 2) instead of panicking; 1e19 s fits and parses.
+#[test]
+fn oversized_deadline_flag_is_a_usage_error() {
+    use linvar_bench::{BenchArgs, BenchError};
+    let parse =
+        |raw: &str| BenchArgs::parse(["--deadline".to_string(), raw.to_string()].into_iter());
+    for raw in ["1e20", "inf", "NaN", "-1"] {
+        let err = parse(raw).expect_err(raw);
+        assert!(matches!(err, BenchError::Usage(_)), "{raw}: {err}");
+        assert_eq!(err.exit_code(), 2, "{raw}");
+    }
+    let fits = parse("1e19").expect("1e19 s fits a Duration");
+    assert_eq!(
+        fits.deadline,
+        Some(std::time::Duration::from_secs(10_000_000_000_000_000_000))
+    );
+}

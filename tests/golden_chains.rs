@@ -7,9 +7,8 @@
 //! * 1, 2 and 8 Monte-Carlo worker threads reproduce the same delay
 //!   values bit-for-bit (streamed LHS sampling + deterministic merge);
 //! * the dense and sparse solver backends print the same `mc` row (their
-//!   ~1e-10 relative difference vanishes at `%.6e`), pinned per-run via
-//!   `TransientOptions::solver` rather than the process-global
-//!   `LINVAR_SOLVER` so parallel test binaries cannot race on the env;
+//!   ~1e-10 relative difference vanishes at `%.6e`), each pinned per run
+//!   via `TransientOptions::solver`;
 //! * the bench runner prints the same row under 3 shards, and as a
 //!   checkpointed campaign cut after two samples and then resumed.
 //!

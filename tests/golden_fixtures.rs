@@ -1,5 +1,6 @@
 //! Golden-fixture regression suite: exact-bit `f64` fixtures for the
-//! table4/fig7 benchmark rows and a raw stage waveform, checked into
+//! table4/fig7 benchmark rows, a raw stage waveform and the SPICE
+//! transient engine's waveforms and work counts, checked into
 //! `tests/golden/`. Perf work on the hot path (workspace arenas, buffer
 //! reuse, algebraic rewrites) must not shift a single result bit; these
 //! fixtures catch any drift the statistical asserts elsewhere would
@@ -327,4 +328,126 @@ fn golden_stage_waveform() {
         rows.push((format!("p{i:04}.v"), hex(*v)));
     }
     check_or_bless("stage_waveform.txt", &rows);
+}
+
+/// FNV-1a over the bit patterns of a waveform, with its length: one
+/// stable token per probed waveform for the transient fixture.
+fn bits_hash(v: &[f64]) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for x in v {
+        for b in x.to_bits().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    format!("{}:{h:016x}", v.len())
+}
+
+/// One transient run as fixture rows: the work counters, the time axis
+/// and every probed waveform (sorted by probe name) as bit hashes, and
+/// the last probed value as raw bits.
+fn transient_rows(
+    rows: &mut Vec<(String, String)>,
+    key: &str,
+    res: &linvar_spice::TransientResult,
+) {
+    let s = res.stats;
+    rows.push((format!("{key}.steps"), s.steps.to_string()));
+    rows.push((format!("{key}.newton"), s.newton_iterations.to_string()));
+    rows.push((format!("{key}.factors"), s.lu_factorizations.to_string()));
+    rows.push((format!("{key}.solves"), s.solves.to_string()));
+    rows.push((format!("{key}.times"), bits_hash(&res.times)));
+    let mut probes: Vec<_> = res.waveforms.iter().collect();
+    probes.sort_by(|a, b| a.0.cmp(b.0));
+    for (name, wave) in probes {
+        rows.push((format!("{key}.wave.{name}"), bits_hash(wave)));
+        let last = wave.last().copied().unwrap_or(f64::NAN);
+        rows.push((format!("{key}.last.{name}"), hex(last)));
+    }
+}
+
+/// Transient-engine bits below the delay rows: the probed waveforms and
+/// the step and factor counts of
+///
+/// * `chain2x500` frozen at a fixed sample on the dense and the sparse
+///   backend, run to `tstop + dt/2` so the last step changes `h` on an
+///   unchanged pattern (a sparse refactor) after the DC-to-transient
+///   switch changed the pattern (a full factor);
+/// * the SPICE reference flow on the s27 longest path at 10 elements
+///   (MOSFET stages through the Woodbury update and the DC ladder) —
+///   its public result is the path delay, pinned per sample;
+/// * the Example-1 PACT pole/residue macromodel driven through a
+///   resistor at two stable samples and one that diverges, whose typed
+///   error (with the divergence time) is pinned instead.
+#[test]
+fn golden_transient_bits() {
+    use linvar_interconnect::example1::example1_load;
+    use linvar_interconnect::rc_chain_case;
+    use linvar_numeric::SolverChoice;
+    use linvar_spice::OnePortPoleResidue;
+    let mut rows = Vec::new();
+
+    let case = rc_chain_case(500).unwrap();
+    let frozen = case.netlist.frozen_at(&[0.33, -0.33, 0.2, -0.1, 0.25]);
+    for (name, solver) in [
+        ("dense", SolverChoice::Dense),
+        ("sparse", SolverChoice::Sparse),
+    ] {
+        let mut opts = TransientOptions::new(case.tstop + case.dt / 2.0, case.dt);
+        opts.probes.push(case.probe.clone());
+        opts.solver = solver;
+        let res = Transient::new(&frozen, &opts).unwrap().run().unwrap();
+        transient_rows(&mut rows, &format!("chain2x500.{name}"), &res);
+    }
+
+    let model = iscas_path_model("s27", 10);
+    let mut samples = vec![PathSample::default()];
+    samples.extend(model.draw_samples(
+        &VariationSources::example3_table4(),
+        2,
+        &mut rng_from_seed(4),
+    ));
+    for (i, sample) in samples.iter().enumerate() {
+        let d = model.evaluate_sample_spice(sample).unwrap();
+        rows.push((format!("s27@10.spice.delay.{i}"), hex(d)));
+    }
+
+    let (nl, _) = example1_load().unwrap();
+    let var = nl.assemble_variational().unwrap();
+    let raw = VariationalRom::characterize(&var, ReductionMethod::Pact { internal_modes: 3 }, 0.02)
+        .unwrap();
+    for p in [0.0, 0.05, 0.1] {
+        let pr = extract_pole_residue(&raw.evaluate(&[p]).unwrap()).unwrap();
+        let mut drive = Netlist::new();
+        let inp = drive.node("in");
+        let out = drive.node("out");
+        drive
+            .add_vsource(
+                "V1",
+                inp,
+                Netlist::GROUND,
+                SourceWaveform::Ramp {
+                    v0: 0.0,
+                    v1: 5.0,
+                    t0: 1e-9,
+                    tr: 2e-9,
+                },
+            )
+            .unwrap();
+        drive.add_resistor("Rdrv", inp, out, 270.0).unwrap();
+        let load = OnePortPoleResidue::from_model(&pr, out.mna_index().unwrap()).unwrap();
+        let mut opts = TransientOptions::new(50e-9, 20e-12);
+        opts.probes.push("out".into());
+        let run = Transient::new(&drive, &opts)
+            .unwrap()
+            .with_poleres_load(load)
+            .unwrap()
+            .run();
+        let key = format!("example1.poleres.p{p}");
+        match run {
+            Ok(res) => transient_rows(&mut rows, &key, &res),
+            Err(e) => rows.push((format!("{key}.error"), e.to_string())),
+        }
+    }
+    check_or_bless("transient_bits.txt", &rows);
 }

@@ -17,16 +17,25 @@
 //! variational matrices: `assemble_variational` replays it and must equal
 //! a test-local copy of the element-walking assembler it replaced, and
 //! its sparse form must evaluate to the same bits.
+//!
+//! The AC sweeps (`ac_analysis_with`, `ac_impedance_with`) factor the
+//! same streams; their results must equal, bit for bit, a test-local copy
+//! of the route that assembled dense `(G, C)` and scanned them back into
+//! triplets.
 
 use linvar_bench::grid::sample_set;
 use linvar_circuit::{parse_deck, Element, Netlist};
 use linvar_core::stage_builder::{build_stage_load, StageLoadSpec};
 use linvar_devices::{tech_018, CellLibrary};
+use linvar_interconnect::builder::build_coupled_lines;
 use linvar_interconnect::{
-    htree_case, ir_drop_for_sample, power_grid_case, rc_chain_case, GridCase, PowerGridSpec,
-    WireTech,
+    htree_case, ir_drop_for_sample, power_grid_case, rc_chain_case, CoupledLineSpec, GridCase,
+    PowerGridSpec, WireTech,
 };
-use linvar_numeric::{AnySolver, LinearSolver, Matrix, SolverChoice, SparseMatrix};
+use linvar_numeric::{
+    AnySolver, CAnySolver, Complex, LinearSolver, Matrix, SolverChoice, SparseMatrix,
+};
+use linvar_spice::{ac_analysis_with, ac_impedance_with, log_frequencies};
 
 fn stamp_conductance(m: &mut Matrix, a: Option<usize>, b: Option<usize>, g: f64) {
     if let Some(i) = a {
@@ -375,4 +384,231 @@ fn ir_drop_bits_match_the_frozen_dense_route_32x32() {
 #[test]
 fn ir_drop_bits_match_the_frozen_dense_route_64x64() {
     check_ir_drop_bits(64, false);
+}
+
+/// The AC sweep as `ac_analysis_with` and `ac_impedance_with` ran it on
+/// dense matrices, kept verbatim as the reference: scan `(G, C)` row by
+/// row for positions where either is nonzero, then per frequency map
+/// them to `g + jωc`, factor the first point through the recovery ladder
+/// and refactor every later one (a fresh recovering factor if that
+/// fails).
+fn legacy_ac_sweep(
+    g: &Matrix,
+    c: &Matrix,
+    rhs: &[Complex],
+    freqs: &[f64],
+    rows: &[usize],
+    choice: SolverChoice,
+) -> Vec<Vec<Complex>> {
+    let n = g.rows();
+    let mut entries = Vec::new();
+    for i in 0..n {
+        for j in 0..n {
+            let (gij, cij) = (g[(i, j)], c[(i, j)]);
+            if gij != 0.0 || cij != 0.0 {
+                entries.push((i, j, gij, cij));
+            }
+        }
+    }
+    let mut out = vec![Vec::with_capacity(freqs.len()); rows.len()];
+    let mut trip = Vec::with_capacity(entries.len());
+    let mut solver: Option<CAnySolver> = None;
+    let mut x = Vec::new();
+    for &f in freqs {
+        let omega = 2.0 * std::f64::consts::PI * f;
+        trip.clear();
+        trip.extend(
+            entries
+                .iter()
+                .map(|&(i, j, g, c)| (i, j, Complex::new(g, omega * c))),
+        );
+        match solver.as_mut() {
+            None => {
+                let (s, _rec) = CAnySolver::factor_triplets_recovering(n, &trip, choice).unwrap();
+                solver = Some(s);
+            }
+            Some(s) => {
+                if s.refactor_triplets(n, &trip).is_err() {
+                    let (s2, _rec) =
+                        CAnySolver::factor_triplets_recovering(n, &trip, choice).unwrap();
+                    *s = s2;
+                }
+            }
+        }
+        solver.as_ref().unwrap().solve_into(rhs, &mut x).unwrap();
+        for (col, &row) in out.iter_mut().zip(rows) {
+            col.push(x[row]);
+        }
+    }
+    out
+}
+
+/// `ac_analysis_with` on the dense `assemble_mna` system.
+fn legacy_ac_analysis(
+    nl: &Netlist,
+    source: &str,
+    probes: &[&str],
+    freqs: &[f64],
+    choice: SolverChoice,
+) -> Vec<Vec<Complex>> {
+    let mna = nl.assemble_mna().unwrap();
+    let branch = mna.vsource_names.iter().position(|s| s == source).unwrap();
+    let rows: Vec<usize> = probes
+        .iter()
+        .map(|p| nl.find_node(p).unwrap().mna_index().unwrap())
+        .collect();
+    let mut rhs = vec![Complex::ZERO; mna.g.rows()];
+    rhs[mna.node_count + branch] = Complex::ONE;
+    legacy_ac_sweep(&mna.g, &mna.c, &rhs, freqs, &rows, choice)
+}
+
+/// `ac_impedance_with` on the dense `assemble_variational` system.
+fn legacy_ac_impedance(
+    nl: &Netlist,
+    port: &str,
+    freqs: &[f64],
+    choice: SolverChoice,
+) -> Vec<Complex> {
+    let var = nl.assemble_variational().unwrap();
+    let node = nl.find_node(port).unwrap().mna_index().unwrap();
+    let mut rhs = vec![Complex::ZERO; var.order()];
+    rhs[node] = Complex::ONE;
+    legacy_ac_sweep(&var.g0, &var.c0, &rhs, freqs, &[node], choice).remove(0)
+}
+
+fn same_complex_bits(a: &[Complex], b: &[Complex]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
+}
+
+/// One AC differential case: a netlist, the source of `ac_analysis_with`
+/// (none for a source-free load), its probes, the port of
+/// `ac_impedance_with`, and a sweep of at least three points.
+struct AcCase {
+    name: String,
+    nl: Netlist,
+    source: Option<&'static str>,
+    probes: Vec<String>,
+    port: String,
+    freqs: Vec<f64>,
+}
+
+/// Both sweeps of `case` under each of `choices` against the dense-scan
+/// route.
+fn check_ac_bits(case: &AcCase, choices: &[SolverChoice]) {
+    let probes: Vec<&str> = case.probes.iter().map(String::as_str).collect();
+    for &choice in choices {
+        if let Some(source) = case.source {
+            let got = ac_analysis_with(&case.nl, source, &probes, &case.freqs, choice).unwrap();
+            let want = legacy_ac_analysis(&case.nl, source, &probes, &case.freqs, choice);
+            for (p, w) in probes.iter().zip(&want) {
+                assert!(
+                    same_complex_bits(&got.response[*p], w),
+                    "{} ac_analysis {p} under {choice:?}",
+                    case.name
+                );
+            }
+        }
+        let got = ac_impedance_with(&case.nl, &case.port, &case.freqs, choice).unwrap();
+        let want = legacy_ac_impedance(&case.nl, &case.port, &case.freqs, choice);
+        assert!(
+            same_complex_bits(&got, &want),
+            "{} ac_impedance under {choice:?}",
+            case.name
+        );
+    }
+}
+
+/// A benchmark chain or tree frozen at the first benchmark draw, swept a
+/// decade either side of its `chains --analysis ac` frequency.
+fn chain_ac_case(case: linvar_interconnect::ChainCase) -> AcCase {
+    let f = 2.0 / case.tstop;
+    AcCase {
+        name: case.name,
+        nl: case.netlist.frozen_at(&sample_set(1)[0]),
+        source: Some("Vdrv"),
+        probes: vec![case.probe.clone()],
+        port: case.probe,
+        freqs: vec![f / 10.0, f, 10.0 * f],
+    }
+}
+
+const BOTH: [SolverChoice; 2] = [SolverChoice::Dense, SolverChoice::Sparse];
+
+/// The quick `chains` suite on the sparse backend. Both backends factor
+/// the same set of distinct embedded positions and values (the dense
+/// replay and the CSC build are independent of their order), so the
+/// sparse bits pin the operator for the dense backend too; a dense
+/// factor of these embedded orders (2008 and 4162) takes minutes in an
+/// unoptimized test build, so the dense side runs on the smaller chain
+/// and the decks below.
+#[test]
+fn ac_bits_match_the_dense_scan_route_quick_chains() {
+    check_ac_bits(
+        &chain_ac_case(rc_chain_case(500).unwrap()),
+        &[SolverChoice::Sparse],
+    );
+    check_ac_bits(
+        &chain_ac_case(htree_case(4).unwrap()),
+        &[SolverChoice::Sparse],
+    );
+    check_ac_bits(&chain_ac_case(rc_chain_case(50).unwrap()), &BOTH);
+}
+
+/// The RLC decks (the inductor deck of `tests/rlc.rs` and the clamping
+/// deck above, which carries a current source) and the driven
+/// Example-2 lines of `tests/ac_conformance.rs` at a fluctuation corner.
+#[test]
+fn ac_bits_match_the_dense_scan_route_small_decks() {
+    let deck = parse_deck(
+        "\
+V1 in 0 RAMP 0 1 0 1p
+R1 in a 10
+L1 a out 5n
+C1 out 0 1p
+",
+    )
+    .unwrap();
+    let (_, rlc) = netlists().swap_remove(4);
+    let mut cases = vec![
+        AcCase {
+            name: "rlc_deck".into(),
+            nl: deck,
+            source: Some("V1"),
+            probes: vec!["out".into(), "a".into()],
+            port: "out".into(),
+            freqs: log_frequencies(1e8, 1e10, 5),
+        },
+        AcCase {
+            name: "rlc_clamp".into(),
+            nl: rlc.frozen_at(&[0.5]),
+            source: Some("V1"),
+            probes: vec!["b".into()],
+            port: "a".into(),
+            freqs: log_frequencies(1e8, 1e10, 3),
+        },
+    ];
+    for (n_lines, length) in [(1, 40e-6), (2, 60e-6)] {
+        let built =
+            build_coupled_lines(&CoupledLineSpec::new(n_lines, length, WireTech::m018())).unwrap();
+        let mut nl = built.netlist;
+        for (k, &input) in built.inputs.iter().enumerate() {
+            nl.add_resistor(&format!("Rdrv{k}"), input, Netlist::GROUND, 1e3)
+                .unwrap();
+        }
+        let port = nl.node_name(built.inputs[0]).unwrap().to_string();
+        cases.push(AcCase {
+            name: format!("lines{n_lines}x{}um", length * 1e6),
+            nl: nl.frozen_at(&[0.66, -0.66, 0.33, -0.33, 0.66]),
+            source: None,
+            probes: Vec::new(),
+            port,
+            freqs: log_frequencies(1e7, 1e10, 4),
+        });
+    }
+    for case in &cases {
+        check_ac_bits(case, &BOTH);
+    }
 }

@@ -1,7 +1,27 @@
 //! Property-based tests of the numeric kernels on random inputs.
 
-use linvar::numeric::{eigen_decompose, householder_qr, jacobi_eigen, LuFactor, Matrix};
+use linvar::numeric::{
+    eigen_decompose, householder_qr, jacobi_eigen, LuFactor, Matrix, SparseMatrix,
+};
 use proptest::prelude::*;
+
+/// `SparseMatrix::from_dense` as it walked the dense storage before, one
+/// column at a time, kept as the reference: `(col_ptr, row_idx, values)`.
+fn column_walk_csc(a: &Matrix) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+    let mut col_ptr = vec![0];
+    let (mut row_idx, mut values) = (Vec::new(), Vec::new());
+    for j in 0..a.cols() {
+        for i in 0..a.rows() {
+            let v = a[(i, j)];
+            if v != 0.0 {
+                row_idx.push(i);
+                values.push(v);
+            }
+        }
+        col_ptr.push(row_idx.len());
+    }
+    (col_ptr, row_idx, values)
+}
 
 fn random_matrix(n: usize, seed: &[f64], diag_boost: f64) -> Matrix {
     Matrix::from_fn(n, n, |i, j| {
@@ -113,5 +133,32 @@ proptest! {
         let trace: f64 = (0..n).map(|i| a[(i, i)]).sum();
         let sum_re: f64 = dec.values.iter().map(|v| v.re).sum();
         prop_assert!((sum_re - trace).abs() < 1e-7 * a.max_abs().max(1.0) * n as f64);
+    }
+
+    /// The row-order `from_dense` builds the CSC of the column walk, bit
+    /// for bit, on rectangular (and empty) matrices whose entries include
+    /// exact zeros, `-0.0` and NaN.
+    #[test]
+    fn from_dense_matches_the_column_walk(
+        rows in 0usize..12,
+        cols in 0usize..12,
+        kinds in prop::collection::vec(0u32..6, 144),
+        vals in prop::collection::vec(-1.0f64..1.0, 144),
+    ) {
+        let a = Matrix::from_fn(rows, cols, |i, j| {
+            let k = i * cols + j;
+            match kinds[k] {
+                0 | 1 => 0.0,
+                2 => -0.0,
+                3 => f64::NAN,
+                _ => vals[k],
+            }
+        });
+        let s = SparseMatrix::from_dense(&a);
+        let (col_ptr, row_idx, values) = column_walk_csc(&a);
+        prop_assert_eq!(s.col_ptr(), col_ptr.as_slice());
+        prop_assert_eq!(s.row_indices(), row_idx.as_slice());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(s.values()), bits(&values));
     }
 }

@@ -508,6 +508,20 @@ fn idle_acceptor_sleeps_in_accept() {
     stop(handle, &dir);
 }
 
+#[cfg(target_os = "linux")]
+#[test]
+fn idle_worker_sleeps_until_work_arrives() {
+    let (handle, addr, dir) = start_server("idle-worker", 1, 16);
+    assert_eq!(get(&addr, "/healthz").status, 200);
+    // The worker's name carries its port, like the acceptor's.
+    let name = format!("job-{}", handle.addr().port());
+    let before = voluntary_switches(&name);
+    std::thread::sleep(Duration::from_secs(1));
+    let woke = voluntary_switches(&name) - before;
+    assert!(woke <= 2, "idle worker woke {woke} times in 1 s");
+    stop(handle, &dir);
+}
+
 #[test]
 fn shutdown_wakes_an_acceptor_bound_on_the_unspecified_address() {
     let dir = std::env::temp_dir().join(format!("linvar-serve-http-any-{}", std::process::id()));
