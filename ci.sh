@@ -295,8 +295,10 @@ echo "==> paired perf gate (perfbench paths, base vs change, alternating pairs)"
 # seed k, and the side that goes first alternates. One run drifts 10-15%
 # with machine load, so the gate fails only when the change loses most
 # pairs *and* the median per-pair samples_per_s ratio (change / base) is
-# below the threshold. It also fails when the median per-pair peak_rss_mb
-# ratio is above 1 + that metric's bound in BENCHMARK.json.
+# below the threshold. setup_s (lower is better) runs under the same rule:
+# most pairs lost *and* the median ratio above 1 + its bound in
+# BENCHMARK.json. The gate also fails when the median per-pair
+# peak_rss_mb ratio is above 1 + that metric's bound.
 perf_pairs=5
 perf_seconds=5
 perf_workload=paths
@@ -336,27 +338,38 @@ python3 - "$ckdir" "$perf_pairs" "$perf_min_ratio" <<'EOF'
 import json, statistics, sys
 
 ckdir, pairs, min_ratio = sys.argv[1], int(sys.argv[2]), float(sys.argv[3])
+bounds = {m["name"]: m["bound"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
 def metric(side, seed, name):
     line = open(f"{ckdir}/perf_{side}_{seed}.json").read().splitlines()[-1]
     return json.loads(line)["metrics"][name]["value"]
-ratios, rss_ratios = [], []
+ratios, setup_ratios, rss_ratios = [], [], []
 for seed in range(1, pairs + 1):
     base, change = metric("base", seed, "samples_per_s"), metric("change", seed, "samples_per_s")
     ratios.append(change / base)
+    base_setup, change_setup = metric("base", seed, "setup_s"), metric("change", seed, "setup_s")
+    setup_ratios.append(change_setup / base_setup)
     base_rss, change_rss = metric("base", seed, "peak_rss_mb"), metric("change", seed, "peak_rss_mb")
     rss_ratios.append(change_rss / base_rss)
     first = "change" if seed % 2 else "base"
     print(f"    pair {seed} ({first} first): base {base:.2f}, change {change:.2f} "
-          f"samples/s, ratio {ratios[-1]:.3f}; peak RSS base {base_rss:.1f}, "
-          f"change {change_rss:.1f} MiB, ratio {rss_ratios[-1]:.3f}")
+          f"samples/s, ratio {ratios[-1]:.3f}; setup base {base_setup:.3f}, "
+          f"change {change_setup:.3f} s, ratio {setup_ratios[-1]:.3f}; peak RSS "
+          f"base {base_rss:.1f}, change {change_rss:.1f} MiB, ratio {rss_ratios[-1]:.3f}")
 wins = sum(r > 1.0 for r in ratios)
 median = statistics.median(ratios)
 print(f"    change wins {wins}/{pairs} pairs, median ratio {median:.3f}")
 if 2 * wins <= pairs and median < min_ratio:
     sys.exit(f"perf gate: change loses {pairs - wins}/{pairs} pairs and its median "
              f"samples_per_s ratio {median:.3f} is below {min_ratio}")
-rss_bound = next(m["bound"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]
-                 if m["name"] == "peak_rss_mb")
+setup_wins = sum(r < 1.0 for r in setup_ratios)
+setup_median = statistics.median(setup_ratios)
+setup_max = 1 + bounds["setup_s"]
+print(f"    setup_s: change wins {setup_wins}/{pairs} pairs, median ratio "
+      f"{setup_median:.3f} (at most {setup_max:.2f} when most pairs are lost)")
+if 2 * setup_wins <= pairs and setup_median > setup_max:
+    sys.exit(f"perf gate: change loses {pairs - setup_wins}/{pairs} pairs and its median "
+             f"setup_s ratio {setup_median:.3f} is above {setup_max:.2f}")
+rss_bound = bounds["peak_rss_mb"]
 rss_median = statistics.median(rss_ratios)
 print(f"    median peak_rss_mb ratio {rss_median:.3f} (at most {1 + rss_bound:.2f})")
 if rss_median > 1 + rss_bound:

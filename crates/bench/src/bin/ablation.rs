@@ -94,7 +94,7 @@ fn run() -> Result<(), BenchError> {
     // ---------- 2. Stability filter incidence ---------------------------
     println!("==== Ablation 2: raw-macromodel stability across samples ====\n");
     let var = {
-        let mut v = built.netlist.assemble_variational()?;
+        let mut v = built.netlist.variational_stamps()?;
         // Fold a unit-driver conductance like the stage builder does.
         let nmos = tech
             .library
@@ -108,7 +108,7 @@ fn run() -> Result<(), BenchError> {
             + linvar_devices::chord_conductance(pmos, tech.wp, tech.library.lmin, 1.8);
         let idx = v.port_indices[0];
         v.add_grounded_conductance(idx, g_out)?;
-        v
+        v.sparse()?
     };
     let vrom = VariationalRom::characterize(&var, ReductionMethod::Prima { order: 6 }, 0.02)?;
     let mut rng = rng_from_seed(31);

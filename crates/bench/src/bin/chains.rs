@@ -3,9 +3,11 @@
 //! run on both linear-solver backends where feasible.
 //!
 //! For every case the sparse backend always runs; the dense backend runs
-//! only when the MNA dimension is small enough for an `O(n³)` dense
-//! factorization to finish in reasonable time (the larger suite members
-//! exist precisely because it cannot). Where both backends run, their
+//! only when the order of the matrix each sample factors (the MNA
+//! dimension, or twice it for `--analysis ac`) is small enough for an
+//! `O(n³)` dense factorization to finish in reasonable time
+//! ([`linvar_bench::chains::runs_dense`]; the larger suite members exist
+//! precisely because it cannot). Where both backends run, their
 //! `mc` statistic rows must be byte-identical — the bin exits 1 on a
 //! mismatch, which is what `ci.sh` checks — and the bin prints the row
 //! once with the dense/sparse wall-time speedup.
@@ -40,8 +42,8 @@
 
 use linvar_bench::chains::{
     ac_case_name, ac_frequency, ac_mag_for_sample, chains_ac_fingerprint, chains_fingerprint,
-    delay_for_sample, engine_line, gpc_line, sample_set, sample_set_sobol, CHAINS_GPC_CONFIG,
-    CHAINS_SIGMA,
+    delay_for_sample, engine_line, factored_order, gpc_line, runs_dense, sample_set,
+    sample_set_sobol, CHAINS_GPC_CONFIG, CHAINS_SIGMA, DENSE_MAX_ORDER,
 };
 use linvar_bench::{
     run_points, workspace_note, BenchArgs, BenchError, BenchMeter, Engine, Points, PointsRun,
@@ -50,12 +52,6 @@ use linvar_interconnect::{standard_cases, ChainCase};
 use linvar_numeric::SolverChoice;
 use linvar_stats::{resolve_threads, AnalysisKind, RunSpec, SpectralPlan};
 use std::time::Instant;
-
-/// Largest MNA dimension the dense backend is asked to time. Above this
-/// the dense factorization is declared infeasible for a Monte-Carlo
-/// campaign (cubic cost, quadratic memory) and only sparse runs — the
-/// benchmark's escape clause for the 10–100× sizes.
-const DENSE_MAX_DIM: usize = 4096;
 
 fn main() {
     if let Err(e) = run() {
@@ -84,7 +80,7 @@ fn run() -> Result<(), BenchError> {
          set LINVAR_THREADS to change)",
         if args.quick { "quick" } else { "full" }
     );
-    println!("comparing backends (dense skipped above dim {DENSE_MAX_DIM})");
+    println!("comparing backends (dense skipped above factored order {DENSE_MAX_ORDER})");
     if let Some(n_shards) = args.shards {
         println!("shards: {n_shards} per campaign, run one after another");
     }
@@ -121,9 +117,10 @@ fn run() -> Result<(), BenchError> {
             AnalysisKind::Ac => ac_case_name(case),
             _ => case.name.clone(),
         };
+        let order = factored_order(case, args.analysis);
         match args.analysis {
             AnalysisKind::Ac => println!(
-                "-- {} (dim {}, {} elements, f_c {:.3e} Hz)",
+                "-- {} (dim {}, factored order {order}, {} elements, f_c {:.3e} Hz)",
                 row_name,
                 case.dim,
                 case.element_count,
@@ -146,7 +143,7 @@ fn run() -> Result<(), BenchError> {
         };
         let (row_s, rate_s) = campaign(SolverChoice::Sparse)?;
         meter.set(&format!("{row_name}.sparse.{unit}_per_sec"), rate_s);
-        if case.dim <= DENSE_MAX_DIM {
+        if runs_dense(case, args.analysis) {
             let (row_d, rate_d) = campaign(SolverChoice::Dense)?;
             meter.set(&format!("{row_name}.dense.{unit}_per_sec"), rate_d);
             if row_s != row_d {
@@ -163,12 +160,10 @@ fn run() -> Result<(), BenchError> {
             meter.set(&format!("{row_name}.speedup"), speedup);
         } else {
             println!("{row_s}");
-            let dense_gib =
-                (case.dim as f64) * (case.dim as f64) * 8.0 / (1024.0 * 1024.0 * 1024.0);
+            let dense_gib = (order as f64) * (order as f64) * 8.0 / (1024.0 * 1024.0 * 1024.0);
             println!(
-                "{row_name}: sparse {rate_s:.2} {unit}/sec; dense infeasible at dim {} \
-                 (~{dense_gib:.1} GiB per factor, cap {DENSE_MAX_DIM})",
-                case.dim
+                "{row_name}: sparse {rate_s:.2} {unit}/sec; dense infeasible at factored \
+                 order {order} (~{dense_gib:.1} GiB per factor, cap {DENSE_MAX_ORDER})"
             );
             meter.set(&format!("{row_name}.dense_infeasible"), true);
         }

@@ -53,7 +53,7 @@ fn run() -> Result<(), BenchError> {
 
     // ---------------- Table 3 ----------------------------------------
     let (nl, port) = example1_load()?;
-    let var = nl.assemble_variational()?;
+    let var = nl.variational_stamps()?.sparse()?;
     let raw =
         VariationalRom::characterize(&var, ReductionMethod::Pact { internal_modes: 3 }, 0.02)?;
     let mut rows = Vec::new();

@@ -25,6 +25,27 @@ pub const CHAINS_SEED: u64 = 0x00c4a15;
 /// same 0.33 the paper's examples use).
 pub const CHAINS_SIGMA: f64 = 0.33;
 
+/// Largest matrix order the dense backend is asked to factor. Above it a
+/// dense factor is infeasible for a Monte-Carlo campaign (cubic cost,
+/// quadratic memory) and only the sparse backend runs.
+pub const DENSE_MAX_ORDER: usize = 5000;
+
+/// Order of the matrix each sample of `case` factors under `analysis`:
+/// the MNA dimension for the transient, twice it for the AC analysis,
+/// which factors the real embedding of the complex system.
+pub fn factored_order(case: &ChainCase, analysis: AnalysisKind) -> usize {
+    match analysis {
+        AnalysisKind::Ac => 2 * case.dim,
+        _ => case.dim,
+    }
+}
+
+/// Whether the dense backend runs beside the sparse one on `case`: its
+/// factored order is at most [`DENSE_MAX_ORDER`].
+pub fn runs_dense(case: &ChainCase, analysis: AnalysisKind) -> bool {
+    factored_order(case, analysis) <= DENSE_MAX_ORDER
+}
+
 /// Deterministic variation samples for a chains campaign: `n` draws of
 /// the five normalized wire parameters. Streamed LHS, so the set depends
 /// only on the seed — never on thread count or evaluation order.

@@ -267,17 +267,67 @@ impl SparseVariationalMna {
     /// (and `wi·dCi`) added entry by entry. Entries of `w` beyond the
     /// parameters are ignored; missing entries are 0 (nominal).
     pub fn eval(&self, w: &[f64]) -> (Matrix, Matrix) {
-        let mut g = self.g0.to_dense();
-        let mut c = self.c0.to_dense();
-        for (i, (dg, dc)) in self.dg.iter().zip(&self.dc).enumerate() {
-            if let Some(&wi) = w.get(i) {
-                if wi != 0.0 {
-                    add_scaled(&mut g, wi, dg);
-                    add_scaled(&mut c, wi, dc);
-                }
+        (
+            dense_at(&self.g0, &self.dg, w),
+            dense_at(&self.c0, &self.dc, w),
+        )
+    }
+
+    /// The `G(w)` half of [`SparseVariationalMna::eval`].
+    pub fn g_at(&self, w: &[f64]) -> Matrix {
+        dense_at(&self.g0, &self.dg, w)
+    }
+
+    /// `C(w)` in CSC form: exactly the nonzero entries of the `C(w)` of
+    /// [`SparseVariationalMna::eval`].
+    ///
+    /// The stamps of `C0` and of `wi·dCi`, for each present nonzero `wi`
+    /// in order, are summed by [`SparseMatrix::from_stamps`], so each entry
+    /// adds its terms in `eval`'s order. Where `C0` stores nothing, `eval`
+    /// adds the terms to `0.0` while the stamp sum starts from the first
+    /// term: the two agree from the first term that is not `-0.0` on, and
+    /// an entry whose terms are all `-0.0` is zero either way and is not
+    /// stored. A non-finite `wi` makes `wi·0.0` NaN in every entry, so that
+    /// case is densified.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumericError::InvalidInput`] if a sensitivity indexes out
+    /// of `C0`'s shape (impossible for a model built by
+    /// [`VariationalStamps::sparse`]).
+    pub fn c_at(&self, w: &[f64]) -> Result<SparseMatrix, NumericError> {
+        let active = self.dc.iter().zip(w).filter(|(_, &wi)| wi != 0.0);
+        if active.clone().any(|(_, wi)| !wi.is_finite()) {
+            return Ok(SparseMatrix::from_dense(&dense_at(&self.c0, &self.dc, w)));
+        }
+        let mut stamps = Vec::new();
+        for (m, s) in std::iter::once((&self.c0, &1.0)).chain(active) {
+            for j in 0..m.n_cols() {
+                let (rows, vals) = m.col(j);
+                stamps.extend(rows.iter().zip(vals).map(|(&i, &v)| (i, j, s * v)));
             }
         }
-        (g, c)
+        SparseMatrix::from_stamps(self.order(), self.order(), &stamps)
+    }
+
+    /// The nominal admittance matrix `G0`.
+    pub fn g0(&self) -> &SparseMatrix {
+        &self.g0
+    }
+
+    /// The nominal susceptance matrix `C0`.
+    pub fn c0(&self) -> &SparseMatrix {
+        &self.c0
+    }
+
+    /// The admittance sensitivities `dGi`, one per parameter.
+    pub fn dg(&self) -> &[SparseMatrix] {
+        &self.dg
+    }
+
+    /// The susceptance sensitivities `dCi`, one per parameter.
+    pub fn dc(&self) -> &[SparseMatrix] {
+        &self.dc
     }
 
     /// Number of variation parameters.
@@ -299,6 +349,17 @@ impl SparseVariationalMna {
     pub fn port_incidence(&self) -> Matrix {
         port_incidence(self.order(), &self.port_indices)
     }
+}
+
+/// `M0 + Σ wi·dMi` densified, as [`VariationalMna::eval`] computes it.
+fn dense_at(m0: &SparseMatrix, dm: &[SparseMatrix], w: &[f64]) -> Matrix {
+    let mut m = m0.to_dense();
+    for (d, &wi) in dm.iter().zip(w) {
+        if wi != 0.0 {
+            add_scaled(&mut m, wi, d);
+        }
+    }
+    m
 }
 
 /// `m += s·a` as [`Matrix::axpy`] with `a` dense would compute it.
@@ -684,6 +745,44 @@ mod tests {
         // First marked port is b -> MNA index 1.
         assert_eq!(binc[(1, 0)], 1.0);
         assert_eq!(binc[(0, 1)], 1.0);
+    }
+
+    #[test]
+    fn c_at_stores_exactly_the_nonzero_entries_of_eval() {
+        // C2 has no nominal value, so its entries live in dC1 only; tiny
+        // samples make some `wi·dCi` terms underflow to ±0.0.
+        let mut nl = Netlist::new();
+        let p = nl.params.declare("p");
+        let q = nl.params.declare("q");
+        let a = nl.node("a");
+        let b = nl.node("b");
+        let c1 = VariationalValue::new(1e-12)
+            .with_sensitivity(p, 1e-13)
+            .with_sensitivity(q, -1e-12);
+        nl.add_variational_capacitor("C1", a, b, c1).unwrap();
+        let c2 = VariationalValue::new(0.0).with_sensitivity(q, 1e-300);
+        nl.add_variational_capacitor("C2", b, Netlist::GROUND, c2)
+            .unwrap();
+        let var = nl.variational_stamps().unwrap().sparse().unwrap();
+        let bits = |m: &SparseMatrix| {
+            let v: Vec<u64> = m.values().iter().map(|x| x.to_bits()).collect();
+            (m.col_ptr().to_vec(), m.row_indices().to_vec(), v)
+        };
+        let samples: [&[f64]; 8] = [
+            &[],
+            &[0.5],
+            &[0.5, -0.25],
+            &[0.0, 1.0],
+            &[-1e-300, -1e-30],
+            &[1e-300, -1e-300],
+            &[f64::NAN, 1.0],
+            &[1.0, f64::INFINITY],
+        ];
+        for w in samples {
+            let (_, c) = var.eval(w);
+            let got = var.c_at(w).unwrap();
+            assert_eq!(bits(&got), bits(&SparseMatrix::from_dense(&c)), "w = {w:?}");
+        }
     }
 
     #[test]

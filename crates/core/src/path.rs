@@ -224,8 +224,9 @@ pub struct GaPathResult {
 }
 
 /// One stage of a path. Stages with the same (driver, receiver) pair share
-/// one characterized model and load: a 500-element stage model holds
-/// megabytes of variational matrices.
+/// one load, and every stage model comes from the process-wide stage
+/// library ([`StageModel::shared`]), so paths built side by side share
+/// their repeated stages too.
 pub(crate) struct StageEntry {
     model: Arc<StageModel>,
     /// Far-end port position in the stage's port list.
@@ -257,7 +258,8 @@ const _: () = {
 impl PathModel {
     /// Builds and precharacterizes the path: one effective-load vROM per
     /// stage (PRIMA, order 6 — small enough to be cheap, rich enough for
-    /// RC lines of hundreds of segments).
+    /// RC lines of hundreds of segments), taken from the stage library
+    /// when a live path already holds it.
     ///
     /// # Errors
     ///
@@ -275,9 +277,8 @@ impl PathModel {
         let cells = CellLibrary::standard(tech.clone());
         let mut stages = Vec::with_capacity(spec.cells.len());
         // Stages with the same (driver, receiver) pair share an identical
-        // effective load — characterize each distinct pair once. Long
-        // ISCAS paths reuse a handful of pairs, so this cuts construction
-        // time by an order of magnitude.
+        // effective load: build and stamp each distinct pair once. Long
+        // ISCAS paths reuse a handful of pairs.
         type Characterized = (Arc<StageModel>, Arc<StageLoad>, usize);
         let mut cache: std::collections::HashMap<(String, String), Characterized> =
             std::collections::HashMap::new();
@@ -298,7 +299,7 @@ impl PathModel {
                     &cells,
                     wire,
                 )?;
-                let model = StageModel::build(
+                let model = StageModel::shared(
                     &load.netlist,
                     &[load.near],
                     tech,
@@ -311,7 +312,7 @@ impl PathModel {
                     .iter()
                     .position(|p| *p == load.far)
                     .expect("far end is a port");
-                cache.insert(key.clone(), (Arc::new(model), Arc::new(load), out_port));
+                cache.insert(key.clone(), (model, Arc::new(load), out_port));
             }
             let (model, load, out_port) = cache.get(&key).expect("just inserted").clone();
             stages.push(StageEntry {

@@ -7,7 +7,7 @@
 
 use linvar_numeric::{
     gram_schmidt_orthonormalize, AnySolver, CLuFactor, CMatrix, Complex, LinearSolver, LuFactor,
-    Matrix, NumericError, SolverChoice, Workspace,
+    Matrix, NumericError, SolverChoice, SparseMatrix, Workspace,
 };
 
 /// A reduced-order model `(Gr + s·Cr)·vr = Br·ip`, `vp = Brᵀ·vr`.
@@ -139,15 +139,17 @@ impl ReducedModel {
 /// The basis spans the block Krylov space
 /// `K(G⁻¹C, G⁻¹B) = span{G⁻¹B, (G⁻¹C)G⁻¹B, …}`, orthonormalized with
 /// modified Gram-Schmidt; linearly dependent candidates are deflated, so
-/// the returned basis may have fewer than `order` columns.
+/// the returned basis may have fewer than `order` columns. `G` is dense
+/// for its LU; `C` only multiplies Krylov vectors, so it stays sparse.
 ///
 /// # Errors
 ///
-/// Returns [`NumericError::SingularMatrix`] if `G` is singular, or
-/// [`NumericError::InvalidInput`] for an empty port set or zero order.
+/// Returns [`NumericError::SingularMatrix`] if `G` is singular,
+/// [`NumericError::InvalidInput`] for an empty port set or zero order, and
+/// [`NumericError::DimensionMismatch`] if `C` does not match `G`'s order.
 pub fn prima_basis(
     g: &Matrix,
-    c: &Matrix,
+    c: &SparseMatrix,
     b: &Matrix,
     order: usize,
 ) -> Result<Matrix, NumericError> {
@@ -179,8 +181,7 @@ pub fn prima_basis(
         }
         let mut next: Vec<Vec<f64>> = Vec::new();
         for v in &basis[block_start..block_end] {
-            let cv = c.mul_vec(v);
-            next.push(lu.solve(&cv)?);
+            next.push(lu.solve(&krylov_product(c, v)?)?);
         }
         block_start = block_end;
         gram_schmidt_orthonormalize(&mut basis, &next, 1e-10);
@@ -192,6 +193,19 @@ pub fn prima_basis(
         x.set_col(j, v);
     }
     Ok(x)
+}
+
+/// `C·v` with the bits of [`Matrix::mul_vec`] on the dense `C`. For a
+/// finite `v` the CSC product adds each row's terms in ascending column
+/// order from `+0.0`, as the dense product does, and every term it skips
+/// is an exact zero times a finite value. A non-finite `v` replays the
+/// dense product, whose skipped terms would be NaN.
+fn krylov_product(c: &SparseMatrix, v: &[f64]) -> Result<Vec<f64>, NumericError> {
+    if v.iter().all(|x| x.is_finite()) {
+        c.mul_vec(v)
+    } else {
+        Ok(c.to_dense().mul_vec(v))
+    }
 }
 
 /// Reduces `(G, C, B)` with the congruence transformation over basis `x`.
@@ -214,7 +228,7 @@ pub fn prima_reduce(
     b: &Matrix,
     order: usize,
 ) -> Result<ReducedModel, NumericError> {
-    let x = prima_basis(g, c, b, order)?;
+    let x = prima_basis(g, &SparseMatrix::from_dense(c), b, order)?;
     Ok(prima_project(g, c, b, &x))
 }
 
@@ -249,7 +263,7 @@ mod tests {
     #[test]
     fn basis_is_orthonormal() {
         let (g, c, b) = ladder(20, 10.0, 1e-12);
-        let x = prima_basis(&g, &c, &b, 5).unwrap();
+        let x = prima_basis(&g, &SparseMatrix::from_dense(&c), &b, 5).unwrap();
         assert_eq!(x.cols(), 5);
         let xtx = x.transpose().mul_mat(&x);
         assert!((&xtx - &Matrix::identity(5)).max_abs() < 1e-10);
@@ -298,7 +312,7 @@ mod tests {
     fn deflation_caps_basis_size() {
         // A 3-node system cannot produce more than 3 basis vectors.
         let (g, c, b) = ladder(3, 1.0, 1e-12);
-        let x = prima_basis(&g, &c, &b, 10).unwrap();
+        let x = prima_basis(&g, &SparseMatrix::from_dense(&c), &b, 10).unwrap();
         assert!(x.cols() <= 3);
     }
 
@@ -342,6 +356,7 @@ mod tests {
     #[test]
     fn zero_order_rejected() {
         let (g, c, b) = ladder(5, 1.0, 1e-12);
+        let c = SparseMatrix::from_dense(&c);
         assert!(prima_basis(&g, &c, &b, 0).is_err());
         let empty_b = Matrix::zeros(5, 0);
         assert!(prima_basis(&g, &c, &empty_b, 3).is_err());

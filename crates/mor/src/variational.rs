@@ -16,8 +16,8 @@
 
 use crate::pact::pact_reduce;
 use crate::prima::{prima_basis, prima_project, ReducedModel};
-use linvar_circuit::{port_incidence, VariationalMna};
-use linvar_numeric::{CMatrix, Complex, Matrix, NumericError};
+use linvar_circuit::{port_incidence, SparseVariationalMna};
+use linvar_numeric::{CMatrix, Complex, Matrix, NumericError, SparseMatrix};
 
 /// Projection algorithm used for the reduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,10 +54,11 @@ pub struct VariationalRom {
     dbr: Vec<Matrix>,
 }
 
-/// Computes the projection basis for `(G, C)` with the given method.
+/// Computes the projection basis for `(G, C)` with the given method. PACT's
+/// eigen-partition needs the dense pencil, so it densifies `C`.
 fn basis_at(
     g: &Matrix,
-    c: &Matrix,
+    c: &SparseMatrix,
     b: &Matrix,
     port_indices: &[usize],
     method: ReductionMethod,
@@ -65,7 +66,7 @@ fn basis_at(
     match method {
         ReductionMethod::Prima { order } => prima_basis(g, c, b, order),
         ReductionMethod::Pact { internal_modes } => {
-            let (_, x) = pact_reduce(g, c, port_indices, internal_modes)?;
+            let (_, x) = pact_reduce(g, &c.to_dense(), port_indices, internal_modes)?;
             Ok(x)
         }
     }
@@ -110,13 +111,18 @@ impl VariationalRom {
     /// normalized parameters (0.01–0.1 is appropriate for parameters whose
     /// working range is about ±1).
     ///
+    /// The load stays sparse: only `G(±δ)` is densified, for the basis's
+    /// dense LU, and every product with a load matrix is a CSC × dense
+    /// product summed in [`Matrix::mul_mat`]'s order, so the model is
+    /// bit-identical to one characterized from the dense matrices.
+    ///
     /// # Errors
     ///
     /// Returns [`NumericError::InvalidInput`] for a non-positive `delta` or
     /// when a perturbed basis loses rank, plus any factorization error from
     /// the underlying reduction.
     pub fn characterize(
-        var: &VariationalMna,
+        var: &SparseVariationalMna,
         method: ReductionMethod,
         delta: f64,
     ) -> Result<Self, NumericError> {
@@ -126,18 +132,17 @@ impl VariationalRom {
             ));
         }
         let b = var.port_incidence();
-        let x0 = basis_at(&var.g0, &var.c0, &b, &var.port_indices, method)?;
+        let ports = var.port_indices();
+        let x0 = basis_at(&var.g_at(&[]), var.c0(), &b, ports, method)?;
         let q = x0.cols();
         let np = var.param_count();
         let mut dx = Vec::with_capacity(np);
         for i in 0..np {
             let mut w = vec![0.0; np];
             w[i] = delta;
-            let (g_hi, c_hi) = var.eval(&w)?;
+            let x_hi = basis_at(&var.g_at(&w), &var.c_at(&w)?, &b, ports, method)?;
             w[i] = -delta;
-            let (g_lo, c_lo) = var.eval(&w)?;
-            let x_hi = basis_at(&g_hi, &c_hi, &b, &var.port_indices, method)?;
-            let x_lo = basis_at(&g_lo, &c_lo, &b, &var.port_indices, method)?;
+            let x_lo = basis_at(&var.g_at(&w), &var.c_at(&w)?, &b, ports, method)?;
             if x_hi.cols() != q || x_lo.cols() != q {
                 return Err(NumericError::InvalidInput(format!(
                     "perturbed basis rank changed for parameter {i} \
@@ -152,39 +157,35 @@ impl VariationalRom {
             d.scale_mut(1.0 / (2.0 * delta));
             dx.push(d);
         }
-        // Nominal reduced matrices.
-        let nominal = prima_project(&var.g0, &var.c0, &b, &x0);
+        // Nominal reduced matrices, the congruence over X0.
+        let x0t = x0.transpose();
+        let g0x0 = var.g0().mul_mat(&x0);
+        let c0x0 = var.c0().mul_mat(&x0);
         // First-order reduced-matrix sensitivities, eq. (11):
-        // dGr_i = dXiᵀ G0 X0 + X0ᵀ dGi X0 + X0ᵀ G0 dXi.
+        // dMr_i = dXiᵀ M0 X0 + X0ᵀ dMi X0 + X0ᵀ M0 dXi.
+        let sensitivity =
+            |dxit: &Matrix, dxi: &Matrix, m0: &SparseMatrix, m0x0: &Matrix, dmi: &SparseMatrix| {
+                let t1 = dxit.mul_mat(m0x0);
+                let t2 = x0t.mul_mat(&dmi.mul_mat(&x0));
+                let t3 = x0t.mul_mat(&m0.mul_mat(dxi));
+                &(&t1 + &t2) + &t3
+            };
         let mut dgr = Vec::with_capacity(np);
         let mut dcr = Vec::with_capacity(np);
         let mut dbr = Vec::with_capacity(np);
-        for i in 0..np {
-            let dxi = &dx[i];
-            let dgr_i = {
-                let t1 = dxi.transpose().mul_mat(&var.g0.mul_mat(&x0));
-                let t2 = x0.transpose().mul_mat(&var.dg[i].mul_mat(&x0));
-                let t3 = x0.transpose().mul_mat(&var.g0.mul_mat(dxi));
-                &(&t1 + &t2) + &t3
-            };
-            let dcr_i = {
-                let t1 = dxi.transpose().mul_mat(&var.c0.mul_mat(&x0));
-                let t2 = x0.transpose().mul_mat(&var.dc[i].mul_mat(&x0));
-                let t3 = x0.transpose().mul_mat(&var.c0.mul_mat(dxi));
-                &(&t1 + &t2) + &t3
-            };
-            let dbr_i = dxi.transpose().mul_mat(&b);
-            dgr.push(dgr_i);
-            dcr.push(dcr_i);
-            dbr.push(dbr_i);
+        for (i, dxi) in dx.iter().enumerate() {
+            let dxit = dxi.transpose();
+            dgr.push(sensitivity(&dxit, dxi, var.g0(), &g0x0, &var.dg()[i]));
+            dcr.push(sensitivity(&dxit, dxi, var.c0(), &c0x0, &var.dc()[i]));
+            dbr.push(dxit.mul_mat(&b));
         }
         Ok(VariationalRom {
             method,
+            gr0: x0t.mul_mat(&g0x0),
+            cr0: x0t.mul_mat(&c0x0),
+            br0: x0t.mul_mat(&b),
             x0,
             dx,
-            gr0: nominal.gr,
-            cr0: nominal.cr,
-            br0: nominal.br,
             dgr,
             dcr,
             dbr,
@@ -285,7 +286,7 @@ impl VariationalRom {
         ports: &[usize],
     ) -> Result<ReducedModel, NumericError> {
         let b = port_incidence(g.rows(), ports);
-        let x = basis_at(g, c, &b, ports, self.method)?;
+        let x = basis_at(g, &SparseMatrix::from_dense(c), &b, ports, self.method)?;
         Ok(prima_project(g, c, &b, &x))
     }
 
@@ -297,6 +298,12 @@ impl VariationalRom {
     /// Basis sensitivity for parameter `i`.
     pub fn basis_sensitivity(&self, i: usize) -> Option<&Matrix> {
         self.dx.get(i)
+    }
+
+    /// The eq. (11) reduced-matrix sensitivities `(dGr_i, dCr_i, dBr_i)`
+    /// for parameter `i`.
+    pub fn reduced_sensitivity(&self, i: usize) -> Option<(&Matrix, &Matrix, &Matrix)> {
+        Some((self.dgr.get(i)?, self.dcr.get(i)?, self.dbr.get(i)?))
     }
 
     /// Reduced order.
@@ -326,13 +333,13 @@ mod tests {
     use linvar_circuit::{Netlist, VariationalValue};
 
     /// The exact reduction of `var` at `w`.
-    fn exact(rom: &VariationalRom, var: &VariationalMna, w: &[f64]) -> ReducedModel {
-        let (g, c) = var.eval(w).unwrap();
-        rom.evaluate_exact(&g, &c, &var.port_indices).unwrap()
+    fn exact(rom: &VariationalRom, var: &SparseVariationalMna, w: &[f64]) -> ReducedModel {
+        let (g, c) = var.eval(w);
+        rom.evaluate_exact(&g, &c, var.port_indices()).unwrap()
     }
 
     /// Variational RC ladder netlist: R and C values scale with parameter 0.
-    fn var_ladder(n: usize) -> VariationalMna {
+    fn var_ladder(n: usize) -> SparseVariationalMna {
         let mut nl = Netlist::new();
         let p = nl.params.declare("p");
         let mut prev = nl.node("n0");
@@ -358,7 +365,7 @@ mod tests {
             .unwrap();
             prev = next;
         }
-        nl.assemble_variational().unwrap()
+        nl.variational_stamps().unwrap().sparse().unwrap()
     }
 
     #[test]

@@ -7,14 +7,14 @@
 //! the allocator for the workspace arena must not change a single result
 //! bit at any thread count.
 
-use linvar_circuit::{Netlist, VariationalMna, VariationalValue};
+use linvar_circuit::{Netlist, SparseVariationalMna, VariationalValue};
 use linvar_mor::{ReducedModel, ReductionMethod, VariationalRom};
 use linvar_numeric::{with_workspace, Matrix};
 use proptest::prelude::*;
 
 /// Variational RC ladder with `np` independent parameters striped over the
 /// segments (parameter `i` scales every `np`-th RC pair).
-fn var_ladder(n: usize, np: usize) -> VariationalMna {
+fn var_ladder(n: usize, np: usize) -> SparseVariationalMna {
     let mut nl = Netlist::new();
     let params: Vec<_> = (0..np)
         .map(|i| nl.params.declare(&format!("p{i}")))
@@ -42,7 +42,7 @@ fn var_ladder(n: usize, np: usize) -> VariationalMna {
         .unwrap();
         prev = next;
     }
-    nl.assemble_variational().unwrap()
+    nl.variational_stamps().unwrap().sparse().unwrap()
 }
 
 /// Bitwise matrix comparison: every f64 must match in representation,

@@ -309,6 +309,41 @@ impl SparseMatrix {
         }
         Ok(y)
     }
+
+    /// `A·X` for a dense `X`, bit-identical to [`Matrix::mul_mat`] on the
+    /// dense form of `A`: each entry sums `a_ik·x_kj` over ascending `k`
+    /// from `+0.0`, skipping every `a_ik` that is zero, stored or not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.rows() != n_cols`.
+    pub fn mul_mat(&self, x: &Matrix) -> Matrix {
+        assert_eq!(
+            self.n_cols,
+            x.rows(),
+            "matmul dimension mismatch: {}x{} * {}x{}",
+            self.n_rows,
+            self.n_cols,
+            x.rows(),
+            x.cols()
+        );
+        let q = x.cols();
+        let mut out = Matrix::zeros(self.n_rows, q);
+        let dst = out.as_mut_slice();
+        for k in 0..self.n_cols {
+            let xk = x.row(k);
+            let (rows, vals) = self.col(k);
+            for (&i, &a) in rows.iter().zip(vals) {
+                if a == 0.0 {
+                    continue;
+                }
+                for (o, &xkj) in dst[i * q..(i + 1) * q].iter_mut().zip(xk) {
+                    *o += a * xkj;
+                }
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -398,6 +433,22 @@ mod tests {
         let got = s.mul_vec(&x).unwrap();
         assert_eq!(got, want);
         assert!(s.mul_vec(&[1.0]).is_err());
+    }
+
+    #[test]
+    fn mul_mat_matches_dense_bits() {
+        // A stored zero and a sum whose order matters (1e16 + 1 - 1e16).
+        let t = [(0, 0, 1e16), (0, 1, 1.0), (0, 2, -1e16), (1, 1, 0.0)];
+        let a = SparseMatrix::from_triplets(2, 3, &t).unwrap();
+        let x = Matrix::from_rows(&[&[1.0, 2.0], &[1.0, f64::INFINITY], &[1.0, -3.0]]);
+        let got = a.mul_mat(&x);
+        let want = a.to_dense().mul_mat(&x);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+        assert!(
+            got[(1, 1)] == 0.0,
+            "a skipped stored zero does not meet the infinity"
+        );
     }
 
     #[test]

@@ -11,22 +11,36 @@
 //! Evaluating the model at a parameter sample performs the Table-1
 //! "evaluation" steps: first-order ROM evaluation, pole/residue
 //! transformation, stability filtering and the successive-chords transient.
+//!
+//! [`StageModel::shared`] is the paper's precharacterized library: one
+//! live model per distinct stage, handed to every path built in the
+//! process.
 
 use crate::engine::{DriverSpec, StageSolver, StageSolverOptions, StageStats, StopRule};
 use crate::error::TetaError;
 use crate::waveform::Waveform;
-use linvar_circuit::{Netlist, NodeId, SparseVariationalMna};
+use linvar_circuit::{MosType, Netlist, NodeId, SparseVariationalMna};
 use linvar_devices::{chord_conductance, DeviceVariation, MosParams, Technology};
 use linvar_mor::{
     extract_pole_residue, extract_stabilized_degrading, stabilize, PoleResidueModel, ReducedModel,
     ReductionMethod, StabilityReport, VariationalRom, DEFAULT_BETA_TOL,
 };
-use linvar_numeric::with_workspace;
+use linvar_numeric::{with_workspace, SparseMatrix};
+use std::collections::BTreeMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
 /// A precharacterized logic stage.
 #[derive(Debug, Clone)]
 pub struct StageModel {
     vrom: VariationalRom,
+    inputs: StageInputs,
+}
+
+/// Everything [`StageModel::build`] characterizes from: the key of the
+/// stage library.
+#[derive(Debug, Clone)]
+struct StageInputs {
     /// The effective-load variational matrices (chords already folded),
     /// kept sparse for the rungs that read the full-order load (exact
     /// reduction, unreduced load) and the exact reference flow.
@@ -39,7 +53,30 @@ pub struct StageModel {
     wp: f64,
     length: f64,
     /// Supply voltage (V).
-    pub vdd: f64,
+    vdd: f64,
+    method: ReductionMethod,
+    delta: f64,
+}
+
+/// Live stage models by the hash of their key. Entries are `Weak`, so
+/// the library keeps nothing alive.
+type Library = BTreeMap<u64, Vec<Weak<StageModel>>>;
+
+static LIBRARY: Mutex<Library> = Mutex::new(BTreeMap::new());
+
+/// The library, also after a panic elsewhere poisoned its lock: every
+/// critical section leaves the map consistent.
+fn library() -> MutexGuard<'static, Library> {
+    LIBRARY.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The live model in `library` whose key is `key`.
+fn find(library: &Library, hash: u64, key: &[u64]) -> Option<Arc<StageModel>> {
+    library
+        .get(&hash)?
+        .iter()
+        .filter_map(Weak::upgrade)
+        .find(|m| m.inputs.key() == key)
 }
 
 // Stage models are built once and evaluated read-only from many threads by
@@ -108,19 +145,11 @@ fn recoverable(e: &TetaError) -> bool {
     matches!(e, TetaError::ScDivergence { .. } | TetaError::Numeric(_))
 }
 
-impl StageModel {
-    /// Builds the stage model from the interconnect netlist.
-    ///
-    /// `driven` lists the netlist nodes that carry drivers (each must be a
-    /// marked port of the netlist); every driver is the technology's unit
-    /// equivalent inverter. `method`/`delta` configure the variational
-    /// reduction (see [`VariationalRom::characterize`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TetaError::BadStage`] for nodes that are not ports or
-    /// missing device models, and propagates characterization failures.
-    pub fn build(
+impl StageInputs {
+    /// Stamps the load, folds the driver chords onto the driven ports and
+    /// looks up the device models: everything of a build but the
+    /// characterization.
+    fn new(
         netlist: &Netlist,
         driven: &[NodeId],
         tech: &Technology,
@@ -159,14 +188,8 @@ impl StageModel {
                 .map_err(|e| TetaError::BadStage(e.to_string()))?;
             driver_ports.push((port_pos, g_out));
         }
-        // Characterize from the dense matrices and keep the sparse ones:
-        // after this, only rungs 2 and 3 and `evaluate_exact` read the
-        // full-order load, each densifying it at its sample.
-        let vrom = VariationalRom::characterize(&stamps.dense(), method, delta)?;
-        let load = stamps.sparse()?;
-        Ok(StageModel {
-            vrom,
-            load,
+        Ok(StageInputs {
+            load: stamps.sparse()?,
             driver_ports,
             nmos,
             pmos,
@@ -174,7 +197,138 @@ impl StageModel {
             wp: tech.wp,
             length: tech.library.lmin,
             vdd,
+            method,
+            delta,
         })
+    }
+
+    /// The library key: every bit of the inputs, as words. Lists carry
+    /// their lengths, so two different inputs never share a key.
+    fn key(&self) -> Vec<u64> {
+        let mut k = Vec::new();
+        let load = &self.load;
+        k.push(load.port_indices().len() as u64);
+        k.extend(load.port_indices().iter().map(|&p| p as u64));
+        k.push(load.param_count() as u64);
+        let matrices = [load.g0(), load.c0()].into_iter();
+        for m in matrices.chain(load.dg()).chain(load.dc()) {
+            push_matrix(&mut k, m);
+        }
+        k.push(self.driver_ports.len() as u64);
+        for &(port, g_out) in &self.driver_ports {
+            k.extend([port as u64, g_out.to_bits()]);
+        }
+        push_mos(&mut k, &self.nmos);
+        push_mos(&mut k, &self.pmos);
+        k.extend([self.wn, self.wp, self.length, self.vdd, self.delta].map(f64::to_bits));
+        k.extend(match self.method {
+            ReductionMethod::Prima { order } => [0, order as u64],
+            ReductionMethod::Pact { internal_modes } => [1, internal_modes as u64],
+        });
+        k
+    }
+
+    fn characterize(self) -> Result<StageModel, TetaError> {
+        Ok(StageModel {
+            vrom: VariationalRom::characterize(&self.load, self.method, self.delta)?,
+            inputs: self,
+        })
+    }
+}
+
+/// Appends a CSC matrix's shape, pattern and value bits.
+fn push_matrix(k: &mut Vec<u64>, m: &SparseMatrix) {
+    k.extend([m.n_rows() as u64, m.n_cols() as u64]);
+    k.extend(m.col_ptr().iter().map(|&p| p as u64));
+    k.extend(m.row_indices().iter().map(|&i| i as u64));
+    k.extend(m.values().iter().map(|v| v.to_bits()));
+}
+
+/// Appends every field of a device model (destructured, so a new field
+/// cannot be left out of the key).
+fn push_mos(k: &mut Vec<u64>, p: &MosParams) {
+    let MosParams {
+        mos_type,
+        vto,
+        kp,
+        lambda,
+        gamma,
+        phi,
+        cox,
+        cgo,
+        cj_per_width,
+        ld,
+    } = p;
+    k.push(match mos_type {
+        MosType::Nmos => 0,
+        MosType::Pmos => 1,
+    });
+    k.extend([vto, kp, lambda, gamma, phi, cox, cgo, cj_per_width, ld].map(|v| v.to_bits()));
+}
+
+impl StageModel {
+    /// Builds the stage model from the interconnect netlist.
+    ///
+    /// `driven` lists the netlist nodes that carry drivers (each must be a
+    /// marked port of the netlist); every driver is the technology's unit
+    /// equivalent inverter. `method`/`delta` configure the variational
+    /// reduction (see [`VariationalRom::characterize`]), which reads the
+    /// chord-folded load in its sparse form.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TetaError::BadStage`] for nodes that are not ports or
+    /// missing device models, and propagates characterization failures.
+    pub fn build(
+        netlist: &Netlist,
+        driven: &[NodeId],
+        tech: &Technology,
+        method: ReductionMethod,
+        delta: f64,
+    ) -> Result<Self, TetaError> {
+        StageInputs::new(netlist, driven, tech, method, delta)?.characterize()
+    }
+
+    /// [`StageModel::build`] through the process-wide stage library: while
+    /// any holder keeps a model alive, a build from the same inputs (the
+    /// chord-folded load, driven ports, device models, geometry, supply,
+    /// method and δ, compared bit for bit) returns that model instead of
+    /// characterizing again. The library holds only `Weak` references, and
+    /// two racing builds of one key keep the first model inserted.
+    ///
+    /// # Errors
+    ///
+    /// As [`StageModel::build`].
+    pub fn shared(
+        netlist: &Netlist,
+        driven: &[NodeId],
+        tech: &Technology,
+        method: ReductionMethod,
+        delta: f64,
+    ) -> Result<Arc<Self>, TetaError> {
+        let inputs = StageInputs::new(netlist, driven, tech, method, delta)?;
+        let key = inputs.key();
+        let hash = {
+            let mut h = DefaultHasher::new();
+            key.hash(&mut h);
+            h.finish()
+        };
+        if let Some(model) = find(&library(), hash, &key) {
+            return Ok(model);
+        }
+        // Characterize without the lock; a racing build of the same key
+        // computes the same bits.
+        let model = Arc::new(inputs.characterize()?);
+        let mut lib = library();
+        if let Some(first) = find(&lib, hash, &key) {
+            return Ok(first);
+        }
+        lib.retain(|_, bucket| {
+            bucket.retain(|m| m.strong_count() > 0);
+            !bucket.is_empty()
+        });
+        lib.entry(hash).or_default().push(Arc::downgrade(&model));
+        Ok(model)
     }
 
     /// Number of load ports.
@@ -184,7 +338,7 @@ impl StageModel {
 
     /// Number of drivers.
     pub fn driver_count(&self) -> usize {
-        self.driver_ports.len()
+        self.inputs.driver_ports.len()
     }
 
     /// The underlying variational ROM (for diagnostics and benches).
@@ -195,7 +349,7 @@ impl StageModel {
     /// The effective load (chords folded) the ROM was characterized from,
     /// in sparse form (for diagnostics and differential tests).
     pub fn load(&self) -> &SparseVariationalMna {
-        &self.load
+        &self.inputs.load
     }
 
     /// Evaluates the stage at an interconnect parameter sample `w` and a
@@ -315,12 +469,13 @@ impl StageModel {
 
         // Rungs 2 and 3 read the full-order load, densified at the sample
         // once.
-        let (g, c) = self.load.eval(w);
+        let load = &self.inputs.load;
+        let (g, c) = load.eval(w);
 
         // Rung 2: exact reduction at the sample.
         let rung2 = self
             .vrom
-            .evaluate_exact(&g, &c, self.load.port_indices())
+            .evaluate_exact(&g, &c, load.port_indices())
             .map_err(TetaError::from)
             .and_then(|rom| {
                 extract_stabilized_degrading(&rom, DEFAULT_BETA_TOL).map_err(TetaError::from)
@@ -349,7 +504,7 @@ impl StageModel {
         let full = ReducedModel {
             gr: g,
             cr: c,
-            br: self.load.port_incidence(),
+            br: load.port_incidence(),
         };
         let rung3 = extract_pole_residue(&full)
             .map(|pr| (full.order(), stabilize(&pr)))
@@ -424,8 +579,9 @@ impl StageModel {
         h: f64,
         t_end: f64,
     ) -> Result<StageResult, TetaError> {
-        let (g, c) = self.load.eval(w);
-        let rom = self.vrom.evaluate_exact(&g, &c, self.load.port_indices())?;
+        let load = &self.inputs.load;
+        let (g, c) = load.eval(w);
+        let rom = self.vrom.evaluate_exact(&g, &c, load.port_indices())?;
         self.evaluate_with_rom(&rom, inputs, self.options(variation, h, t_end, None))
     }
 
@@ -437,9 +593,10 @@ impl StageModel {
         t_end: f64,
         stop: Option<StopRule>,
     ) -> StageSolverOptions {
-        let mut opts = StageSolverOptions::new(self.vdd, t_end, h);
+        let vdd = self.inputs.vdd;
+        let mut opts = StageSolverOptions::new(vdd, t_end, h);
         opts.variation = variation;
-        opts.compress_tol = 1e-4 * self.vdd;
+        opts.compress_tol = 1e-4 * vdd;
         opts.stop = stop;
         opts
     }
@@ -466,25 +623,26 @@ impl StageModel {
         inputs: &[Waveform],
         opts: StageSolverOptions,
     ) -> Result<StageResult, TetaError> {
-        if inputs.len() != self.driver_ports.len() {
+        let s = &self.inputs;
+        if inputs.len() != s.driver_ports.len() {
             return Err(TetaError::BadStage(format!(
                 "{} inputs for {} drivers",
                 inputs.len(),
-                self.driver_ports.len()
+                s.driver_ports.len()
             )));
         }
-        let drivers: Vec<DriverSpec> = self
+        let drivers: Vec<DriverSpec> = s
             .driver_ports
             .iter()
             .zip(inputs)
             .map(|(&(port, g_out), input)| DriverSpec {
                 port,
                 input: input.clone(),
-                nmos: self.nmos.clone(),
-                pmos: self.pmos.clone(),
-                wn: self.wn,
-                wp: self.wp,
-                length: self.length,
+                nmos: s.nmos.clone(),
+                pmos: s.pmos.clone(),
+                wn: s.wn,
+                wp: s.wp,
+                length: s.length,
                 g_out,
             })
             .collect();

@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if nl.ports().is_empty() {
         return Err("deck has no .port directive".into());
     }
-    let var = nl.assemble_variational()?;
+    let var = nl.variational_stamps()?.sparse()?;
     let order = 6.min(var.order());
     let vrom = VariationalRom::characterize(&var, ReductionMethod::Prima { order }, 0.02)?;
     println!(

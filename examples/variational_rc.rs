@@ -20,7 +20,7 @@ use linvar::spice::OnePortPoleResidue;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (nl, port) = example1_load()?;
-    let var = nl.assemble_variational()?;
+    let var = nl.variational_stamps()?.sparse()?;
     println!(
         "Example-1 load: {} nodes, {} elements, spatial parameter p",
         var.order(),

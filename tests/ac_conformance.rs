@@ -71,8 +71,10 @@ struct Row {
 fn run_row(row: &Row, freqs: &[f64]) -> (String, usize) {
     let (nl, port_node) = driven_lines(row.n_lines, row.length);
     let var = nl
-        .assemble_variational()
-        .expect("variational MNA assembles");
+        .variational_stamps()
+        .expect("variational MNA stamps")
+        .sparse()
+        .expect("stamps are in range");
     let rom = VariationalRom::characterize(&var, ReductionMethod::Prima { order: row.order }, 0.02)
         .expect("vROM characterizes");
 
@@ -81,7 +83,7 @@ fn run_row(row: &Row, freqs: &[f64]) -> (String, usize) {
     let port_name = nl.node_name(port_node).expect("port is named").to_string();
     let port_row = port_node.mna_index().expect("port is not ground");
     let port_k = var
-        .port_indices
+        .port_indices()
         .iter()
         .position(|&r| r == port_row)
         .expect("near end is marked as a port");

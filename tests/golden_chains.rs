@@ -174,3 +174,35 @@ fn golden_chains_rows_across_backends_and_threads() {
     }
     check_or_bless(&rows);
 }
+
+/// The `chains` bin runs the dense backend beside the sparse one only
+/// where the matrix each sample factors has order at most
+/// `DENSE_MAX_ORDER`: the MNA dimension for the transient, twice it for
+/// the AC analysis's real embedding. Every full-suite decision, listed.
+#[test]
+fn chains_dense_backend_is_gated_on_the_factored_order() {
+    use linvar_bench::chains::{factored_order, runs_dense};
+    use linvar_stats::AnalysisKind;
+    let cases = linvar_interconnect::standard_cases(false).unwrap();
+    let decisions: Vec<_> = cases
+        .iter()
+        .map(|case| {
+            let at = |a| (factored_order(case, a), runs_dense(case, a));
+            (
+                case.name.as_str(),
+                at(AnalysisKind::Transient),
+                at(AnalysisKind::Ac),
+            )
+        })
+        .collect();
+    assert_eq!(
+        decisions,
+        [
+            ("chain2x500", (1004, true), (2008, true)),
+            ("htree4", (2081, true), (4162, true)),
+            ("chain2x2500", (5004, false), (10008, false)),
+            ("htree6", (3201, true), (6402, false)),
+            ("chain2x10000", (20004, false), (40008, false)),
+        ]
+    );
+}

@@ -413,7 +413,7 @@ fn golden_transient_bits() {
     }
 
     let (nl, _) = example1_load().unwrap();
-    let var = nl.assemble_variational().unwrap();
+    let var = nl.variational_stamps().unwrap().sparse().unwrap();
     let raw = VariationalRom::characterize(&var, ReductionMethod::Pact { internal_modes: 3 }, 0.02)
         .unwrap();
     for p in [0.0, 0.05, 0.1] {

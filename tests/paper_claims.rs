@@ -12,7 +12,11 @@ use linvar::prelude::*;
 #[test]
 fn example1_instability_exists_and_filter_repairs() {
     let (nl, _port) = example1_load().expect("builds");
-    let var = nl.assemble_variational().expect("assembles");
+    let var = nl
+        .variational_stamps()
+        .expect("stamps")
+        .sparse()
+        .expect("in range");
     let raw = VariationalRom::characterize(&var, ReductionMethod::Pact { internal_modes: 3 }, 0.02)
         .expect("characterizes");
     let mut any_unstable = false;

@@ -9,12 +9,24 @@
 //! (5 circuits × {10, 500} elements) the stored load must evaluate to the
 //! oracle's matrices and port incidence bit for bit, and on a 500-element
 //! stage the exact reduction of the stored load must equal the oracle's.
+//!
+//! The characterization oracle is the dense route `VariationalRom::
+//! characterize` took before it read the sparse load: a copy of its
+//! `basis_at`, `align_basis`, dense PRIMA basis, ±δ loop over
+//! `VariationalMna::eval`, `prima_project` and eq. (11) products. Every
+//! matrix of the ROM characterized from the sparse load must equal it bit
+//! for bit.
 
-use linvar::circuit::VariationalMna;
+use linvar::circuit::{NodeId, SparseVariationalMna, VariationalMna};
 use linvar::core::stage_builder::{build_stage_load, StageLoad, StageLoadSpec};
 use linvar::devices::chord_conductance;
+use linvar::interconnect::builder::build_coupled_lines;
+use linvar::interconnect::example1_load;
 use linvar::iscas::{benchmark, decompose_to_primitives, longest_path};
-use linvar::numeric::Matrix;
+use linvar::mor::{pact_reduce, prima_project};
+use linvar::numeric::{
+    gram_schmidt_orthonormalize, AnySolver, LinearSolver, Matrix, NumericError, SolverChoice,
+};
 use linvar::prelude::*;
 use std::collections::BTreeSet;
 
@@ -51,16 +63,244 @@ fn stage_load(n_elem: usize, driver: &str, receiver: &str, tech: &Technology) ->
 /// The dense effective load: assembled, then the unit inverter's chord
 /// conductance folded onto the driven port, as `StageModel::build` does.
 fn oracle(load: &StageLoad, tech: &Technology) -> VariationalMna {
-    let mut var = load.netlist.assemble_variational().expect("assembles");
+    folded(&load.netlist, &[load.near], tech)
+}
+
+/// `netlist`'s dense variational matrices with the unit inverter's chord
+/// conductance folded onto each driven port, in driver order.
+fn folded(netlist: &Netlist, driven: &[NodeId], tech: &Technology) -> VariationalMna {
+    let mut var = netlist.assemble_variational().expect("assembles");
     let lib = &tech.library;
     let nmos = lib.get(&lib.nmos_name()).expect("nmos");
     let pmos = lib.get(&lib.pmos_name()).expect("pmos");
     let g_out = chord_conductance(nmos, tech.wn, lib.lmin, lib.vdd)
         + chord_conductance(pmos, tech.wp, lib.lmin, lib.vdd);
-    let port = load.netlist.ports().iter().position(|p| *p == load.near);
-    let idx = var.port_indices[port.expect("near end is a port")];
-    var.add_grounded_conductance(idx, g_out).expect("folds");
+    for node in driven {
+        let port = netlist.ports().iter().position(|p| p == node);
+        let idx = var.port_indices[port.expect("driven node is a port")];
+        var.add_grounded_conductance(idx, g_out).expect("folds");
+    }
     var
+}
+
+/// The dense PRIMA basis: block Arnoldi on `(G⁻¹C, G⁻¹B)` with the dense
+/// Krylov product `C·v`.
+fn dense_prima_basis(
+    g: &Matrix,
+    c: &Matrix,
+    b: &Matrix,
+    order: usize,
+) -> Result<Matrix, NumericError> {
+    let n = g.rows();
+    let lu = AnySolver::factor_dense_matrix(g, SolverChoice::Auto)?;
+    let r = lu.solve_mat(b)?;
+    let mut basis: Vec<Vec<f64>> = Vec::new();
+    let candidates: Vec<Vec<f64>> = (0..r.cols()).map(|j| r.col(j)).collect();
+    gram_schmidt_orthonormalize(&mut basis, &candidates, 1e-10);
+    let mut block_start = 0;
+    while basis.len() < order.min(n) {
+        let block_end = basis.len();
+        if block_start == block_end {
+            break;
+        }
+        let mut next: Vec<Vec<f64>> = Vec::new();
+        for v in &basis[block_start..block_end] {
+            let cv = c.mul_vec(v);
+            next.push(lu.solve(&cv)?);
+        }
+        block_start = block_end;
+        gram_schmidt_orthonormalize(&mut basis, &next, 1e-10);
+    }
+    basis.truncate(order.min(n));
+    let q = basis.len();
+    let mut x = Matrix::zeros(n, q);
+    for (j, v) in basis.iter().enumerate() {
+        x.set_col(j, v);
+    }
+    Ok(x)
+}
+
+fn dense_basis_at(
+    g: &Matrix,
+    c: &Matrix,
+    b: &Matrix,
+    port_indices: &[usize],
+    method: ReductionMethod,
+) -> Result<Matrix, NumericError> {
+    match method {
+        ReductionMethod::Prima { order } => dense_prima_basis(g, c, b, order),
+        ReductionMethod::Pact { internal_modes } => {
+            let (_, x) = pact_reduce(g, c, port_indices, internal_modes)?;
+            Ok(x)
+        }
+    }
+}
+
+// The copied routes keep the index loops of `linvar-mor`, which allows
+// this lint crate-wide.
+#[allow(clippy::needless_range_loop)]
+fn align_basis(x0: &Matrix, x: &Matrix) -> Matrix {
+    let q = x0.cols();
+    let mut aligned = Matrix::zeros(x0.rows(), q);
+    let mut used = vec![false; x.cols()];
+    for j in 0..q {
+        let target = x0.col(j);
+        let mut best = None;
+        let mut best_dot = 0.0_f64;
+        for k in 0..x.cols() {
+            if used[k] {
+                continue;
+            }
+            let cand = x.col(k);
+            let dot: f64 = target.iter().zip(&cand).map(|(a, b)| a * b).sum();
+            if dot.abs() > best_dot.abs() || best.is_none() {
+                best_dot = dot;
+                best = Some(k);
+            }
+        }
+        if let Some(k) = best {
+            used[k] = true;
+            let col = x.col(k);
+            let sign = if best_dot < 0.0 { -1.0 } else { 1.0 };
+            let col: Vec<f64> = col.iter().map(|v| v * sign).collect();
+            aligned.set_col(j, &col);
+        }
+    }
+    aligned
+}
+
+/// Every matrix of a characterized ROM, in comparison order.
+struct RomMatrices {
+    x0: Matrix,
+    dx: Vec<Matrix>,
+    gr0: Matrix,
+    cr0: Matrix,
+    br0: Matrix,
+    dgr: Vec<Matrix>,
+    dcr: Vec<Matrix>,
+    dbr: Vec<Matrix>,
+}
+
+/// The dense characterization route.
+#[allow(clippy::needless_range_loop)]
+fn dense_characterize(var: &VariationalMna, method: ReductionMethod, delta: f64) -> RomMatrices {
+    let b = var.port_incidence();
+    let x0 = dense_basis_at(&var.g0, &var.c0, &b, &var.port_indices, method).expect("basis");
+    let np = var.param_count();
+    let mut dx = Vec::with_capacity(np);
+    for i in 0..np {
+        let mut w = vec![0.0; np];
+        w[i] = delta;
+        let (g_hi, c_hi) = var.eval(&w).expect("eval");
+        w[i] = -delta;
+        let (g_lo, c_lo) = var.eval(&w).expect("eval");
+        let x_hi = dense_basis_at(&g_hi, &c_hi, &b, &var.port_indices, method).expect("basis");
+        let x_lo = dense_basis_at(&g_lo, &c_lo, &b, &var.port_indices, method).expect("basis");
+        let x_hi = align_basis(&x0, &x_hi);
+        let x_lo = align_basis(&x0, &x_lo);
+        let mut d = &x_hi - &x_lo;
+        d.scale_mut(1.0 / (2.0 * delta));
+        dx.push(d);
+    }
+    let nominal = prima_project(&var.g0, &var.c0, &b, &x0);
+    let mut dgr = Vec::with_capacity(np);
+    let mut dcr = Vec::with_capacity(np);
+    let mut dbr = Vec::with_capacity(np);
+    for i in 0..np {
+        let dxi = &dx[i];
+        let dgr_i = {
+            let t1 = dxi.transpose().mul_mat(&var.g0.mul_mat(&x0));
+            let t2 = x0.transpose().mul_mat(&var.dg[i].mul_mat(&x0));
+            let t3 = x0.transpose().mul_mat(&var.g0.mul_mat(dxi));
+            &(&t1 + &t2) + &t3
+        };
+        let dcr_i = {
+            let t1 = dxi.transpose().mul_mat(&var.c0.mul_mat(&x0));
+            let t2 = x0.transpose().mul_mat(&var.dc[i].mul_mat(&x0));
+            let t3 = x0.transpose().mul_mat(&var.c0.mul_mat(dxi));
+            &(&t1 + &t2) + &t3
+        };
+        dgr.push(dgr_i);
+        dcr.push(dcr_i);
+        dbr.push(dxi.transpose().mul_mat(&b));
+    }
+    RomMatrices {
+        x0,
+        dx,
+        gr0: nominal.gr,
+        cr0: nominal.cr,
+        br0: nominal.br,
+        dgr,
+        dcr,
+        dbr,
+    }
+}
+
+/// The matrices of a characterized ROM, read through its accessors.
+fn rom_matrices(rom: &VariationalRom) -> RomMatrices {
+    let nominal = rom.evaluate(&[]).expect("nominal");
+    let np = rom.param_count();
+    let sens: Vec<_> = (0..np)
+        .map(|i| rom.reduced_sensitivity(i).expect("sensitivity"))
+        .collect();
+    RomMatrices {
+        x0: rom.basis().clone(),
+        dx: (0..np)
+            .map(|i| rom.basis_sensitivity(i).expect("dX").clone())
+            .collect(),
+        gr0: nominal.gr,
+        cr0: nominal.cr,
+        br0: nominal.br,
+        dgr: sens.iter().map(|s| s.0.clone()).collect(),
+        dcr: sens.iter().map(|s| s.1.clone()).collect(),
+        dbr: sens.iter().map(|s| s.2.clone()).collect(),
+    }
+}
+
+/// `rom` against the dense route on `dense`, matrix by matrix.
+fn assert_rom_matches_dense(
+    at: &str,
+    rom: &VariationalRom,
+    dense: &VariationalMna,
+    method: ReductionMethod,
+    delta: f64,
+) {
+    let got = rom_matrices(rom);
+    let want = dense_characterize(dense, method, delta);
+    assert_eq!(got.dx.len(), want.dx.len(), "{at}: parameter count");
+    let pairs = [
+        ("X0", &got.x0, &want.x0),
+        ("Gr0", &got.gr0, &want.gr0),
+        ("Cr0", &got.cr0, &want.cr0),
+        ("Br0", &got.br0, &want.br0),
+    ];
+    for (name, g, w) in pairs {
+        assert!(bits(g) == bits(w), "{at}: {name} differs");
+    }
+    for i in 0..want.dx.len() {
+        let pairs = [
+            ("dX", &got.dx[i], &want.dx[i]),
+            ("dGr", &got.dgr[i], &want.dgr[i]),
+            ("dCr", &got.dcr[i], &want.dcr[i]),
+            ("dBr", &got.dbr[i], &want.dbr[i]),
+        ];
+        for (name, g, w) in pairs {
+            assert!(bits(g) == bits(w), "{at}: {name}{i} differs");
+        }
+    }
+}
+
+/// The distinct (driver, receiver) pairs of the five Table-4 paths.
+fn distinct_stages() -> Vec<(String, String)> {
+    let mut seen = BTreeSet::new();
+    for circuit in CIRCUITS {
+        let cells = path_cells(circuit);
+        for (k, cell) in cells.iter().enumerate() {
+            let receiver = cells.get(k + 1).map_or("inv", String::as_str);
+            seen.insert((cell.clone(), receiver.to_string()));
+        }
+    }
+    seen.into_iter().collect()
 }
 
 /// SplitMix64 stream mapped to [-3, 3).
@@ -194,4 +434,72 @@ fn exact_reduction_of_the_stored_load_matches_the_dense_oracle() {
         assert!(bits(&got.cr) == bits(&want.cr), "Cr at {w:?}");
         assert!(bits(&got.br) == bits(&want.br), "Br at {w:?}");
     }
+}
+
+#[test]
+fn stage_characterization_matches_the_dense_route_bit_for_bit() {
+    let tech = tech_018();
+    let stages = distinct_stages();
+    assert!(stages.len() >= 20, "{} distinct stages", stages.len());
+    let methods = [
+        ReductionMethod::Prima { order: 6 },
+        ReductionMethod::Pact { internal_modes: 3 },
+    ];
+    for (driver, receiver) in &stages {
+        let load = stage_load(10, driver, receiver, &tech);
+        let dense = oracle(&load, &tech);
+        for method in methods {
+            let stage = StageModel::build(&load.netlist, &[load.near], &tech, method, 0.02)
+                .expect("stage builds");
+            let at = format!("{driver} -> {receiver} @10, {method:?}");
+            assert_rom_matches_dense(&at, stage.vrom(), &dense, method, 0.02);
+        }
+    }
+    let prima = ReductionMethod::Prima { order: 6 };
+    for (driver, receiver) in stages.iter().take(3) {
+        let load = stage_load(500, driver, receiver, &tech);
+        let stage =
+            StageModel::build(&load.netlist, &[load.near], &tech, prima, 0.02).expect("builds");
+        let at = format!("{driver} -> {receiver} @500");
+        assert_rom_matches_dense(&at, stage.vrom(), &oracle(&load, &tech), prima, 0.02);
+    }
+}
+
+#[test]
+fn coupled_rlc_and_example1_characterizations_match_the_dense_route() {
+    let tech = tech_018();
+    // Two coupled lines, both near ends driven.
+    let spec = CoupledLineSpec::new(2, 20e-6, WireTech::m018());
+    let built = build_coupled_lines(&spec).expect("builds");
+    let driven = [built.inputs[0], built.inputs[1]];
+    let prima = ReductionMethod::Prima { order: 6 };
+    let stage = StageModel::build(&built.netlist, &driven, &tech, prima, 0.02).expect("builds");
+    let dense = folded(&built.netlist, &driven, &tech);
+    assert_rom_matches_dense("coupled pair", stage.vrom(), &dense, prima, 0.02);
+
+    // The RLC line deck of `tests/rlc.rs`: inductor branch rows and C
+    // sensitivities on them.
+    let spec = CoupledLineSpec::new(1, 100e-6, WireTech::m018()).with_inductance();
+    let built = build_coupled_lines(&spec).expect("builds");
+    let mut nl = built.netlist.clone();
+    nl.add_resistor("Rdrv", built.inputs[0], Netlist::GROUND, 200.0)
+        .expect("adds");
+    let rlc = ReductionMethod::Prima { order: 10 };
+    let rom = VariationalRom::characterize(&sparse_load(&nl), rlc, 0.02).expect("characterizes");
+    let dense = nl.assemble_variational().expect("assembles");
+    assert_rom_matches_dense("rlc line", &rom, &dense, rlc, 0.02);
+
+    // The Example-1 load under PACT.
+    let (nl, _) = example1_load().expect("builds");
+    let pact = ReductionMethod::Pact { internal_modes: 3 };
+    let rom = VariationalRom::characterize(&sparse_load(&nl), pact, 0.02).expect("characterizes");
+    let dense = nl.assemble_variational().expect("assembles");
+    assert_rom_matches_dense("example 1", &rom, &dense, pact, 0.02);
+}
+
+fn sparse_load(nl: &Netlist) -> SparseVariationalMna {
+    nl.variational_stamps()
+        .expect("stamps")
+        .sparse()
+        .expect("in range")
 }
