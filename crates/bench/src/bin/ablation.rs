@@ -199,7 +199,6 @@ fn run() -> Result<(), BenchError> {
     );
     println!("(delays should agree across delta — the basis sensitivities are");
     println!(" linear over a wide step range)");
-    eprintln!("{}", linvar_bench::workspace_note());
     meter.finish(&args)?;
     Ok(())
 }

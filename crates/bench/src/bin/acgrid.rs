@@ -30,7 +30,7 @@ use linvar_bench::chains::{engine_line, gpc_line};
 use linvar_bench::grid::{
     drop_for_sample, grid_fingerprint, sample_set, sample_set_sobol, GRID_GPC_CONFIG, GRID_SIGMA,
 };
-use linvar_bench::{run_points, workspace_note, BenchArgs, BenchError, BenchMeter, Engine, Points};
+use linvar_bench::{run_points, BenchArgs, BenchError, BenchMeter, Engine, Points};
 use linvar_interconnect::standard_grid_cases;
 use linvar_numeric::SolverChoice;
 use linvar_stats::{resolve_threads, RunSpec, SpectralPlan};
@@ -127,6 +127,5 @@ fn run() -> Result<(), BenchError> {
         meter.set(&format!("{}.dim", case.name), case.dim as u64);
         println!();
     }
-    println!("{}", workspace_note());
     meter.finish(&args)
 }

@@ -45,9 +45,7 @@ use linvar_bench::chains::{
     delay_for_sample, engine_line, factored_order, gpc_line, runs_dense, sample_set,
     sample_set_sobol, CHAINS_GPC_CONFIG, CHAINS_SIGMA, DENSE_MAX_ORDER,
 };
-use linvar_bench::{
-    run_points, workspace_note, BenchArgs, BenchError, BenchMeter, Engine, Points, PointsRun,
-};
+use linvar_bench::{run_points, BenchArgs, BenchError, BenchMeter, Engine, Points, PointsRun};
 use linvar_interconnect::{standard_cases, ChainCase};
 use linvar_numeric::SolverChoice;
 use linvar_stats::{resolve_threads, AnalysisKind, RunSpec, SpectralPlan};
@@ -173,7 +171,6 @@ fn run() -> Result<(), BenchError> {
         meter.set(&format!("{row_name}.dim"), case.dim as u64);
         println!();
     }
-    println!("{}", workspace_note());
     meter.finish(&args)
 }
 

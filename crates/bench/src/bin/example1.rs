@@ -129,7 +129,6 @@ fn run() -> Result<(), BenchError> {
     );
     println!("max |extreme - macromodel| = {max_err:.4} V (VDD = 5 V)");
     meter.set("fig3_max_macromodel_error_v", max_err);
-    eprintln!("{}", linvar_bench::workspace_note());
     meter.finish(&args)?;
     Ok(())
 }

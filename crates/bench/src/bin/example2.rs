@@ -331,7 +331,6 @@ fn run() -> Result<(), BenchError> {
     // SPICE cross-check on a few samples.
     if args.deadline_exhausted(run_start) {
         eprintln!("deadline: skipping the SPICE cross-check");
-        eprintln!("{}", linvar_bench::workspace_note());
         meter.finish(&args)?;
         return Ok(());
     }
@@ -346,7 +345,6 @@ fn run() -> Result<(), BenchError> {
         worst * 100.0
     );
     meter.set("spice_crosscheck_worst_rel_error", worst);
-    eprintln!("{}", linvar_bench::workspace_note());
     meter.finish(&args)?;
     Ok(())
 }

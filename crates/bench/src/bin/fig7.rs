@@ -233,7 +233,6 @@ fn run() -> Result<(), BenchError> {
         );
     }
     meter.set("truncated_circuits", truncated as u64);
-    eprintln!("{}", linvar_bench::workspace_note());
     meter.finish(&args)?;
     Ok(())
 }

@@ -249,7 +249,6 @@ fn run_engine_mode(args: &BenchArgs) -> Result<(), BenchError> {
     meter.set("configs", configs);
     meter.set("truncated_configs", truncated as u64);
     meter.set("all_within_budget", all_within);
-    eprintln!("{}", linvar_bench::workspace_note());
     meter.finish(args)?;
     Ok(())
 }
@@ -445,7 +444,6 @@ fn run() -> Result<(), BenchError> {
     }
     meter.set("configs", configs);
     meter.set("truncated_configs", truncated as u64);
-    eprintln!("{}", linvar_bench::workspace_note());
     meter.finish(&args)?;
     Ok(())
 }

@@ -136,7 +136,6 @@ fn run() -> Result<(), BenchError> {
         );
     }
     meter.set("truncated_configs", truncated as u64);
-    eprintln!("{}", linvar_bench::workspace_note());
     meter.finish(&args)?;
     Ok(())
 }

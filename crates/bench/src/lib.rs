@@ -562,29 +562,6 @@ pub fn quantile_at(quantiles: &[(f64, f64)], p: f64) -> f64 {
         .unwrap_or(f64::NAN)
 }
 
-/// One-line summary of the per-worker workspace arenas' effect, read
-/// from the `ws.*` gauges. The bins print this to stderr next to their
-/// timing notes; hit counts depend on scheduling (how samples landed on
-/// workers), so this line never goes on a deterministic `mc` line or
-/// into the byte-diffed counters section.
-pub fn workspace_note() -> String {
-    use linvar_metrics::Gauge;
-    let hits = linvar_metrics::gauge_value(Gauge::WsHits);
-    let misses = linvar_metrics::gauge_value(Gauge::WsMisses);
-    let held = linvar_metrics::gauge_value(Gauge::WsBytesHeld);
-    let takes = hits + misses;
-    if takes == 0 {
-        return "workspace arenas: unused".to_string();
-    }
-    #[allow(clippy::cast_precision_loss)]
-    let rate = 100.0 * hits as f64 / takes as f64;
-    format!(
-        "workspace arenas: {hits} hits / {misses} misses ({rate:.1}% hit rate), \
-         peak {:.1} KiB held per run",
-        held as f64 / 1024.0
-    )
-}
-
 /// Renders a simple fixed-width text table with a header row.
 ///
 /// # Example

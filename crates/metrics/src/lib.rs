@@ -358,42 +358,6 @@ impl Counter {
     }
 }
 
-/// Run-dependent scalar gauges. Unlike [`Counter`]s these are *not*
-/// deterministic work counts — they describe how a particular run used
-/// the machine (workspace-arena residency, pool hit rates), so they
-/// live in the report's `gauges` section, which CI never diffs.
-///
-/// Per-worker workspace warm-up misses vary with the worker count, so
-/// putting these next to `wall_seconds`/`mc.samples_per_sec` (rather
-/// than in `counters`) is what keeps the counters section bitwise
-/// identical across thread counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Gauge {
-    /// High-water mark of bytes held across all workspace arenas.
-    WsBytesHeld,
-    /// Workspace takes served from a pool.
-    WsHits,
-    /// Workspace takes that had to allocate.
-    WsMisses,
-}
-
-/// Number of [`Gauge`] variants.
-pub const N_GAUGES: usize = 3;
-
-impl Gauge {
-    /// Every gauge, in declaration order (= index order).
-    pub const ALL: [Gauge; N_GAUGES] = [Gauge::WsBytesHeld, Gauge::WsHits, Gauge::WsMisses];
-
-    /// Stable dotted name used as the JSON key.
-    pub fn name(self) -> &'static str {
-        match self {
-            Gauge::WsBytesHeld => "ws.bytes_held",
-            Gauge::WsHits => "ws.hits",
-            Gauge::WsMisses => "ws.misses",
-        }
-    }
-}
-
 /// Log2 duration-histogram buckets per phase: bucket `k` counts durations
 /// in `[2^(k-1), 2^k)` nanoseconds (bucket 0 is `< 1 ns`); the last bucket
 /// absorbs everything from ~9 minutes up.
@@ -409,7 +373,6 @@ fn bucket_of(ns: u64) -> usize {
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static G_COUNTERS: [AtomicU64; N_COUNTERS] = [const { AtomicU64::new(0) }; N_COUNTERS];
-static G_GAUGES: [AtomicU64; N_GAUGES] = [const { AtomicU64::new(0) }; N_GAUGES];
 static G_CALLS: [AtomicU64; N_PHASES] = [const { AtomicU64::new(0) }; N_PHASES];
 static G_NS: [AtomicU64; N_PHASES] = [const { AtomicU64::new(0) }; N_PHASES];
 #[allow(clippy::large_stack_arrays)]
@@ -517,9 +480,6 @@ pub fn reset() {
     for a in &G_COUNTERS {
         a.store(0, Ordering::Relaxed);
     }
-    for a in &G_GAUGES {
-        a.store(0, Ordering::Relaxed);
-    }
     for a in &G_CALLS {
         a.store(0, Ordering::Relaxed);
     }
@@ -558,29 +518,6 @@ pub fn count(c: Counter, n: u64) {
 #[inline]
 pub fn incr(c: Counter) {
     count(c, 1);
-}
-
-/// Adds `n` to a gauge. Gauges are updated at coarse boundaries (a
-/// workspace scope exit, not per event), so they go straight to the
-/// global atomics — no thread-local buffering, nothing to flush.
-#[inline]
-pub fn gauge_add(g: Gauge, n: u64) {
-    if enabled() && n != 0 {
-        G_GAUGES[g as usize].fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Raises a gauge to at least `v` (high-water-mark semantics).
-#[inline]
-pub fn gauge_max(g: Gauge, v: u64) {
-    if enabled() {
-        G_GAUGES[g as usize].fetch_max(v, Ordering::Relaxed);
-    }
-}
-
-/// Current value of a gauge.
-pub fn gauge_value(g: Gauge) -> u64 {
-    G_GAUGES[g as usize].load(Ordering::Relaxed)
 }
 
 /// Records one completed `phase` span of `ns` nanoseconds.
@@ -693,12 +630,7 @@ pub fn snapshot() -> MetricsReport {
             )
         })
         .collect();
-    let mut report = MetricsReport::new(counters, timers);
-    for g in Gauge::ALL {
-        #[allow(clippy::cast_precision_loss)]
-        report.set_gauge(g.name(), gauge_value(g) as f64);
-    }
-    report
+    MetricsReport::new(counters, timers)
 }
 
 /// Serializes tests that touch the process-global sink (cargo's test
@@ -722,16 +654,12 @@ mod tests {
         for (i, p) in Phase::ALL.iter().enumerate() {
             assert_eq!(*p as usize, i, "{:?}", p);
         }
-        for (i, g) in Gauge::ALL.iter().enumerate() {
-            assert_eq!(*g as usize, i, "{:?}", g);
-        }
     }
 
     #[test]
     fn counter_names_are_unique_and_stable() {
         let mut names: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
         names.extend(Phase::ALL.iter().map(|p| p.name()));
-        names.extend(Gauge::ALL.iter().map(|g| g.name()));
         let mut sorted = names.clone();
         sorted.sort_unstable();
         sorted.dedup();
@@ -807,37 +735,6 @@ mod tests {
         assert_eq!(rep.counters["spice.newton_iterations"], 4000);
         assert_eq!(rep.timers["sample_eval"].calls, 4);
         reset();
-    }
-
-    #[test]
-    fn gauges_accumulate_max_and_snapshot() {
-        let _g = test_lock();
-        reset();
-        enable();
-        gauge_add(Gauge::WsHits, 5);
-        gauge_add(Gauge::WsHits, 2);
-        gauge_max(Gauge::WsBytesHeld, 100);
-        gauge_max(Gauge::WsBytesHeld, 40); // lower: must not regress
-        let rep = snapshot();
-        disable();
-        assert_eq!(gauge_value(Gauge::WsHits), 7);
-        assert_eq!(gauge_value(Gauge::WsBytesHeld), 100);
-        assert_eq!(rep.gauges["ws.hits"], 7.0);
-        assert_eq!(rep.gauges["ws.bytes_held"], 100.0);
-        assert_eq!(rep.gauges["ws.misses"], 0.0);
-        reset();
-        assert_eq!(gauge_value(Gauge::WsHits), 0, "reset must zero gauges");
-    }
-
-    #[test]
-    fn disabled_sink_ignores_gauges() {
-        let _g = test_lock();
-        disable();
-        reset();
-        gauge_add(Gauge::WsMisses, 9);
-        gauge_max(Gauge::WsBytesHeld, 9);
-        assert_eq!(gauge_value(Gauge::WsMisses), 0);
-        assert_eq!(gauge_value(Gauge::WsBytesHeld), 0);
     }
 
     #[test]

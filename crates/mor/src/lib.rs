@@ -27,7 +27,7 @@
 // Tests are exempt: unwrap/expect on known-good fixtures is idiomatic there.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 // The per-sample hot path (evaluate/extract/stabilize) must not clone
-// what a borrow or a workspace buffer can serve.
+// what a borrow or a buffer it already owns can serve.
 #![deny(clippy::redundant_clone)]
 
 pub mod degrade;

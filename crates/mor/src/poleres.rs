@@ -15,8 +15,7 @@
 
 use crate::prima::ReducedModel;
 use linvar_numeric::{
-    eigen_decompose, with_workspace, CLuFactor, CMatrix, Complex, LuFactor, Matrix, NumericError,
-    Workspace,
+    eigen_decompose, CLuFactor, CMatrix, Complex, LuFactor, Matrix, NumericError,
 };
 
 /// A multiport impedance macromodel in pole/residue form:
@@ -117,27 +116,13 @@ impl PoleResidueModel {
 /// with no DC path — fold the driver conductances first) and propagates
 /// eigensolver failures for defective `T` matrices.
 pub fn extract_pole_residue(rom: &ReducedModel) -> Result<PoleResidueModel, NumericError> {
-    with_workspace(|ws| extract_pole_residue_in(rom, ws))
-}
-
-/// [`extract_pole_residue`] with the real-matrix temporaries (the LU
-/// factor of `Gr`, `T = -Gr⁻¹Cr`, `Gr⁻¹Br`) served by the given
-/// workspace arena. Same arithmetic in the same order — the workspace
-/// hands out zeroed storage that is fully overwritten, and negating in
-/// place is elementwise `x * -1.0` exactly like the allocating `-&m`
-/// path — so results are bitwise identical.
-fn extract_pole_residue_in(
-    rom: &ReducedModel,
-    ws: &mut Workspace,
-) -> Result<PoleResidueModel, NumericError> {
     let q = rom.order();
     let np = rom.port_count();
-    let gr_lu = LuFactor::new_in(&rom.gr, ws)?;
+    let gr_lu = LuFactor::new(&rom.gr)?;
     // T = -Gr⁻¹ Cr.
-    let mut t = gr_lu.solve_mat_in(&rom.cr, ws)?;
+    let mut t = gr_lu.solve_mat(&rom.cr)?;
     t.scale_mut(-1.0);
     let dec = eigen_decompose(&t)?;
-    ws.recycle_matrix(t);
     let s = &dec.vectors;
     let s_inv = CLuFactor::new(s)?.inverse()?;
     // µ = Brᵀ S  (Np x q), ν = S⁻¹ Gr⁻¹ Br (q x Np).
@@ -146,13 +131,7 @@ fn extract_pole_residue_in(
         let brt = CMatrix::from_real(&rom.br.transpose());
         brt.mul_mat(s)
     };
-    let nu = {
-        let g_inv_b = gr_lu.solve_mat_in(&rom.br, ws)?;
-        let nu = s_inv.mul_mat(&CMatrix::from_real(&g_inv_b));
-        ws.recycle_matrix(g_inv_b);
-        nu
-    };
-    gr_lu.recycle(ws);
+    let nu = s_inv.mul_mat(&CMatrix::from_real(&gr_lu.solve_mat(&rom.br)?));
     // Median |d| is robust against a floating-load integrator mode.
     let zero_threshold = {
         let mut mags: Vec<f64> = dec.values.iter().map(|v| v.abs()).collect();
@@ -292,36 +271,6 @@ mod tests {
         assert!(!model.is_stable());
         assert_eq!(model.unstable_poles().len(), 1);
         assert!(model.unstable_poles()[0].re > 0.0);
-    }
-
-    #[test]
-    fn warm_pool_extraction_is_bitwise_stable() {
-        // First call populates the thread-local arena (misses), the
-        // second runs on recycled buffers (hits); results must not
-        // differ in a single bit.
-        let rom = ReducedModel {
-            gr: Matrix::from_rows(&[&[2e-3, -1e-3], &[-1e-3, 3e-3]]),
-            cr: Matrix::from_rows(&[&[2e-12, 0.0], &[0.0, 1e-12]]),
-            br: Matrix::from_rows(&[&[1.0], &[0.0]]),
-        };
-        let cold = extract_pole_residue(&rom).unwrap();
-        let warm = extract_pole_residue(&rom).unwrap();
-        assert_eq!(cold.poles.len(), warm.poles.len());
-        for (a, b) in cold.poles.iter().zip(&warm.poles) {
-            assert_eq!(a.re.to_bits(), b.re.to_bits());
-            assert_eq!(a.im.to_bits(), b.im.to_bits());
-        }
-        for (ra, rb) in cold.residues.iter().zip(&warm.residues) {
-            for i in 0..rom.port_count() {
-                for j in 0..rom.port_count() {
-                    assert_eq!(ra[(i, j)].re.to_bits(), rb[(i, j)].re.to_bits());
-                    assert_eq!(ra[(i, j)].im.to_bits(), rb[(i, j)].im.to_bits());
-                }
-            }
-        }
-        for (a, b) in cold.direct.as_slice().iter().zip(warm.direct.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use linvar_numeric::{
     gram_schmidt_orthonormalize, AnySolver, CLuFactor, CMatrix, Complex, LinearSolver, LuFactor,
-    Matrix, NumericError, SolverChoice, SparseMatrix, Workspace,
+    Matrix, NumericError, SolverChoice, SparseMatrix,
 };
 
 /// A reduced-order model `(Gr + s·Cr)·vr = Br·ip`, `vp = Brᵀ·vr`.
@@ -112,25 +112,6 @@ impl ReducedModel {
             }
         }
         Ok(z)
-    }
-
-    /// Takes a zeroed `q`-state, `np`-port model shell from the
-    /// workspace arena — the hot-path destination buffer for
-    /// [`crate::VariationalRom::evaluate_into`]. Hand it back with
-    /// [`ReducedModel::recycle`] once the sample is done.
-    pub fn take_from(ws: &mut Workspace, q: usize, np: usize) -> ReducedModel {
-        ReducedModel {
-            gr: ws.take_matrix(q, q),
-            cr: ws.take_matrix(q, q),
-            br: ws.take_matrix(q, np),
-        }
-    }
-
-    /// Returns the model's matrix storage to the workspace arena.
-    pub fn recycle(self, ws: &mut Workspace) {
-        ws.recycle_matrix(self.gr);
-        ws.recycle_matrix(self.cr);
-        ws.recycle_matrix(self.br);
     }
 }
 

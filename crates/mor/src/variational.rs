@@ -206,41 +206,6 @@ impl VariationalRom {
             cr: self.cr0.clone(),
             br: self.br0.clone(),
         };
-        self.accumulate_sensitivities(w, &mut out)?;
-        Ok(out)
-    }
-
-    /// Evaluates the first-order model at `w` *into* an existing
-    /// [`ReducedModel`] of matching shape, reusing its `Gr/Cr/Br`
-    /// storage — the per-sample hot-path form of
-    /// [`VariationalRom::evaluate`]. The output matrices are fully
-    /// overwritten with the nominal matrices and then receive the same
-    /// AXPY updates in the same order, so the result is bitwise
-    /// identical to the allocating path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::DimensionMismatch`] if a sensitivity matrix
-    /// disagrees in shape with the nominal reduced matrices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out`'s matrices do not match the ROM's shapes (take
-    /// them from a workspace arena sized by [`VariationalRom::order`] /
-    /// [`VariationalRom::port_count`]).
-    pub fn evaluate_into(&self, w: &[f64], out: &mut ReducedModel) -> Result<(), NumericError> {
-        out.gr.copy_from(&self.gr0);
-        out.cr.copy_from(&self.cr0);
-        out.br.copy_from(&self.br0);
-        self.accumulate_sensitivities(w, out)
-    }
-
-    /// Shared AXPY accumulation of eq. (11)'s first-order terms.
-    fn accumulate_sensitivities(
-        &self,
-        w: &[f64],
-        out: &mut ReducedModel,
-    ) -> Result<(), NumericError> {
         for (i, ((dg, dc), db)) in self.dgr.iter().zip(&self.dcr).zip(&self.dbr).enumerate() {
             if let Some(&wi) = w.get(i) {
                 if wi != 0.0 {
@@ -250,7 +215,7 @@ impl VariationalRom {
                 }
             }
         }
-        Ok(())
+        Ok(out)
     }
 
     /// Port transfer matrix `H(w, s) = Br(w)ᵀ (Gr(w) + s·Cr(w))⁻¹ Br(w)`

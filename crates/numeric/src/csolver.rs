@@ -12,9 +12,8 @@
 //! which routes every complex solve through the existing [`AnySolver`]
 //! machinery rather than a parallel complex implementation: dense/sparse
 //! backend selection (by the *embedded* order `2n`), the
-//! diagonal-perturbation recovery ladder, sparse pattern-reuse
-//! refactorization across a frequency sweep, and workspace pooling for
-//! the per-solve real scratch.
+//! diagonal-perturbation recovery ladder, and sparse pattern-reuse
+//! refactorization across a frequency sweep.
 //!
 //! Pattern invariance is deliberate: [`embed_triplets`] emits all four
 //! block entries for every complex triplet, zero components included, so
@@ -27,7 +26,6 @@ use crate::complex::Complex;
 use crate::error::NumericError;
 use crate::lu::FactorRecovery;
 use crate::solver::{AnySolver, LinearSolver, SolverBackend, SolverChoice};
-use crate::workspace::with_workspace;
 
 /// Embeds complex triplets for an `n×n` system into real triplets for
 /// the `2n×2n` block form `[[Ar, -Ai], [Ai, Ar]]`.
@@ -160,9 +158,9 @@ impl CAnySolver {
         self.inner.optimize_for_solves();
     }
 
-    /// Solves `A x = b` into `x` (overwritten; capacity reused). The
-    /// real 2n scratch comes from the thread-local workspace arena, so
-    /// a frequency sweep allocates its packing buffers once.
+    /// Solves `A x = b` into `x` (overwritten; capacity reused). `b` is
+    /// packed into a real `2n` right-hand side and the real `2n` solution
+    /// unpacked into `x`.
     ///
     /// # Errors
     ///
@@ -176,21 +174,16 @@ impl CAnySolver {
                 found: format!("length {}", b.len()),
             });
         }
-        with_workspace(|ws| {
-            let mut rb = ws.take_vec(2 * self.n);
-            for (i, z) in b.iter().enumerate() {
-                rb[i] = z.re;
-                rb[i + self.n] = z.im;
-            }
-            let mut rx = ws.take_vec(2 * self.n);
-            let result = self.inner.solve_into(&rb, &mut rx).map(|()| {
-                x.clear();
-                x.extend((0..self.n).map(|i| Complex::new(rx[i], rx[i + self.n])));
-            });
-            ws.recycle_vec(rb);
-            ws.recycle_vec(rx);
-            result
-        })
+        let rb: Vec<f64> = b
+            .iter()
+            .map(|z| z.re)
+            .chain(b.iter().map(|z| z.im))
+            .collect();
+        let mut rx = Vec::new();
+        self.inner.solve_into(&rb, &mut rx)?;
+        x.clear();
+        x.extend((0..self.n).map(|i| Complex::new(rx[i], rx[i + self.n])));
+        Ok(())
     }
 
     /// Solves `A x = b`.

@@ -35,8 +35,8 @@
 // Dense matrix kernels index rows/columns explicitly; iterator
 // adaptors would obscure the classic algorithm shapes.
 #![allow(clippy::needless_range_loop)]
-// The Monte-Carlo hot path must not clone what a borrow (or a
-// workspace buffer) can serve; keep the lint a hard error here.
+// The Monte-Carlo hot path must not clone what a borrow or a buffer
+// it already owns can serve; keep the lint a hard error here.
 #![deny(clippy::redundant_clone)]
 
 pub mod cmatrix;
@@ -52,7 +52,6 @@ pub mod sparse;
 pub mod sparse_lu;
 pub mod sym_eigen;
 pub mod vector;
-pub mod workspace;
 
 pub use cmatrix::{CLuFactor, CMatrix};
 pub use complex::Complex;
@@ -66,4 +65,3 @@ pub use solver::{AnySolver, LinearSolver, SolverBackend, SolverChoice, SPARSE_AU
 pub use sparse::SparseMatrix;
 pub use sparse_lu::{analyze_cached, SparseLu, SparseSymbolic};
 pub use sym_eigen::{cholesky, generalized_sym_eigen, jacobi_eigen, SymEigen};
-pub use workspace::{with_workspace, Workspace, WsStats};

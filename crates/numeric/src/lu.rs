@@ -2,7 +2,6 @@
 
 use crate::error::NumericError;
 use crate::matrix::Matrix;
-use crate::workspace::Workspace;
 
 /// LU factorization with partial (row) pivoting: `P * A = L * U`.
 ///
@@ -90,46 +89,13 @@ impl LuFactor {
     /// [`NumericError::SingularMatrix`] if a pivot underflows.
     pub fn new(a: &Matrix) -> Result<Self, NumericError> {
         let _span = linvar_metrics::timer(linvar_metrics::Phase::LuFactor);
-        Self::check_square(a)?;
-        Self::factor(a.clone())
-    }
-
-    /// Factors `a` into storage taken from the workspace arena — the
-    /// allocation-free analog of [`LuFactor::new`] for the Monte-Carlo
-    /// hot path. Hand the factorization back with
-    /// [`LuFactor::recycle`] when done. Results are bitwise identical
-    /// to `new` (the workspace hands out zeroed storage and the copy
-    /// overwrites every entry).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`LuFactor::new`].
-    pub fn new_in(a: &Matrix, ws: &mut Workspace) -> Result<Self, NumericError> {
-        let _span = linvar_metrics::timer(linvar_metrics::Phase::LuFactor);
-        Self::check_square(a)?;
-        let mut lu = ws.take_matrix(a.rows(), a.cols());
-        lu.copy_from(a);
-        Self::factor(lu)
-    }
-
-    /// Returns the factor storage to the workspace arena.
-    pub fn recycle(self, ws: &mut Workspace) {
-        ws.recycle_matrix(self.lu);
-    }
-
-    fn check_square(a: &Matrix) -> Result<(), NumericError> {
-        if a.is_square() {
-            Ok(())
-        } else {
-            Err(NumericError::DimensionMismatch {
+        if !a.is_square() {
+            return Err(NumericError::DimensionMismatch {
                 expected: "square matrix".into(),
                 found: format!("{}x{}", a.rows(), a.cols()),
-            })
+            });
         }
-    }
-
-    /// Partial-pivoting factor core, consuming the working copy.
-    fn factor(mut lu: Matrix) -> Result<Self, NumericError> {
+        let mut lu = a.clone();
         let n = lu.rows();
         let mut perm: Vec<usize> = (0..n).collect();
         let mut perm_sign = 1.0;
@@ -390,40 +356,13 @@ impl LuFactor {
             });
         }
         let mut x = Matrix::zeros(n, b.cols());
-        for j in 0..b.cols() {
-            let col = self.solve(&b.col(j))?;
-            x.set_col(j, &col);
-        }
-        Ok(x)
-    }
-
-    /// Solves `A X = B` with every temporary (result, column, solution)
-    /// served by the workspace arena. Bitwise identical to
-    /// [`LuFactor::solve_mat`]; the caller recycles the returned matrix
-    /// when done with it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::DimensionMismatch`] if `b.rows()` differs from
-    /// the matrix order.
-    pub fn solve_mat_in(&self, b: &Matrix, ws: &mut Workspace) -> Result<Matrix, NumericError> {
-        let n = self.order();
-        if b.rows() != n {
-            return Err(NumericError::DimensionMismatch {
-                expected: format!("{n} rows"),
-                found: format!("{} rows", b.rows()),
-            });
-        }
-        let mut x = ws.take_matrix(n, b.cols());
-        let mut col = ws.take_vec(n);
-        let mut sol = ws.take_vec(n);
+        let mut col = Vec::new();
+        let mut sol = Vec::new();
         for j in 0..b.cols() {
             b.col_into(j, &mut col);
             self.solve_into(&col, &mut sol)?;
             x.set_col(j, &sol);
         }
-        ws.recycle_vec(col);
-        ws.recycle_vec(sol);
         Ok(x)
     }
 
@@ -597,43 +536,17 @@ mod tests {
     }
 
     #[test]
-    fn workspace_backed_factor_and_solves_are_bitwise_identical() {
+    fn solve_mat_is_bitwise_identical_to_per_column_solves() {
         let a = Matrix::from_rows(&[&[4.0, 1.0, -0.5], &[1.0, 3.0, 1.0], &[0.25, 1.0, 2.0]]);
         let b = Matrix::from_rows(&[&[1.0, 0.5], &[-2.0, 3.0], &[0.75, -1.25]]);
-        let reference_lu = LuFactor::new(&a).unwrap();
-        let reference = reference_lu.solve_mat(&b).unwrap();
-
-        let mut ws = Workspace::pooling();
-        // Two rounds so the second runs entirely on recycled buffers.
-        for round in 0..2 {
-            let lu = LuFactor::new_in(&a, &mut ws).unwrap();
-            let x = lu.solve_mat_in(&b, &mut ws).unwrap();
-            for (got, want) in x.as_slice().iter().zip(reference.as_slice()) {
-                assert_eq!(got.to_bits(), want.to_bits(), "round {round}");
-            }
-            let mut v = Vec::new();
-            lu.solve_into(&b.col(0), &mut v).unwrap();
-            for (got, want) in v.iter().zip(&reference.col(0)) {
-                assert_eq!(got.to_bits(), want.to_bits(), "round {round}");
-            }
-            ws.recycle_matrix(x);
-            lu.recycle(&mut ws);
+        let lu = LuFactor::new(&a).unwrap();
+        let x = lu.solve_mat(&b).unwrap();
+        let mut col = Vec::new();
+        for j in 0..b.cols() {
+            lu.solve_into(&b.col(j), &mut col).unwrap();
+            let got: Vec<u64> = x.col(j).iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u64> = col.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "column {j}");
         }
-        let s = ws.stats();
-        assert!(s.hits > 0, "second round must hit the pool: {s:?}");
-    }
-
-    #[test]
-    fn workspace_factor_rejects_non_square_and_singular() {
-        let mut ws = Workspace::pooling();
-        assert!(matches!(
-            LuFactor::new_in(&Matrix::zeros(2, 3), &mut ws),
-            Err(NumericError::DimensionMismatch { .. })
-        ));
-        let s = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert!(matches!(
-            LuFactor::new_in(&s, &mut ws),
-            Err(NumericError::SingularMatrix { .. })
-        ));
     }
 }

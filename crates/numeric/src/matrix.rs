@@ -151,21 +151,6 @@ impl Matrix {
         out.extend((0..self.rows).map(|i| self[(i, j)]));
     }
 
-    /// Overwrites `self` with `other`'s contents, reusing `self`'s
-    /// storage. The allocation-free analog of `*self = other.clone()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn copy_from(&mut self, other: &Matrix) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "copy_from shape mismatch"
-        );
-        self.data.copy_from_slice(&other.data);
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -575,20 +560,10 @@ mod tests {
     }
 
     #[test]
-    fn copy_from_and_col_into_reuse_storage() {
+    fn col_into_overwrites_the_buffer() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let mut b = Matrix::zeros(2, 2);
-        b.copy_from(&a);
-        assert_eq!(b.as_slice(), a.as_slice());
         let mut c = vec![0.0; 7];
         a.col_into(1, &mut c);
         assert_eq!(c, vec![2.0, 4.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "copy_from shape mismatch")]
-    fn copy_from_rejects_shape_mismatch() {
-        let mut b = Matrix::zeros(2, 3);
-        b.copy_from(&Matrix::zeros(3, 2));
     }
 }

@@ -29,15 +29,14 @@
 //! factor arrays bit for bit, and repeated refactors are bitwise
 //! self-consistent (asserted in `tests/sparse_dense_equivalence.rs`).
 //!
-//! Triangular solves take their permutation scratch from the per-worker
-//! workspace arena ([`crate::with_workspace`]), so steady-state solves
-//! allocate nothing once the pool is warm.
+//! A triangular solve allocates one order-`n` vector, the row-permuted
+//! right-hand side it substitutes in place; the solution goes into the
+//! caller's buffer.
 
 use crate::error::NumericError;
 use crate::lu::FactorRecovery;
 use crate::matrix::Matrix;
 use crate::sparse::SparseMatrix;
-use crate::workspace::with_workspace;
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -114,7 +113,7 @@ thread_local! {
 
 /// Symbolic analysis through the per-worker pattern cache.
 ///
-/// The cache lives next to the workspace arena (one per worker thread):
+/// The cache is thread-local, so each Monte-Carlo worker has its own:
 /// repeated factorizations of matrices with an identical pattern — every
 /// sample of a Monte-Carlo campaign, every timestep rebuild of one
 /// transient — reuse the stored ordering instead of re-running
@@ -628,8 +627,8 @@ impl SparseLu {
     }
 
     /// Solves `A x = b` into `x` (fully overwritten; reuses `x`'s
-    /// capacity). The permutation scratch comes from the per-worker
-    /// workspace arena, so a warmed-up solve allocates nothing.
+    /// capacity). The substitutions run in place on a fresh vector
+    /// holding the row-permuted `b`.
     ///
     /// # Errors
     ///
@@ -644,38 +643,32 @@ impl SparseLu {
                 found: format!("length {}", b.len()),
             });
         }
-        with_workspace(|ws| {
-            let mut y = ws.take_vec(n);
-            for k in 0..n {
-                y[k] = b[self.rowperm[k]];
-            }
-            // Forward: L y' = P b (unit lower triangular).
-            for k in 0..n {
-                let yk = y[k];
-                if yk != 0.0 {
-                    for li in self.l_colptr[k]..self.l_colptr[k + 1] {
-                        y[self.l_rows[li]] -= self.l_vals[li] * yk;
-                    }
+        let mut y: Vec<f64> = self.rowperm.iter().map(|&r| b[r]).collect();
+        // Forward: L y' = P b (unit lower triangular).
+        for k in 0..n {
+            let yk = y[k];
+            if yk != 0.0 {
+                for li in self.l_colptr[k]..self.l_colptr[k + 1] {
+                    y[self.l_rows[li]] -= self.l_vals[li] * yk;
                 }
             }
-            // Backward: U z = y'.
-            for k in (0..n).rev() {
-                let yk = y[k] / self.udiag[k];
-                y[k] = yk;
-                if yk != 0.0 {
-                    for ui in self.u_colptr[k]..self.u_colptr[k + 1] {
-                        y[self.u_rows[ui]] -= self.u_vals[ui] * yk;
-                    }
+        }
+        // Backward: U z = y'.
+        for k in (0..n).rev() {
+            let yk = y[k] / self.udiag[k];
+            y[k] = yk;
+            if yk != 0.0 {
+                for ui in self.u_colptr[k]..self.u_colptr[k + 1] {
+                    y[self.u_rows[ui]] -= self.u_vals[ui] * yk;
                 }
             }
-            // Undo the column permutation: x[q[k]] = z[k].
-            x.clear();
-            x.resize(n, 0.0);
-            for k in 0..n {
-                x[self.q[k]] = y[k];
-            }
-            ws.recycle_vec(y);
-        });
+        }
+        // Undo the column permutation: x[q[k]] = z[k].
+        x.clear();
+        x.resize(n, 0.0);
+        for k in 0..n {
+            x[self.q[k]] = y[k];
+        }
         Ok(())
     }
 

@@ -3,7 +3,7 @@
 //! Property tests drive the real-embedded complex solver ([`CAnySolver`])
 //! over randomly generated diagonally-dominant complex systems and demand
 //! dense/sparse agreement, bitwise determinism when the same system is
-//! solved concurrently from 1/2/8 threads (the workspace arenas are
+//! solved concurrently from 1/2/8 threads (the symbolic cache is
 //! thread-local; nothing about the factorization may depend on what other
 //! threads are doing), and recovery-ladder parity between the backends on
 //! injected exactly-singular complex systems.
@@ -118,8 +118,8 @@ proptest! {
 
     /// Solving the same complex system concurrently from 1, 2 and 8
     /// threads is bitwise identical to the serial solve on both backends:
-    /// no global state (workspace arenas, symbolic caches) may leak into
-    /// the numerics.
+    /// no per-thread state (the symbolic cache) may leak into the
+    /// numerics.
     #[test]
     fn complex_solves_are_bitwise_across_1_2_8_threads(
         n in 3usize..20,

@@ -21,10 +21,10 @@
 //! count, and across any interrupt/resume schedule. See DESIGN.md,
 //! "The sample executor & determinism contract".
 //!
-//! Each worker thread owns a thread-local scratch **workspace**
-//! (`linvar_numeric::with_workspace`) that the sample hot path draws its
-//! LU/eigen/matrix temporaries from; pooling only recycles storage, so
-//! it cannot leak one sample's values into the next.
+//! Workers share no numeric scratch: a sample evaluation allocates its
+//! own LU/eigen/matrix temporaries, and the only per-thread numeric
+//! state under it, the sparse symbolic cache, holds value-free orderings
+//! matched exactly by pattern, so no sample's values can reach the next.
 
 use crate::campaign::{
     load_checkpoint, reap_orphan_tmp, save_checkpoint, CampaignConfig, CampaignFingerprint,

@@ -25,7 +25,7 @@
 // adaptors would obscure the classic algorithm shapes.
 #![allow(clippy::needless_range_loop)]
 // The per-sample hot path (stage evaluation, SC iteration, recursive
-// convolution) must not clone what a borrow or a workspace buffer can serve.
+// convolution) must not clone what a borrow or a buffer it owns can serve.
 #![deny(clippy::redundant_clone)]
 
 pub mod conv;

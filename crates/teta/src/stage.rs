@@ -25,7 +25,7 @@ use linvar_mor::{
     extract_pole_residue, extract_stabilized_degrading, stabilize, PoleResidueModel, ReducedModel,
     ReductionMethod, StabilityReport, VariationalRom, DEFAULT_BETA_TOL,
 };
-use linvar_numeric::{with_workspace, SparseMatrix};
+use linvar_numeric::SparseMatrix;
 use std::collections::BTreeMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
@@ -391,18 +391,8 @@ impl StageModel {
         stop: Option<StopRule>,
     ) -> Result<StageResult, TetaError> {
         let _span = linvar_metrics::timer(linvar_metrics::Phase::StageEval);
-        // Serve the per-sample reduced matrices from the worker's workspace
-        // pool: `evaluate_into` writes the same values `evaluate` would
-        // allocate (copy + identical AXPY accumulation), so results are
-        // bitwise unchanged. The scope closes before `evaluate_with_rom`
-        // so the pole/residue extraction can borrow the same pool.
-        let rom = with_workspace(|ws| {
-            let mut rom = ReducedModel::take_from(ws, self.vrom.order(), self.vrom.port_count());
-            self.vrom.evaluate_into(w, &mut rom).map(|()| rom)
-        })?;
-        let result = self.evaluate_with_rom(&rom, inputs, self.options(variation, h, t_end, stop));
-        with_workspace(|ws| rom.recycle(ws));
-        result
+        let rom = self.vrom.evaluate(w)?;
+        self.evaluate_with_rom(&rom, inputs, self.options(variation, h, t_end, stop))
     }
 
     /// Evaluates the stage under the failure-recovery ladder.

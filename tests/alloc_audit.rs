@@ -3,18 +3,18 @@
 //! A counting global allocator measures how many heap allocations one
 //! steady-state sample costs inside the sample executor
 //! ([`monte_carlo_par`] at one worker, which evaluates inline on the
-//! calling thread) once the workspace arena is warm. The count is differenced between two run
-//! lengths, so per-run fixed costs (result vectors, the summary) cancel
-//! and only the true per-sample cost remains.
+//! calling thread). The count is differenced between two run lengths, so
+//! per-run fixed costs (result vectors, the summary) cancel and only the
+//! true per-sample cost remains.
 //!
-//! The budget below is a **regression tripwire**, not an aspiration:
-//! the workspace arena eliminated the per-sample LU/eigen/matrix and
-//! SC-inner-loop allocations, and what remains is the documented
-//! steady-state constant. If this test fails, a hot-path change
-//! reintroduced per-sample allocation — either pool the new buffer
-//! through `linvar_numeric::with_workspace` or, if the allocation is
-//! genuinely unavoidable, raise the budget in the same commit that
-//! explains why.
+//! The budgets below are **regression tripwires**, not aspirations. A
+//! stage evaluation allocates its per-sample matrices plainly, a few
+//! dozen small buffers; what the budget must never include is an
+//! allocation per SC iteration or per timestep, which would scale with
+//! the work instead of the sample. If a test fails, a hot-path change
+//! added allocations: reuse a buffer the evaluation already owns or, if
+//! the allocation is genuinely unavoidable, raise the budget in the same
+//! commit that explains why.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -66,14 +66,18 @@ fn allocs() -> u64 {
 /// Steady-state per-sample allocation budget for one stage evaluation
 /// driven through the executor at one worker.
 ///
-/// The measured cost after the workspace-arena work is ~160 allocations
-/// per sample (6th-order ROM, one driver). It is a *small documented
-/// constant* — independent of the transient length and the SC iteration
-/// count — made up of:
+/// The measured cost is ~170 allocations per sample (6th-order ROM, one
+/// driver). It is a *small documented constant* — independent of the
+/// transient length and the SC iteration count — made up of:
 ///
-///   * pole/residue extraction scratch the workspace does not pool:
-///     complex eigensolver internals (`CMatrix` temporaries) and the
-///     per-sample `PoleResidueModel` (one small `CMatrix` per pole);
+///   * the reduced model at `w` (`VariationalRom::evaluate`: `Gr`, `Cr`
+///     and `Br`);
+///   * pole/residue extraction: the LU copy of `Gr` and its pivot
+///     vector; `T = -Gr⁻¹Cr` and `Gr⁻¹Br`, each a result matrix plus one
+///     column and one solution vector that `LuFactor::solve_mat` reuses
+///     across columns; complex eigensolver internals (`CMatrix`
+///     temporaries) and the per-sample `PoleResidueModel` (one small
+///     `CMatrix` per pole);
 ///   * `stabilize`'s filtered copy of that model (β-rescaled residues);
 ///   * per-run solver setup: `DriverSpec` (input waveform + MOS model
 ///     clones), `RecursiveConvolution` state, and the recorded output
@@ -83,8 +87,8 @@ fn allocs() -> u64 {
 ///
 /// What the budget must **never** again include: per-SC-iteration or
 /// per-timestep allocation (the former cost scaled with the ~36k chord
-/// iterations a sample runs — pooling those is where the hot-path speedup
-/// came from).
+/// iterations a sample runs — reusing the loop's own buffers there is
+/// where the hot-path speedup came from).
 const PER_SAMPLE_BUDGET: u64 = 400;
 
 #[test]
@@ -136,9 +140,9 @@ fn steady_state_monte_carlo_sample_allocates_within_budget() {
                 .ok_or_else(|| "no crossing".to_string())
         };
 
-        // Warm-up: populate the thread-local workspace pools (first samples
-        // miss; steady state hits). Uses the same driver as the measurement.
-        // One worker evaluates inline, so every sample's allocations land on
+        // Warm-up: lets one-time lazy state (thread-locals, first buffer
+        // growth) settle. Uses the same driver as the measurement. One
+        // worker evaluates inline, so every sample's allocations land on
         // this thread's counter.
         let warm: Vec<[f64; 5]> = (0..4).map(sample_at).collect();
         let r = monte_carlo_par(&warm, 1, |w| eval(w));
@@ -168,8 +172,8 @@ fn steady_state_monte_carlo_sample_allocates_within_budget() {
             per_sample <= PER_SAMPLE_BUDGET,
             "steady-state Monte-Carlo sample (stop rule {stop:?}) allocated \
              {per_sample} times (budget: {PER_SAMPLE_BUDGET}). A hot-path change \
-             reintroduced per-sample allocation — pool new buffers through \
-             linvar_numeric::with_workspace, or raise PER_SAMPLE_BUDGET in \
+             added per-sample allocation — reuse a buffer the evaluation \
+             already owns, or raise PER_SAMPLE_BUDGET in \
              tests/alloc_audit.rs with a documented breakdown. \
              (window costs: {short_cost} for {} samples, {long_cost} for {})",
             short.len(),
@@ -183,12 +187,13 @@ fn steady_state_monte_carlo_sample_allocates_within_budget() {
 ///
 /// The numeric refactorization writes into the factor storage resident in
 /// the `SparseLu` (pattern replay, no fresh `Vec`s), and `solve_into`
-/// takes its permutation scratch from the thread-local workspace arena.
-/// What remains per cycle is a handful of bookkeeping allocations from
-/// assembling the updated `SparseMatrix` values vector — the documented
-/// constant below, independent of matrix size and fill. If this trips, a
-/// sparse hot-path change reintroduced per-cycle allocation: route new
-/// scratch through the resident factor storage or the workspace arena.
+/// allocates one order-`n` vector, the row-permuted right-hand side it
+/// substitutes in place. What remains per cycle is that vector and a
+/// handful of bookkeeping allocations from assembling the updated
+/// `SparseMatrix` values vector — the documented constant below,
+/// independent of matrix size and fill. If this trips, a sparse hot-path
+/// change reintroduced per-cycle allocation: keep new scratch in the
+/// resident factor storage.
 const SPARSE_CYCLE_BUDGET: u64 = 24;
 
 #[test]
@@ -231,7 +236,7 @@ fn sparse_refactor_solve_cycle_allocates_within_budget() {
         assert!(x.iter().all(|v| v.is_finite()));
     };
 
-    // Warm-up fills the workspace pools and the triplet-buffer high-water
+    // Warm-up grows `x` and the triplet buffers to their high-water
     // marks; then difference two window lengths so fixed costs cancel.
     for k in 0..4 {
         cycle(k);
@@ -253,60 +258,7 @@ fn sparse_refactor_solve_cycle_allocates_within_budget() {
         "sparse refactor+solve cycle allocated {per_cycle} times \
          (budget: {SPARSE_CYCLE_BUDGET}). A sparse hot-path change \
          reintroduced per-cycle allocation — keep scratch resident in \
-         SparseLu or pool it through linvar_numeric::with_workspace, or \
-         raise SPARSE_CYCLE_BUDGET in tests/alloc_audit.rs with a \
-         documented breakdown."
+         SparseLu, or raise SPARSE_CYCLE_BUDGET in tests/alloc_audit.rs \
+         with a documented breakdown."
     );
-}
-
-#[test]
-fn workspace_disable_escape_hatch_allocates_more() {
-    // `LINVAR_WS_DISABLE=1` turns the arena into a passthrough; this test
-    // pins the env contract by checking the flag is at least read. (Spawn
-    // a fresh evaluation under the flag in-process: the workspace is
-    // thread-local, so a new thread observes the flag at pool creation.)
-    let tech = tech_018();
-    let spec = CoupledLineSpec::new(1, 20e-6, WireTech::m018());
-    let built = linvar_interconnect::builder::build_coupled_lines(&spec).unwrap();
-    let model = StageModel::build(
-        &built.netlist,
-        &[built.inputs[0]],
-        &tech,
-        ReductionMethod::Prima { order: 6 },
-        0.02,
-    )
-    .unwrap();
-    let input = Waveform::ramp(0.0, 1.8, 20e-12, 50e-12);
-
-    // Pooled-path result (this thread) vs passthrough result (flagged
-    // thread): the escape hatch must not change a single bit.
-    let pooled = model
-        .evaluate(
-            &[0.1, -0.1, 0.0, 0.0, 0.2],
-            DeviceVariation::nominal(),
-            std::slice::from_ref(&input),
-            1e-12,
-            1.5e-9,
-        )
-        .unwrap();
-    std::env::set_var("LINVAR_WS_DISABLE", "1");
-    let plain = std::thread::scope(|s| {
-        s.spawn(|| {
-            model
-                .evaluate(
-                    &[0.1, -0.1, 0.0, 0.0, 0.2],
-                    DeviceVariation::nominal(),
-                    std::slice::from_ref(&input),
-                    1e-12,
-                    1.5e-9,
-                )
-                .unwrap()
-        })
-        .join()
-        .unwrap()
-    });
-    std::env::remove_var("LINVAR_WS_DISABLE");
-    for (a, b) in pooled.waveforms.iter().zip(&plain.waveforms) {
-        assert_eq!(a.points(), b.points(), "passthrough changed results");
-    }
 }

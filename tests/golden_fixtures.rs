@@ -1,10 +1,9 @@
 //! Golden-fixture regression suite: exact-bit `f64` fixtures for the
 //! table4/fig7 benchmark rows, a raw stage waveform and the SPICE
 //! transient engine's waveforms and work counts, checked into
-//! `tests/golden/`. Perf work on the hot path (workspace arenas, buffer
-//! reuse, algebraic rewrites) must not shift a single result bit; these
-//! fixtures catch any drift the statistical asserts elsewhere would
-//! absorb.
+//! `tests/golden/`. Perf work on the hot path (buffer reuse, algebraic
+//! rewrites) must not shift a single result bit; these fixtures catch
+//! any drift the statistical asserts elsewhere would absorb.
 //!
 //! Regenerate after an *intended* numeric change with:
 //!
@@ -142,9 +141,7 @@ fn golden_fig7_rows() {
 /// the s27 longest path under the (DL, VT) sources — node delays,
 /// coefficients, surrogate moments and quantiles, all bit-exact. The
 /// thread half of the determinism contract is asserted first: 2 and 8
-/// workers must reproduce the 1-worker bits before the fixture compare
-/// (and ci.sh reruns this test under `LINVAR_WS_DISABLE=1`, so the
-/// pooled and allocating hot paths pin the same bits).
+/// workers must reproduce the 1-worker bits before the fixture compare.
 #[test]
 fn golden_spectral_rows() {
     let sources = VariationSources::example3(0.33, 0.33);
@@ -201,9 +198,7 @@ fn golden_spectral_rows() {
 /// 8×8 power grid, 8 LHS samples over the 5 wire parameters, worst drop
 /// per sample. The determinism contract is asserted before the fixture
 /// compare — 2 and 8 worker threads reproduce the 1-worker bits, and the
-/// dense backend prints the very same `mc` row as sparse (`ci.sh` reruns
-/// this test under `LINVAR_WS_DISABLE=1`, so the pooled and allocating
-/// DC-solve paths pin the same bits).
+/// dense backend prints the very same `mc` row as sparse.
 #[test]
 fn golden_acgrid_rows() {
     use linvar_bench::chains::mc_line;

@@ -9,13 +9,23 @@
 //!    bitwise-identical simulation results to running instrumented, and
 //!    a disabled run leaves the sink empty.
 //!
+//! A third test checks that the solver phase counters tell which route
+//! ran: a chains transient pinned to a backend, and an AC sweep that
+//! factors once and refactors at every later point.
+//!
 //! The sink is process-global, so every test serializes on
 //! [`linvar::metrics::test_lock`].
 
+use std::collections::BTreeMap;
+
+use linvar::interconnect::rc_chain_case;
 use linvar::iscas::{benchmark, decompose_to_primitives, longest_path};
 use linvar::metrics;
+use linvar::numeric::SolverChoice;
 use linvar::prelude::*;
+use linvar::spice::{ac_analysis_with, log_frequencies};
 use linvar::stats::ShardConfig;
+use linvar_bench::chains::{ac_frequency, delay_for_sample, sample_set};
 
 const MASTER_SEED: u64 = 2002;
 const N_SAMPLES: usize = 8;
@@ -240,4 +250,68 @@ fn shard_counters_are_identical_across_thread_counts() {
             "sharded results must not depend on the thread count"
         );
     }
+}
+
+/// The counters section of a clean sink after running `f` instrumented.
+fn counters_of(f: impl FnOnce()) -> BTreeMap<String, u64> {
+    metrics::reset();
+    metrics::enable();
+    f();
+    let counters = metrics::snapshot().counters;
+    metrics::disable();
+    metrics::reset();
+    counters
+}
+
+#[test]
+fn solver_phase_counters_follow_the_route_taken() {
+    let _guard = metrics::test_lock();
+    let case = rc_chain_case(500).expect("chain2x500 builds");
+    let w = &sample_set(1)[0];
+    let transient = |solver| {
+        counters_of(|| {
+            delay_for_sample(&case, w, solver).expect("chain2x500 sample");
+        })
+    };
+    let sparse = transient(SolverChoice::Sparse);
+    for phase in ["numeric_factor", "solve"] {
+        let calls = sparse[&format!("phase.{phase}.calls")];
+        assert!(
+            calls >= 1,
+            "sparse-pinned sample made {calls} {phase} calls"
+        );
+    }
+    let dense = transient(SolverChoice::Dense);
+    for phase in ["symbolic", "numeric_factor", "solve"] {
+        let calls = dense[&format!("phase.{phase}.calls")];
+        assert_eq!(
+            calls, 0,
+            "dense-pinned sample made {calls} sparse {phase} calls"
+        );
+    }
+
+    // An N-point sweep factors at its first point and refactors on the
+    // stored pattern at each later one.
+    const N: u64 = 5;
+    let f0 = ac_frequency(&case);
+    let freqs = log_frequencies(f0 / 10.0, f0 * 10.0, N as usize);
+    let frozen = case.netlist.frozen_at(w);
+    let ac = counters_of(|| {
+        ac_analysis_with(
+            &frozen,
+            "Vdrv",
+            &[&case.probe],
+            &freqs,
+            SolverChoice::Sparse,
+        )
+        .expect("AC sweep");
+    });
+    assert_eq!(ac["ac.points_solved"], N);
+    assert_eq!(ac["phase.ac_factor.calls"], N);
+    assert_eq!(ac["phase.ac_solve.calls"], N);
+    assert_eq!(
+        ac["ac.refactors"],
+        N - 1,
+        "the sweep must refactor every point after the first"
+    );
 }
